@@ -41,10 +41,12 @@ int main() {
     });
     rig.fabric.run_for(kSpan + 100 * kMs);
 
-    const auto& st = rig.fabric.runtime(0).stats();
-    table.row({std::to_string(batch), std::to_string(st.ewo_updates_sent),
-               std::to_string(st.bytes_ewo),
-               bench::fmt(static_cast<double>(st.bytes_ewo) / kWrites, 1),
+    // The writer is runtime(0), switch id 1.
+    const auto snap = rig.fabric.metrics_snapshot();
+    const std::uint64_t bytes = snap.values.at("shm.sw1.ewo.bytes").count;
+    table.row({std::to_string(batch),
+               std::to_string(snap.values.at("shm.sw1.ewo.updates_sent").count),
+               std::to_string(bytes), bench::fmt(static_cast<double>(bytes) / kWrites, 1),
                std::to_string(staleness)});
   }
   table.print(std::cout);

@@ -26,7 +26,9 @@ int main() {
         });
       }
       rig.fabric.run_for(500 * kMs);
-      const auto& h = rig.fabric.runtime(0).stats().write_latency;
+      // The writer is runtime(0), switch id 1.
+      const auto snap = rig.fabric.metrics_snapshot();
+      const Histogram& h = snap.values.at("shm.sw1.sro.write_latency_ns").hist;
       table.row({std::to_string(n), bench::fmt(h.p50() / 1000.0, 1),
                  bench::fmt(h.p99() / 1000.0, 1), std::to_string(h.count())});
     }
@@ -54,11 +56,13 @@ int main() {
         });
       }
       rig.fabric.run_for(duration + 400 * kMs);
-      const auto& st = rig.fabric.runtime(0).stats();
-      table.row({bench::fmt(rate, 0), std::to_string(st.writes_committed),
-                 bench::fmt(static_cast<double>(st.writes_committed) * kSec / duration, 0),
-                 std::to_string(st.writes_rejected),
-                 bench::fmt(st.write_latency.p99() / 1000.0, 1)});
+      const auto snap = rig.fabric.metrics_snapshot();
+      const std::uint64_t committed = snap.values.at("shm.sw1.sro.writes_committed").count;
+      const Histogram& latency = snap.values.at("shm.sw1.sro.write_latency_ns").hist;
+      table.row({bench::fmt(rate, 0), std::to_string(committed),
+                 bench::fmt(static_cast<double>(committed) * kSec / duration, 0),
+                 std::to_string(snap.values.at("shm.sw1.sro.writes_rejected").count),
+                 bench::fmt(latency.p99() / 1000.0, 1)});
     }
     table.print(std::cout);
   }

@@ -50,9 +50,13 @@ int main() {
           rig.fabric.runtime(2).ewo_add(bench::kCtrSpace, k, 1);
         }
         const TimeNs duration = 200 * kMs;
-        const auto before = rig.fabric.runtime(0).stats().bytes_ewo;
+        // EWO wire bytes sent by runtime(0), switch id 1.
+        const auto ewo_bytes = [&rig]() {
+          return rig.fabric.metrics_snapshot().values.at("shm.sw1.ewo.bytes").count;
+        };
+        const auto before = ewo_bytes();
         rig.fabric.run_for(duration);
-        const auto bytes = rig.fabric.runtime(0).stats().bytes_ewo - before;
+        const auto bytes = ewo_bytes() - before;
         const double bytes_per_sec =
             static_cast<double>(bytes) * kSec / static_cast<double>(duration);
         table.row({std::to_string(regs), bench::fmt(period / 1e6, 0) + " ms",

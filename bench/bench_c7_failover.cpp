@@ -45,17 +45,18 @@ int main(int argc, char** argv) {
       rig.fabric.sw(1).inject(bench::op_packet(9, 1005));
       rig.fabric.run_for(2 * kSec);
 
-      const auto& st = rig.fabric.runtime(1).stats();
-      const double commit_ms =
-          st.write_latency.count() ? st.write_latency.max() / 1e6 : -1.0;
+      // The writer is runtime(1), switch id 2.
+      const auto snap = rig.fabric.metrics_snapshot();
+      const Histogram& latency = snap.values.at("shm.sw2.sro.write_latency_ns").hist;
+      const std::uint64_t writes_lost = snap.values.at("shm.sw2.sro.writes_failed").count;
+      const double commit_ms = latency.count() ? latency.max() / 1e6 : -1.0;
       table.row({bench::fmt(hb_timeout / 1e6, 0), bench::fmt((detected_at - killed_at) / 1e6, 1),
                  bench::fmt((repaired_at - killed_at) / 1e6, 1), bench::fmt(commit_ms, 1),
-                 std::to_string(st.writes_failed)});
+                 std::to_string(writes_lost)});
 
       // Detection and repair reported separately: wall-clock from the hooks,
       // protocol-measured staleness/repair time from the controller's
       // failover.detection_ns / failover.repair_ns histograms.
-      const auto snap = rig.fabric.metrics_snapshot();
       double detection_hist_ms = 0, repair_hist_ms = 0;
       for (const auto& [name, value] : snap.values) {
         if (name == "failover.detection_ns") detection_hist_ms = value.hist.p50() / 1e6;
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
           .num("detection_hist_p50_ms", detection_hist_ms)
           .num("repair_hist_p50_ms", repair_hist_ms)
           .num("commit_ms", commit_ms)
-          .num("writes_lost", st.writes_failed);
+          .num("writes_lost", writes_lost);
     }
     table.print(std::cout);
   }
@@ -99,23 +100,27 @@ int main(int argc, char** argv) {
 
       TimeNs recovered_at = -1;
       rig.fabric.controller().on_recovery_complete = [&](SwitchId, TimeNs t) { recovered_at = t; };
-      // Donor is the current tail (switch index 3).
-      const auto chunks_before = rig.fabric.runtime(3).stats().recovery_chunks_sent;
-      const auto bytes_before = rig.fabric.runtime(3).stats().bytes_write_path;
+      const auto before = rig.fabric.metrics_snapshot();
       const TimeNs revive_at = rig.fabric.simulator().now();
       rig.fabric.revive_switch(1);
       rig.fabric.run_for(2 * kSec);
 
-      const auto& donor = rig.fabric.runtime(3).stats();
-      table.row({std::to_string(keys),
-                 std::to_string(donor.recovery_chunks_sent - chunks_before),
-                 std::to_string(donor.bytes_write_path - bytes_before),
+      // Donor is the current tail (switch index 3, id 4). Its write-path
+      // bytes are the chain WriteRequest/WriteAck frames plus the recovery
+      // stream, which reuses them.
+      const auto delta = telemetry::MetricsSnapshot::diff(rig.fabric.metrics_snapshot(), before);
+      const auto count = [&delta](const char* name) { return delta.values.at(name).count; };
+      const std::uint64_t chunks = count("shm.sw4.recovery_chunks_sent");
+      const std::uint64_t bytes = count("shm.sw4.sro.bytes_write") +
+                                  count("shm.sw4.ero.bytes_write") +
+                                  count("shm.sw4.bytes_recovery");
+      table.row({std::to_string(keys), std::to_string(chunks), std::to_string(bytes),
                  recovered_at < 0 ? "never" : bench::fmt((recovered_at - revive_at) / 1e6, 1)});
       artifact.row()
           .str("part", "b_recovery")
           .num("keys", static_cast<std::uint64_t>(keys))
-          .num("stream_chunks", donor.recovery_chunks_sent - chunks_before)
-          .num("donor_bytes", donor.bytes_write_path - bytes_before)
+          .num("stream_chunks", chunks)
+          .num("donor_bytes", bytes)
           .num("recovery_ms", recovered_at < 0 ? -1.0 : (recovered_at - revive_at) / 1e6);
     }
     table.print(std::cout);

@@ -59,11 +59,22 @@ Measured run_nf(const std::vector<shm::SpaceConfig>& spaces, MakeApp make_app,
   gen.start(300 * kMs);
   fabric.run_for(1 * kSec);
 
+  // Shared-state accesses summed over every switch and whichever engines the
+  // NF's spaces run on (cells of absent engines count as zero).
+  const telemetry::MetricsSnapshot snap = fabric.metrics_snapshot();
+  const auto count = [&snap](const std::string& name) -> std::uint64_t {
+    auto it = snap.values.find(name);
+    return it == snap.values.end() ? 0 : it->second.count;
+  };
   std::uint64_t reads = 0, writes = 0;
   for (std::size_t i = 0; i < fabric.size(); ++i) {
-    const auto& st = fabric.runtime(i).stats();
-    reads += st.reads_local + st.reads_redirected + st.ewo_reads;
-    writes += st.writes_submitted + st.ewo_local_writes;
+    const std::string p = "shm.sw" + std::to_string(fabric.sw(i).id()) + ".";
+    for (const char* cls : {"sro.", "ero.", "con."}) {
+      reads += count(p + cls + "reads_local") + count(p + cls + "reads_redirected");
+      writes += count(p + cls + "writes_submitted");
+    }
+    reads += count(p + "ewo.reads");
+    writes += count(p + "ewo.local_writes");
   }
   Measured m;
   const auto packets = static_cast<double>(gen.stats().packets_sent);

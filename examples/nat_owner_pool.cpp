@@ -59,9 +59,10 @@ int main() {
                 "own acquisitions", "own revokes"});
   std::uint64_t total_allocs = 0;
   std::set<std::uint64_t> owners;
+  const auto snap = fabric.metrics_snapshot();
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const auto& st = apps[i]->stats();
-    const auto& rt_stats = fabric.runtime(i).stats();
+    const std::string own = "shm.sw" + std::to_string(fabric.sw(i).id()) + ".own.";
     const auto* engine = dynamic_cast<const shm::OwnerEngine*>(
         fabric.runtime(i).engine_for_space(nf::kNatPortPoolSpace));
     const bool owns = engine != nullptr && engine->owns(nf::kNatPortPoolSpace, 0);
@@ -69,7 +70,8 @@ int main() {
     total_allocs += st.pool_allocations;
     table.row({std::to_string(i), std::to_string(st.pool_allocations),
                std::to_string(st.translated_out), owns ? "yes" : "no",
-               std::to_string(rt_stats.own_acquisitions), std::to_string(rt_stats.own_revokes)});
+               std::to_string(snap.values.at(own + "acquisitions_completed").count),
+               std::to_string(snap.values.at(own + "revokes_served").count)});
   }
   table.print(std::cout);
 

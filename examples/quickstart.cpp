@@ -28,7 +28,7 @@ class QuickstartNf : public shm::NfApp {
 
     // SRO: read-intensive state, strongly consistent on every switch.
     std::uint64_t drop_flag = 0;
-    if (rt.sro_read(ctx, kConfigSpace, 0, drop_flag) == shm::ReadStatus::kRedirected) {
+    if (rt.read(&ctx, kConfigSpace, 0, drop_flag) == shm::ReadStatus::kRedirected) {
       return;  // served by the chain tail; nothing more to do here
     }
     if (drop_flag == 1) return;  // feature flag says drop
@@ -99,7 +99,7 @@ int main() {
 
   // 5. Flip the strongly-consistent flag via the SRO chain (from switch 2),
   //    then observe that all switches drop traffic.
-  fabric.runtime(2).sro_write({{kConfigSpace, 0, 1}}, pkt::Packet{}, nullptr);
+  fabric.runtime(2).write({{kConfigSpace, 0, 1}}, pkt::Packet{}, nullptr);
   fabric.run_for(50 * kMs);
   const auto before = delivered;
   for (int i = 0; i < 10; ++i) fabric.sw(i % 3).inject(make_packet(8000));

@@ -67,7 +67,7 @@ void DdosDetectorApp::window_tick(shm::ShmRuntime& rt) {
                              : share >= config_.share_threshold;
       if (fired) {
         ++stats_.alarms;
-        if (on_alarm) on_alarm(dst, share, rt.owner().simulator().now());
+        if (on_alarm) on_alarm(dst, share, rt.sw().simulator().now());
       }
     }
   }

@@ -22,7 +22,7 @@ void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
       std::vector<pkt::WriteOp> ops{
           {kFirewallSpace, key, static_cast<std::uint64_t>(ConnState::kEstablished)}};
       pkt::Packet out = ctx.packet;
-      rt.sro_write(std::move(ops), std::move(out), [sw, this](pkt::Packet&& released) {
+      rt.write(std::move(ops), std::move(out), [sw, this](pkt::Packet&& released) {
         ++stats_.allowed_out;
         sw->deliver(std::move(released));
       });
@@ -32,7 +32,7 @@ void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
       ++stats_.connections_closed;
       std::vector<pkt::WriteOp> ops{{kFirewallSpace, key, shm::kTombstone}};
       pkt::Packet out = ctx.packet;
-      rt.sro_write(std::move(ops), std::move(out), [sw, this](pkt::Packet&& released) {
+      rt.write(std::move(ops), std::move(out), [sw, this](pkt::Packet&& released) {
         ++stats_.allowed_out;
         sw->deliver(std::move(released));
       });
@@ -54,7 +54,7 @@ void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   }
   // ...then admit only packets of connections the inside opened.
   std::uint64_t state = 0;
-  switch (rt.sro_read(ctx, kFirewallSpace, key, state)) {
+  switch (rt.read(&ctx, kFirewallSpace, key, state)) {
     case shm::ReadStatus::kOk:
       ++stats_.allowed_in;
       ctx.sw.deliver(std::move(ctx.packet));

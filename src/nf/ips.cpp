@@ -21,7 +21,7 @@ std::uint64_t IpsApp::signature_of(std::span<const std::uint8_t> payload) noexce
 void IpsApp::install_signature(shm::ShmRuntime& rt, std::uint64_t signature) {
   ++stats_.signatures_installed;
   std::vector<pkt::WriteOp> ops{{kIpsSignatureSpace, slot_of(signature), signature}};
-  rt.sro_write(std::move(ops), pkt::Packet{}, nullptr);
+  rt.write(std::move(ops), pkt::Packet{}, nullptr);
 }
 
 void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
@@ -42,7 +42,7 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   const std::uint64_t sig = signature_of(ctx.packet.l4_payload(p));
   std::uint64_t stored = 0;
   // ERO: always answered locally, never redirected.
-  if (rt.sro_read(ctx, kIpsSignatureSpace, slot_of(sig), stored) == shm::ReadStatus::kOk &&
+  if (rt.read(&ctx, kIpsSignatureSpace, slot_of(sig), stored) == shm::ReadStatus::kOk &&
       stored == sig) {
     ++stats_.matches;
     if (match_counts_) {

@@ -20,7 +20,7 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
                       const pkt::ParsedPacket& p) {
   const std::uint64_t key = pkt::FlowKey::from(p).hash();
   std::uint64_t mapping = 0;
-  switch (rt.sro_read(ctx, kNatSpace, key, mapping)) {
+  switch (rt.read(&ctx, kNatSpace, key, mapping)) {
     case shm::ReadStatus::kOk: {
       ++stats_.translated_out;
       ctx.sw.deliver(pkt::rewrite_l3l4(ctx.packet, p, endpoint_ip(mapping), std::nullopt,
@@ -89,7 +89,7 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
   if (rt.engine_for_space(kNatSpace) != nullptr) {
     rt.write_txn(std::move(ops), std::move(out), std::move(release));
   } else {
-    rt.sro_write(std::move(ops), std::move(out), std::move(release));
+    rt.write(std::move(ops), std::move(out), std::move(release));
   }
 }
 
@@ -114,14 +114,14 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
   if (rt.engine_for_space(kNatSpace) != nullptr) {
     rt.write_txn(std::move(ops), std::move(out), std::move(release));
   } else {
-    rt.sro_write(std::move(ops), std::move(out), std::move(release));
+    rt.write(std::move(ops), std::move(out), std::move(release));
   }
 }
 
 void NatApp::inbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt, const pkt::ParsedPacket& p) {
   const std::uint64_t key = pkt::FlowKey::from(p).hash();
   std::uint64_t mapping = 0;
-  switch (rt.sro_read(ctx, kNatSpace, key, mapping)) {
+  switch (rt.read(&ctx, kNatSpace, key, mapping)) {
     case shm::ReadStatus::kOk:
       ++stats_.translated_in;
       ctx.sw.deliver(pkt::rewrite_l3l4(ctx.packet, p, std::nullopt, endpoint_ip(mapping),

@@ -464,22 +464,4 @@ void ChainEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   if (seq > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, seq);
 }
 
-std::vector<ProtocolEngine::StatRow> ChainEngine::stat_rows() const {
-  return {
-      {"writes_submitted", stats_.writes_submitted},
-      {"writes_committed", stats_.writes_committed},
-      {"write_retries", stats_.write_retries},
-      {"writes_failed", stats_.writes_failed},
-      {"writes_rejected", stats_.writes_rejected},
-      {"chain_requests_seen", stats_.chain_requests_seen},
-      {"chain_gap_drops", stats_.chain_gap_drops},
-      {"chain_stale_epoch", stats_.chain_stale_epoch},
-      {"reads_local", stats_.reads_local},
-      {"reads_redirected", stats_.reads_redirected},
-      {"write_p99_ns", stats_.write_latency.p99()},
-      {"bytes_write", stats_.bytes_write},
-      {"bytes_redirect", stats_.bytes_redirect},
-  };
-}
-
 }  // namespace swish::shm

@@ -17,30 +17,6 @@ namespace swish::shm {
 
 class ChainEngine : public ProtocolEngine {
  public:
-  /// Registry-backed counters under `shm.sw<id>.<sro|ero>.*`; this struct is
-  /// a view over the simulator's MetricsRegistry cells.
-  struct Stats {
-    // Writer side.
-    telemetry::Counter writes_submitted;
-    telemetry::Counter writes_committed;
-    telemetry::Counter write_retries;
-    telemetry::Counter writes_failed;    ///< gave up after max retries
-    telemetry::Counter writes_rejected;  ///< CP buffer full
-    // Chain side.
-    telemetry::Counter chain_requests_seen;
-    telemetry::Counter chain_gap_drops;  ///< out-of-order writes awaiting retry
-    telemetry::Counter chain_stale_epoch;
-    // Reads.
-    telemetry::Counter reads_local;
-    telemetry::Counter reads_redirected;
-    // Protocol bandwidth, accounted by this engine (satellite: engines own
-    // their byte counters; the runtime reconciles totals).
-    telemetry::Counter bytes_write;     ///< WriteRequest + WriteAck
-    telemetry::Counter bytes_redirect;  ///< ReadRedirect
-    // Writer-observed commit latency (submit -> ack), ns.
-    telemetry::Histo write_latency;
-  };
-
   /// `proto_name` ("sro" / "ero") names this engine's registry subtree; the
   /// base class cannot call the name() virtual during construction.
   ChainEngine(EngineHost& host, const char* proto_name);
@@ -67,14 +43,8 @@ class ChainEngine : public ProtocolEngine {
       std::optional<std::uint32_t> space_filter) override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override {
-    return stats_.bytes_write + stats_.bytes_redirect;
-  }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
-
-  // -- Introspection used by the runtime's legacy accessors/stats ---------------
+  // -- Introspection used by the runtime's accessors ----------------------------
   [[nodiscard]] const SroSpaceState* space_state(std::uint32_t id) const;
-  [[nodiscard]] const Stats& chain_stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t cp_buffered_packets() const noexcept {
     return pending_writes_.size();
   }
@@ -85,6 +55,28 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] virtual bool always_local() const noexcept = 0;
 
  private:
+  /// Handles to this engine's registry cells under `shm.sw<id>.<sro|ero>.*`.
+  struct Stats {
+    // Writer side.
+    telemetry::Counter writes_submitted;
+    telemetry::Counter writes_committed;
+    telemetry::Counter write_retries;
+    telemetry::Counter writes_failed;    ///< gave up after max retries
+    telemetry::Counter writes_rejected;  ///< CP buffer full
+    // Chain side.
+    telemetry::Counter chain_requests_seen;
+    telemetry::Counter chain_gap_drops;  ///< out-of-order writes awaiting retry
+    telemetry::Counter chain_stale_epoch;
+    // Reads.
+    telemetry::Counter reads_local;
+    telemetry::Counter reads_redirected;
+    // Protocol bandwidth sent by this engine.
+    telemetry::Counter bytes_write;     ///< WriteRequest + WriteAck
+    telemetry::Counter bytes_redirect;  ///< ReadRedirect
+    // Writer-observed commit latency (submit -> ack), ns.
+    telemetry::Histo write_latency;
+  };
+
   struct PendingWrite {
     std::vector<pkt::WriteOp> ops;
     pkt::Packet output;

@@ -708,26 +708,4 @@ void ConsensusEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   committed_upto_ = std::max(committed_upto_, seq);
 }
 
-std::vector<ProtocolEngine::StatRow> ConsensusEngine::stat_rows() const {
-  return {
-      {"writes_submitted", stats_.writes_submitted},
-      {"writes_committed", stats_.writes_committed},
-      {"writes_failed", stats_.writes_failed},
-      {"writes_rejected", stats_.writes_rejected},
-      {"forwards_sent", stats_.forwards_sent},
-      {"forward_retries", stats_.forward_retries},
-      {"accepts_seen", stats_.accepts_seen},
-      {"stale_ballot_drops", stats_.stale_ballot_drops},
-      {"slots_applied", stats_.slots_applied},
-      {"repair_resends", stats_.repair_resends},
-      {"lease_renewals", stats_.lease_renewals},
-      {"elections_started", stats_.elections_started},
-      {"elections_completed", stats_.elections_completed},
-      {"reads_local", stats_.reads_local},
-      {"reads_redirected", stats_.reads_redirected},
-      {"commit_p99_ns", stats_.commit_latency.p99()},
-      {"bytes", stats_.bytes},
-  };
-}
-
 }  // namespace swish::shm

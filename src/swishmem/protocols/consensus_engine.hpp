@@ -40,27 +40,6 @@ namespace swish::shm {
 
 class ConsensusEngine final : public ProtocolEngine {
  public:
-  /// Registry-backed counters under `shm.sw<id>.con.*`.
-  struct Stats {
-    telemetry::Counter writes_submitted;
-    telemetry::Counter writes_committed;   ///< slots committed (coordinator)
-    telemetry::Counter writes_failed;      ///< forward retry budget exhausted
-    telemetry::Counter writes_rejected;    ///< queue/buffer limit drops
-    telemetry::Counter forwards_sent;      ///< follower -> coordinator submissions
-    telemetry::Counter forward_retries;
-    telemetry::Counter accepts_seen;       ///< phase-2a messages processed
-    telemetry::Counter stale_ballot_drops;
-    telemetry::Counter slots_applied;      ///< log entries applied locally
-    telemetry::Counter repair_resends;     ///< learns re-sent to lagging replicas
-    telemetry::Counter lease_renewals;     ///< idle-period lease heartbeats sent
-    telemetry::Counter elections_started;  ///< phase-1 rounds begun here
-    telemetry::Counter elections_completed;
-    telemetry::Counter reads_local;        ///< lease-covered or coordinator reads
-    telemetry::Counter reads_redirected;   ///< lease expired -> coordinator
-    telemetry::Counter bytes;              ///< all kCON wire traffic sent
-    telemetry::Histo commit_latency;       ///< submit -> release at the writer
-  };
-
   explicit ConsensusEngine(EngineHost& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
@@ -89,12 +68,8 @@ class ConsensusEngine final : public ProtocolEngine {
                         std::vector<SnapshotOp>& out) const override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
-
   // -- Introspection (tests, tools) ---------------------------------------------
   [[nodiscard]] const SroSpaceState* space_state(std::uint32_t id) const;
-  [[nodiscard]] const Stats& con_stats() const noexcept { return stats_; }
   /// The coordinator this replica currently believes in.
   [[nodiscard]] SwitchId coordinator() const noexcept { return coordinator_; }
   [[nodiscard]] bool is_coordinator() const noexcept {
@@ -106,6 +81,27 @@ class ConsensusEngine final : public ProtocolEngine {
   [[nodiscard]] bool lease_valid() const;
 
  private:
+  /// Handles to this engine's registry cells under `shm.sw<id>.con.*`.
+  struct Stats {
+    telemetry::Counter writes_submitted;
+    telemetry::Counter writes_committed;   ///< slots committed (coordinator)
+    telemetry::Counter writes_failed;      ///< forward retry budget exhausted
+    telemetry::Counter writes_rejected;    ///< queue/buffer limit drops
+    telemetry::Counter forwards_sent;      ///< follower -> coordinator submissions
+    telemetry::Counter forward_retries;
+    telemetry::Counter accepts_seen;       ///< phase-2a messages processed
+    telemetry::Counter stale_ballot_drops;
+    telemetry::Counter slots_applied;      ///< log entries applied locally
+    telemetry::Counter repair_resends;     ///< learns re-sent to lagging replicas
+    telemetry::Counter lease_renewals;     ///< idle-period lease heartbeats sent
+    telemetry::Counter elections_started;  ///< phase-1 rounds begun here
+    telemetry::Counter elections_completed;
+    telemetry::Counter reads_local;        ///< lease-covered or coordinator reads
+    telemetry::Counter reads_redirected;   ///< lease expired -> coordinator
+    telemetry::Counter bytes;              ///< all kCON wire traffic sent
+    telemetry::Histo commit_latency;       ///< submit -> release at the writer
+  };
+
   /// One log entry: the transaction plus the ballot it was accepted under.
   struct LogEntry {
     std::uint64_t ballot = 0;

@@ -2,8 +2,9 @@
 // class of the paper's access-pattern taxonomy is one ProtocolEngine
 // implementation living in this directory. ShmRuntime is reduced to packet
 // classification, engine lookup, and fabric I/O; everything protocol-specific
-// — space storage, wire-message handling, periodic work, recovery hooks, and
-// per-protocol statistics — sits behind this interface.
+// — space storage, wire-message handling, periodic work, and recovery hooks —
+// sits behind this interface. Per-protocol counters are not: each engine
+// registers them under `shm.sw<id>.<proto>.*` in the metrics registry.
 //
 // Adding a protocol is a one-directory change: implement ProtocolEngine,
 // declare the wire message types it consumes (the runtime builds a
@@ -178,9 +179,6 @@ class ActiveTraceScope {
 /// protocol state machine. One instance per (runtime, class-in-use).
 class ProtocolEngine {
  public:
-  /// (label, value) rows for per-engine reporting (swish_sim exit summary).
-  using StatRow = std::pair<std::string, std::uint64_t>;
-
   explicit ProtocolEngine(EngineHost& host)
       : host_(host),
         obs_(host.observatory()),
@@ -253,15 +251,10 @@ class ProtocolEngine {
   /// Target side: applies one replayed snapshot/live-tap op in stream order.
   virtual void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq);
 
-  // -- Introspection -------------------------------------------------------------
-  /// Wire bytes of every message this engine has sent (bandwidth accounting
-  /// lives behind the engine interface; the runtime reconciles totals).
-  [[nodiscard]] virtual std::uint64_t protocol_bytes() const noexcept = 0;
-  /// Engine-specific counters for reporting.
-  [[nodiscard]] virtual std::vector<StatRow> stat_rows() const = 0;
-
  protected:
-  /// Metrics registry of the simulation this engine's switch runs in.
+  /// Metrics registry of the simulation this engine's switch runs in. Every
+  /// protocol counter (including the engine's own wire bytes) is a cell here;
+  /// readers take them from the registry snapshot, not from the engine.
   [[nodiscard]] telemetry::MetricsRegistry& host_metrics() const;
   /// This engine's registry subtree: "shm.sw<id>.<proto_name>.".
   [[nodiscard]] std::string metric_prefix(const char* proto_name) const;

@@ -291,17 +291,4 @@ const EwoSpaceState* EwoEngine::space_state(std::uint32_t id) const {
   return it == spaces_.end() ? nullptr : it->second.get();
 }
 
-std::vector<ProtocolEngine::StatRow> EwoEngine::stat_rows() const {
-  return {
-      {"reads", stats_.reads},
-      {"local_writes", stats_.local_writes},
-      {"updates_sent", stats_.updates_sent},
-      {"updates_received", stats_.updates_received},
-      {"entries_merged", stats_.entries_merged},
-      {"sync_rounds", stats_.sync_rounds},
-      {"sync_entries_sent", stats_.sync_entries_sent},
-      {"bytes", stats_.bytes},
-  };
-}
-
 }  // namespace swish::shm

@@ -15,19 +15,6 @@ namespace swish::shm {
 
 class EwoEngine final : public ProtocolEngine {
  public:
-  /// Registry-backed counters under `shm.sw<id>.ewo.*`; this struct is a
-  /// view over the simulator's MetricsRegistry cells.
-  struct Stats {
-    telemetry::Counter reads;
-    telemetry::Counter local_writes;
-    telemetry::Counter updates_sent;
-    telemetry::Counter updates_received;
-    telemetry::Counter entries_merged;  ///< entries that changed local state
-    telemetry::Counter sync_rounds;
-    telemetry::Counter sync_entries_sent;
-    telemetry::Counter bytes;  ///< EwoUpdate (mirror + sync)
-  };
-
   explicit EwoEngine(EngineHost& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
@@ -51,20 +38,28 @@ class EwoEngine final : public ProtocolEngine {
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
 
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
-
   // -- Synchronous local API (the §5 register calls; used by the runtime's
-  // -- legacy ewo_* wrappers and by NFs via those) -------------------------------
+  // -- ewo_* wrappers and by NFs via those) --------------------------------------
   std::uint64_t local_read(std::uint32_t space, std::uint64_t key);
   void local_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
   std::uint64_t add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
   std::uint64_t set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits);
 
   [[nodiscard]] const EwoSpaceState* space_state(std::uint32_t id) const;
-  [[nodiscard]] const Stats& ewo_stats() const noexcept { return stats_; }
 
  private:
+  /// Handles to this engine's registry cells under `shm.sw<id>.ewo.*`.
+  struct Stats {
+    telemetry::Counter reads;
+    telemetry::Counter local_writes;
+    telemetry::Counter updates_sent;
+    telemetry::Counter updates_received;
+    telemetry::Counter entries_merged;  ///< entries that changed local state
+    telemetry::Counter sync_rounds;
+    telemetry::Counter sync_entries_sent;
+    telemetry::Counter bytes;  ///< EwoUpdate (mirror + sync)
+  };
+
   struct MirrorSlot {
     const EwoSpaceState* st = nullptr;
     std::uint64_t key = 0;

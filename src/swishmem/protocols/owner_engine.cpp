@@ -530,21 +530,4 @@ const OwnSpaceState* OwnerEngine::space_state(std::uint32_t id) const {
   return it == spaces_.end() ? nullptr : it->second.get();
 }
 
-std::vector<ProtocolEngine::StatRow> OwnerEngine::stat_rows() const {
-  return {
-      {"reads", stats_.reads},
-      {"local_writes", stats_.local_writes},
-      {"acquisitions_started", stats_.acquisitions_started},
-      {"acquisitions_completed", stats_.acquisitions_completed},
-      {"acquisitions_failed", stats_.acquisitions_failed},
-      {"acquisition_retries", stats_.acquisition_retries},
-      {"revokes_served", stats_.revokes_served},
-      {"grants_issued", stats_.grants_issued},
-      {"queue_rejected", stats_.queue_rejected},
-      {"backup_entries_sent", stats_.backup_entries_sent},
-      {"backup_entries_merged", stats_.backup_entries_merged},
-      {"bytes", stats_.bytes},
-  };
-}
-
 }  // namespace swish::shm

@@ -23,23 +23,6 @@ namespace swish::shm {
 
 class OwnerEngine final : public ProtocolEngine {
  public:
-  /// Registry-backed counters under `shm.sw<id>.own.*`; this struct is a
-  /// view over the simulator's MetricsRegistry cells.
-  struct Stats {
-    telemetry::Counter reads;
-    telemetry::Counter local_writes;       ///< writes applied as owner
-    telemetry::Counter acquisitions_started;
-    telemetry::Counter acquisitions_completed;
-    telemetry::Counter acquisitions_failed;  ///< retry budget exhausted
-    telemetry::Counter acquisition_retries;
-    telemetry::Counter revokes_served;     ///< ownership relinquished
-    telemetry::Counter grants_issued;      ///< grants sent by this home
-    telemetry::Counter queue_rejected;     ///< ops dropped at own_queue_limit
-    telemetry::Counter backup_entries_sent;
-    telemetry::Counter backup_entries_merged;
-    telemetry::Counter bytes;  ///< OwnRequest + OwnGrant + OwnUpdate
-  };
-
   explicit OwnerEngine(EngineHost& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
@@ -68,12 +51,8 @@ class OwnerEngine final : public ProtocolEngine {
                         std::vector<SnapshotOp>& out) const override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
-
   // -- Introspection (tests, tools) ---------------------------------------------
   [[nodiscard]] const OwnSpaceState* space_state(std::uint32_t id) const;
-  [[nodiscard]] const Stats& own_stats() const noexcept { return stats_; }
   /// Home replica of a key (hash placement over the live group).
   [[nodiscard]] SwitchId home_of(std::uint32_t space, std::uint64_t key) const;
   /// True when this switch currently owns the key.
@@ -81,6 +60,22 @@ class OwnerEngine final : public ProtocolEngine {
 
  private:
   using KeyRef = std::pair<std::uint32_t, std::uint64_t>;  ///< (space, slot)
+
+  /// Handles to this engine's registry cells under `shm.sw<id>.own.*`.
+  struct Stats {
+    telemetry::Counter reads;
+    telemetry::Counter local_writes;       ///< writes applied as owner
+    telemetry::Counter acquisitions_started;
+    telemetry::Counter acquisitions_completed;
+    telemetry::Counter acquisitions_failed;  ///< retry budget exhausted
+    telemetry::Counter acquisition_retries;
+    telemetry::Counter revokes_served;     ///< ownership relinquished
+    telemetry::Counter grants_issued;      ///< grants sent by this home
+    telemetry::Counter queue_rejected;     ///< ops dropped at own_queue_limit
+    telemetry::Counter backup_entries_sent;
+    telemetry::Counter backup_entries_merged;
+    telemetry::Counter bytes;  ///< OwnRequest + OwnGrant + OwnUpdate
+  };
 
   /// One queued operation awaiting ownership.
   struct QueuedOp {

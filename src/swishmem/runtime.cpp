@@ -288,14 +288,6 @@ bool ShmRuntime::chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noex
 
 bool ShmRuntime::in_chain() const noexcept { return chain_contains(chain_, sw_.id()); }
 
-bool ShmRuntime::is_head() const noexcept {
-  return !chain_.chain.empty() && chain_.chain.front() == sw_.id();
-}
-
-bool ShmRuntime::is_tail() const noexcept {
-  return !chain_.chain.empty() && chain_.chain.back() == sw_.id();
-}
-
 // ---------------------------------------------------------------------------
 // Transport (EngineHost)
 // ---------------------------------------------------------------------------
@@ -503,17 +495,7 @@ bool ShmRuntime::write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
   return true;
 }
 
-ReadStatus ShmRuntime::sro_read(pisa::PacketContext& ctx, std::uint32_t space, std::uint64_t key,
-                                std::uint64_t& value) {
-  return read(&ctx, space, key, value);
-}
-
-void ShmRuntime::sro_write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                           std::function<void(pkt::Packet&&)> release) {
-  write(std::move(ops), std::move(output), std::move(release));
-}
-
-// The legacy ewo_* wrappers dispatch by SPACE, not by class, so an NF keeps
+// The ewo_* wrappers dispatch by SPACE, not by class, so an NF keeps
 // working when its space is overridden to another engine (e.g. swish_sim's
 // --space NAME=own): EWO spaces take the fast local path, anything else goes
 // through the uniform read/write/update operations.
@@ -828,66 +810,6 @@ const SroSpaceState* ShmRuntime::con_space(std::uint32_t id) const {
   const auto* engine =
       dynamic_cast<const ConsensusEngine*>(find_engine(ConsistencyClass::kCON));
   return engine == nullptr ? nullptr : engine->space_state(id);
-}
-
-ShmRuntime::Stats ShmRuntime::stats() const {
-  Stats s;
-  for (const auto& e : engines_) {
-    if (const auto* chain = dynamic_cast<const ChainEngine*>(e.get())) {
-      const ChainEngine::Stats& c = chain->chain_stats();
-      s.writes_submitted += c.writes_submitted;
-      s.writes_committed += c.writes_committed;
-      s.write_retries += c.write_retries;
-      s.writes_failed += c.writes_failed;
-      s.writes_rejected += c.writes_rejected;
-      s.chain_requests_seen += c.chain_requests_seen;
-      s.chain_gap_drops += c.chain_gap_drops;
-      s.chain_stale_epoch += c.chain_stale_epoch;
-      s.reads_local += c.reads_local;
-      s.reads_redirected += c.reads_redirected;
-      s.bytes_write_path += c.bytes_write;
-      s.bytes_redirect += c.bytes_redirect;
-      s.write_latency.merge(c.write_latency);
-    } else if (const auto* ewo = dynamic_cast<const EwoEngine*>(e.get())) {
-      const EwoEngine::Stats& w = ewo->ewo_stats();
-      s.ewo_reads += w.reads;
-      s.ewo_local_writes += w.local_writes;
-      s.ewo_updates_sent += w.updates_sent;
-      s.ewo_updates_received += w.updates_received;
-      s.ewo_entries_merged += w.entries_merged;
-      s.sync_rounds += w.sync_rounds;
-      s.sync_entries_sent += w.sync_entries_sent;
-      s.bytes_ewo += w.bytes;
-    } else if (const auto* own = dynamic_cast<const OwnerEngine*>(e.get())) {
-      const OwnerEngine::Stats& o = own->own_stats();
-      s.own_local_writes += o.local_writes;
-      s.own_acquisitions += o.acquisitions_completed;
-      s.own_revokes += o.revokes_served;
-      s.bytes_own += o.bytes;
-    } else if (const auto* con = dynamic_cast<const ConsensusEngine*>(e.get())) {
-      const ConsensusEngine::Stats& c = con->con_stats();
-      s.writes_submitted += c.writes_submitted;
-      s.writes_committed += c.writes_committed;
-      s.write_retries += c.forward_retries;
-      s.writes_failed += c.writes_failed;
-      s.writes_rejected += c.writes_rejected;
-      s.reads_local += c.reads_local;
-      s.reads_redirected += c.reads_redirected;
-      s.con_slots_applied += c.slots_applied;
-      s.con_elections += c.elections_completed;
-      s.bytes_con += c.bytes;
-      s.write_latency.merge(c.commit_latency);
-    }
-  }
-  s.redirects_processed = redirects_processed_;
-  s.recovery_chunks_sent = recovery_chunks_sent_;
-  s.recovery_chunks_applied = recovery_chunks_applied_;
-  // The recovery stream reuses the write-path frames; its bytes belong there.
-  s.bytes_write_path += recovery_bytes_;
-  s.bytes_control = control_bytes_;
-  s.bytes_int = int_bytes_;
-  s.bytes_total = total_bytes_;
-  return s;
 }
 
 // ---------------------------------------------------------------------------

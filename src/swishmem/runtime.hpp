@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "packet/flow.hpp"
 #include "packet/swish_wire.hpp"
 #include "pisa/switch.hpp"
@@ -37,60 +36,13 @@ namespace swish::shm {
 class OwnSpaceState;
 class SwimAgent;
 
+/// Protocol counters live in the simulator's MetricsRegistry, not behind
+/// this class: the runtime registers its own cells under `shm.sw<id>.*` and
+/// each engine its cells under `shm.sw<id>.<sro|ero|ewo|own|con>.*`; readers
+/// take them by name from Fabric::metrics_snapshot(). The per-class byte
+/// cells of one switch sum to its `bytes_total` (regression-tested).
 class ShmRuntime final : public EngineHost {
  public:
-  /// Aggregated per-switch statistics. The counters live inside the protocol
-  /// engines (each engine owns its protocol's accounting); this legacy view
-  /// sums them for tests, benches, and reports. Returned BY VALUE by stats().
-  struct Stats {
-    // SRO/ERO writer side.
-    std::uint64_t writes_submitted = 0;
-    std::uint64_t writes_committed = 0;
-    std::uint64_t write_retries = 0;
-    std::uint64_t writes_failed = 0;       ///< gave up after max retries
-    std::uint64_t writes_rejected = 0;     ///< CP buffer full
-    // SRO/ERO chain side.
-    std::uint64_t chain_requests_seen = 0;
-    std::uint64_t chain_gap_drops = 0;     ///< out-of-order writes awaiting retry
-    std::uint64_t chain_stale_epoch = 0;
-    // Reads.
-    std::uint64_t reads_local = 0;
-    std::uint64_t reads_redirected = 0;
-    std::uint64_t redirects_processed = 0;  ///< redirected reads served (at tail)
-    // EWO.
-    std::uint64_t ewo_reads = 0;
-    std::uint64_t ewo_local_writes = 0;
-    std::uint64_t ewo_updates_sent = 0;
-    std::uint64_t ewo_updates_received = 0;
-    std::uint64_t ewo_entries_merged = 0;   ///< entries that changed local state
-    std::uint64_t sync_rounds = 0;
-    std::uint64_t sync_entries_sent = 0;
-    // OWN.
-    std::uint64_t own_local_writes = 0;
-    std::uint64_t own_acquisitions = 0;     ///< ownership migrations completed
-    std::uint64_t own_revokes = 0;          ///< ownership relinquished
-    // CON (the writer-side counters fold into writes_submitted/committed).
-    std::uint64_t con_slots_applied = 0;    ///< consensus log entries applied here
-    std::uint64_t con_elections = 0;        ///< coordinator elections completed here
-    // Recovery.
-    std::uint64_t recovery_chunks_sent = 0;
-    std::uint64_t recovery_chunks_applied = 0;
-    // Protocol bandwidth (payload + headers, per message class). Each engine
-    // accounts its own protocol's bytes; the runtime adds the recovery-stream
-    // and control traffic it sends itself. The per-class counters sum to
-    // bytes_total (regression-tested).
-    std::uint64_t bytes_write_path = 0;  ///< WriteRequest + WriteAck (incl. recovery)
-    std::uint64_t bytes_ewo = 0;         ///< EwoUpdate (mirror + sync)
-    std::uint64_t bytes_redirect = 0;    ///< ReadRedirect
-    std::uint64_t bytes_own = 0;         ///< OwnRequest + OwnGrant + OwnUpdate
-    std::uint64_t bytes_con = 0;         ///< Con* consensus traffic (incl. its redirects)
-    std::uint64_t bytes_control = 0;     ///< Heartbeat (+ config pushes, if any)
-    std::uint64_t bytes_int = 0;         ///< INT trailer overhead on sampled sends
-    std::uint64_t bytes_total = 0;       ///< every protocol byte this switch sent
-    // Writer-observed commit latency (submit -> ack), ns.
-    Histogram write_latency;
-  };
-
   ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller);
   ~ShmRuntime();  // out-of-line: SwimAgent is only forward-declared here
 
@@ -179,13 +131,10 @@ class ShmRuntime final : public EngineHost {
   bool write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
                  std::function<void(pkt::Packet&&)> release);
 
-  // Legacy class-named wrappers (kept for existing NFs/tests; they dispatch
-  // through the same engines as the uniform calls above).
+  // Synchronous EWO-named wrappers: they dispatch by space, so they keep
+  // working when the space is overridden to another class, and return the
+  // new value immediately (update() may defer it behind an OWN migration).
 
-  ReadStatus sro_read(pisa::PacketContext& ctx, std::uint32_t space, std::uint64_t key,
-                      std::uint64_t& value);
-  void sro_write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                 std::function<void(pkt::Packet&&)> release);
   std::uint64_t ewo_read(std::uint32_t space, std::uint64_t key);
   void ewo_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
   std::uint64_t ewo_add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
@@ -247,14 +196,7 @@ class ShmRuntime final : public EngineHost {
 
   // -- Introspection ------------------------------------------------------------
 
-  /// Aggregated statistics (legacy view over the engines' counters).
-  [[nodiscard]] Stats stats() const;
-
-  [[nodiscard]] pisa::Switch& owner() noexcept { return sw_; }
-
   [[nodiscard]] bool in_chain() const noexcept;
-  [[nodiscard]] bool is_head() const noexcept;
-  [[nodiscard]] bool is_tail() const noexcept;
 
   /// Number of output packets currently buffered in CP DRAM awaiting acks.
   [[nodiscard]] std::size_t cp_buffered_packets() const noexcept;

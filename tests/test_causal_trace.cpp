@@ -118,7 +118,7 @@ FabricConfig mesh(std::size_t n, std::uint64_t seed = 1, double loss = 0.0) {
 
 TEST(CausalTrace, ChainWriteLinksOriginToEveryReplica) {
   Rig rig(mesh(4), {sro_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(0).sro_write({{kReg, 3, 42}}, udp(1), [](pkt::Packet&&) {});
+  rig.fabric.runtime(0).write({{kReg, 3, 42}}, udp(1), [](pkt::Packet&&) {});
   rig.fabric.run_for(100 * kMs);
 
   // Exactly one root, and the stitched trace spans every chain member.
@@ -151,7 +151,7 @@ TEST(CausalTrace, ChainRetriesUnderLossReuseOriginalSpan) {
   Rig rig(mesh(3, /*seed=*/7, /*loss=*/0.4), {sro_space()}, /*span_sample=*/1);
   const std::size_t kWrites = 6;
   for (std::size_t i = 0; i < kWrites; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, 100 + i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, 100 + i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(400 * kMs);
 
@@ -189,7 +189,7 @@ TEST(CausalTrace, ChainRetriesUnderLossReuseOriginalSpan) {
 std::string perfetto_of_run(std::uint64_t seed) {
   Rig rig(mesh(3, seed, /*loss=*/0.25), {sro_space(), ewo_space()}, /*span_sample=*/1);
   for (std::size_t i = 0; i < 4; ++i) {
-    rig.fabric.runtime(i % 3).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(i % 3).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
     rig.fabric.runtime(i % 3).ewo_write(kCtr, i, 7 * i + 1);
   }
   rig.fabric.run_for(150 * kMs);
@@ -208,7 +208,7 @@ TEST(CausalTrace, PerfettoExportDeterministicAcrossIdenticalRuns) {
 
 TEST(CausalTrace, PerfettoRoundTripsThroughReader) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(1).sro_write({{kReg, 2, 9}}, udp(1), [](pkt::Packet&&) {});
+  rig.fabric.runtime(1).write({{kReg, 2, 9}}, udp(1), [](pkt::Packet&&) {});
   rig.fabric.run_for(100 * kMs);
   ASSERT_FALSE(rig.spans().empty());
 
@@ -237,7 +237,7 @@ TEST(CausalTrace, PerfettoRoundTripsThroughReader) {
 TEST(CausalTrace, DisabledRecorderRecordsNothing) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/0);
   for (std::size_t i = 0; i < 5; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(100 * kMs);
   EXPECT_TRUE(rig.spans().empty());
@@ -250,7 +250,7 @@ TEST(CausalTrace, SampledOutWritesRecordNothing) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/3);
   const std::size_t kWrites = 6;
   for (std::size_t i = 0; i < kWrites; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(100 * kMs);
 

@@ -106,13 +106,15 @@ TEST(Consensus, ElectionCompletesAndWritesReplicateEverywhere) {
   Rig rig(cfg4());
   rig.fabric.run_for(20 * kMs);
   // Exactly one election: the initial coordinator (lowest-id member).
-  EXPECT_GE(rig.fabric.runtime(0).stats().con_elections, 1u);
+  EXPECT_GE(rig.fabric.metrics_snapshot().values.at("shm.sw1.con.elections_completed").count,
+            1u);
   for (int k = 0; k < 6; ++k) {
     rig.fabric.sw(k % 4).inject(udp(static_cast<std::uint16_t>(100 + k),
                                     static_cast<std::uint16_t>(1000 + k)));
   }
   rig.fabric.run_for(50 * kMs);
   EXPECT_EQ(rig.delivered, 6u);
+  const auto snap = rig.fabric.metrics_snapshot();
   for (std::size_t i = 0; i < rig.fabric.size(); ++i) {
     for (int k = 0; k < 6; ++k) {
       EXPECT_EQ(rig.stored(i, kSpaceA, k).value_or(~0ull), 100u + k)
@@ -120,7 +122,8 @@ TEST(Consensus, ElectionCompletesAndWritesReplicateEverywhere) {
     }
     // One log slot per write, applied exactly once per replica (duplicate
     // forwards/learns are deduplicated, lease heartbeats re-apply nothing).
-    EXPECT_EQ(rig.fabric.runtime(i).stats().con_slots_applied, 6u) << "replica " << i;
+    const std::string replica = "shm.sw" + std::to_string(i + 1);
+    EXPECT_EQ(snap.values.at(replica + ".con.slots_applied").count, 6u) << "replica " << i;
   }
 }
 
@@ -194,7 +197,7 @@ TEST(Consensus, WritesRecommitAfterCoordinatorFailure) {
   rig.fabric.run_for(50 * kMs);  // heartbeats flowing, switch 0 coordinates
   rig.fabric.kill_switch(0);
   rig.fabric.run_for(200 * kMs);  // detection + epoch push + re-election
-  EXPECT_GE(rig.fabric.runtime(1).stats().con_elections, 1u)
+  EXPECT_GE(rig.fabric.metrics_snapshot().values.at("shm.sw2.con.elections_completed").count, 1u)
       << "next-lowest member must take over coordination";
   rig.fabric.sw(2).inject(udp(88, 1005));
   rig.fabric.run_for(100 * kMs);
@@ -334,7 +337,7 @@ TEST(Consensus, DeposedCoordinatorWriteRetriesInsteadOfStranding) {
   ASSERT_TRUE(eng->is_coordinator());
   rig.fabric.sw(0).inject(udp(55, 1007));
   rig.fabric.run_for(900 * kUs);  // proposed; ConAccepted replies still in flight
-  EXPECT_EQ(eng->con_stats().writes_submitted.value(), 1u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.con.writes_submitted").count, 1u);
   // A higher-ballot prepare (naming switch 2 as coordinator) deposes
   // switch 1; the in-flight slot can never commit here and nobody answers
   // the re-routed forwards either (the rest of the fabric still believes in
@@ -343,7 +346,7 @@ TEST(Consensus, DeposedCoordinatorWriteRetriesInsteadOfStranding) {
   eng->handle_message(pkt::ConPrepare{0, (5000ULL << 32) | 3, 2});
   ASSERT_FALSE(eng->is_coordinator());
   rig.fabric.run_for(300 * kMs);  // > con_max_retries * con_retry_timeout
-  EXPECT_EQ(eng->con_stats().writes_failed.value(), 1u)
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.con.writes_failed").count, 1u)
       << "deposed coordinator's write neither re-routed nor failed: stranded";
   EXPECT_EQ(rig.delivered, 0u);
 }

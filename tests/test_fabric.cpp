@@ -26,8 +26,8 @@ class Driver : public NfApp {
       rt.ewo_add(kCtr, 0, 1);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (port == 2222) {
-      rt.sro_write({{kReg, 1, 42}}, std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write({{kReg, 1, 42}}, std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
   }
 };

@@ -20,8 +20,8 @@ class Driver : public NfApp {
     if (port >= 1000 && port < 2000) {
       std::vector<pkt::WriteOp> ops{
           {kSpace, static_cast<std::uint64_t>(port - 1000), ctx.parsed->udp->src_port}};
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 3000 && port < 4000) {
       rt.ewo_add(kCtr, port - 3000, 1);
       ctx.sw.deliver(std::move(ctx.packet));
@@ -117,9 +117,11 @@ TEST_P(RoleFailover, WritesCommitAfterAnyRoleFails) {
                                 static_cast<std::uint16_t>(1000 + i)));
   }
   rig.fabric.run_for(300 * kMs);
+  const auto snap = rig.fabric.metrics_snapshot();
   for (std::size_t i = 0; i < 4; ++i) {
     if (i == GetParam()) continue;
-    EXPECT_EQ(rig.fabric.runtime(i).stats().writes_committed, 1u) << "writer " << i;
+    const std::string writer = "shm.sw" + std::to_string(i + 1);
+    EXPECT_EQ(snap.values.at(writer + ".sro.writes_committed").count, 1u) << "writer " << i;
     for (std::size_t j = 0; j < 4; ++j) {
       if (j == GetParam()) continue;
       EXPECT_EQ(rig.fabric.runtime(j).sro_space(kSpace)->read(i).value(), 50 + i)
@@ -140,7 +142,7 @@ TEST(Failover, InFlightWriteSurvivesTailFailure) {
   rig.fabric.run_for(3 * kMs);
   rig.fabric.kill_switch(3);
   rig.fabric.run_for(500 * kMs);  // detection, repair, writer retry
-  EXPECT_EQ(rig.fabric.runtime(1).stats().writes_committed, 1u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw2.sro.writes_committed").count, 1u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(rig.fabric.runtime(i).sro_space(kSpace)->read(9).value(), 66u);
   }
@@ -202,7 +204,8 @@ TEST(Recovery, SroStateRestoredToReplacementSwitch) {
   }
   // And it rejoined as chain tail.
   EXPECT_EQ(rig.fabric.controller().chain().chain.back(), rig.fabric.sw(1).id());
-  EXPECT_GT(rig.fabric.runtime(1).stats().recovery_chunks_applied, 0u);
+  EXPECT_GT(rig.fabric.metrics_snapshot().values.at("shm.sw2.recovery_chunks_applied").count,
+            0u);
 }
 
 TEST(Recovery, WritesDuringRecoveryReachReplacement) {
@@ -283,7 +286,7 @@ TEST(Recovery, ErasedConnectionsStayErasedThroughSnapshotStream) {
   fabric.install(nullptr);
   fabric.start();
   auto write = [&](std::uint64_t key, std::uint64_t value) {
-    fabric.runtime(0).sro_write({{kSpace, key, value}}, pkt::Packet{}, nullptr);
+    fabric.runtime(0).write({{kSpace, key, value}}, pkt::Packet{}, nullptr);
   };
 
   fabric.run_for(50 * kMs);

@@ -168,8 +168,8 @@ struct IntRig {
           spec.src_port = 5;
           spec.dst_port = 1;
           spec.payload = {0};
-          f->runtime(i).sro_write({{kReg, i, 100 * i + static_cast<std::uint64_t>(w)}},
-                                  pkt::build_packet(spec), [](pkt::Packet&&) {});
+          f->runtime(i).write({{kReg, i, 100 * i + static_cast<std::uint64_t>(w)}},
+                              pkt::build_packet(spec), [](pkt::Packet&&) {});
         });
       }
     }

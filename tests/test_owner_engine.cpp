@@ -107,8 +107,9 @@ TEST(Own, OwnershipMigratesToNewWriter) {
   EXPECT_FALSE(rig.engine(1)->owns(kSpace, 5));
   EXPECT_EQ(rig.fabric.runtime(3).own_space(kSpace)->value(5), 20u);
   EXPECT_EQ(rig.delivered, 2u);
-  EXPECT_GE(rig.engine(1)->own_stats().revokes_served, 1u);
-  EXPECT_GE(rig.engine(3)->own_stats().acquisitions_completed, 1u);
+  const auto snap = rig.fabric.metrics_snapshot();
+  EXPECT_GE(snap.values.at("shm.sw2.own.revokes_served").count, 1u);
+  EXPECT_GE(snap.values.at("shm.sw4.own.acquisitions_completed").count, 1u);
 }
 
 TEST(Own, PingPongMigrationPreservesEveryWrite) {
@@ -163,8 +164,11 @@ TEST(Own, MigrationSurvivesPacketLoss) {
                   .own_space(kSpace)->value(k),
               50u + k);
   }
+  const auto snap = rig.fabric.metrics_snapshot();
   std::uint64_t retries = 0;
-  for (std::size_t i = 0; i < 4; ++i) retries += rig.engine(i)->own_stats().acquisition_retries;
+  for (std::size_t i = 0; i < 4; ++i) {
+    retries += snap.values.at("shm.sw" + std::to_string(i + 1) + ".own.acquisition_retries").count;
+  }
   EXPECT_GT(retries, 0u) << "loss was configured but no retry fired";
 }
 
@@ -235,20 +239,16 @@ TEST(Own, StatsRowsExposeProtocolCounters) {
   rig.fabric.sw(0).inject(udp(5, 1001));
   rig.fabric.sw(2).inject(udp(6, 1001));
   rig.fabric.run_for(100 * kMs);
-  bool saw_acquisitions = false;
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (const auto& [label, value] : rig.engine(i)->stat_rows()) {
-      if (label.find("acquisitions_completed") != std::string::npos && value > 0) {
-        saw_acquisitions = true;
-      }
-    }
-  }
-  EXPECT_TRUE(saw_acquisitions);
-  // The legacy aggregate view folds the engine counters in.
+  // The engine's protocol counters are registry cells under shm.sw<id>.own.*.
+  const auto snap = rig.fabric.metrics_snapshot();
+  std::uint64_t acquisitions = 0;
   std::uint64_t own_writes = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    own_writes += rig.fabric.runtime(i).stats().own_local_writes;
+    const std::string own = "shm.sw" + std::to_string(i + 1) + ".own.";
+    acquisitions += snap.values.at(own + "acquisitions_completed").count;
+    own_writes += snap.values.at(own + "local_writes").count;
   }
+  EXPECT_GT(acquisitions, 0u);
   EXPECT_EQ(own_writes, 2u);
 }
 

@@ -202,7 +202,7 @@ class LinDriver : public NfApp {
     auto stamp = workload::Stamp::decode(ctx.packet.l4_payload(*ctx.parsed));
     if (!stamp) return;
     std::uint64_t value = 0;
-    const auto st = rt.sro_read(ctx, kRegSpace, 0, value);
+    const auto st = rt.read(&ctx, kRegSpace, 0, value);
     if (st == ReadStatus::kRedirected) return;  // completes at the tail
     auto& rec = (*log_)[stamp->flow_id];
     rec.completed = ctx.sw.simulator().now();
@@ -237,7 +237,7 @@ TEST(SroLinearizability, ReadsReturnAtomicRegisterValues) {
     if (k > 30) return;
     write_intervals.push_back({fabric.simulator().now(), -1});
     auto& rt = fabric.runtime(k % 4);
-    rt.sro_write({{kRegSpace, 0, k}}, pkt::Packet{}, [&, k](pkt::Packet&&) {
+    rt.write({{kRegSpace, 0, k}}, pkt::Packet{}, [&, k](pkt::Packet&&) {
       write_intervals[k - 1].second = fabric.simulator().now();
       fabric.simulator().schedule_after(500 * kUs, [&, k]() { issue_write(k + 1); });
     });
@@ -334,10 +334,10 @@ TEST(Chaos, RandomKillsPreserveAgreementAndCommittedWrites) {
     // SRO write with a unique key; record commitment on ack.
     const std::uint64_t key = next_key++;
     const std::uint64_t value = key * 7 + 1;
-    fabric.runtime(w).sro_write({{6, key, value}}, pkt::Packet{},
-                                [&committed, key, value](pkt::Packet&&) {
-                                  committed[key] = value;
-                                });
+    fabric.runtime(w).write({{6, key, value}}, pkt::Packet{},
+                            [&committed, key, value](pkt::Packet&&) {
+                              committed[key] = value;
+                            });
     // EWO increment.
     fabric.runtime(w).ewo_add(7, 0, 1);
     ++ctr_increments_total;

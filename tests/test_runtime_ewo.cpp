@@ -110,7 +110,7 @@ TEST(Ewo, SyncAloneConvergesWhenMirrorsDisabled) {
   EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 1), 0u);
   rig.fabric.run_for(30 * kMs);
   EXPECT_TRUE(rig.counters_converged(1, 4));
-  EXPECT_GT(rig.fabric.runtime(1).stats().sync_rounds, 0u);
+  EXPECT_GT(rig.fabric.metrics_snapshot().values.at("shm.sw2.ewo.sync_rounds").count, 0u);
 }
 
 TEST(Ewo, ConvergesUnderHeavyLoss) {
@@ -161,8 +161,9 @@ TEST(Ewo, BatchingReducesUpdatePackets) {
   batched.fabric.run_for(50 * kMs);
   EXPECT_TRUE(unbatched.counters_converged(3, 64));
   EXPECT_TRUE(batched.counters_converged(3, 64));
-  EXPECT_LT(batched.fabric.runtime(0).stats().ewo_updates_sent,
-            unbatched.fabric.runtime(0).stats().ewo_updates_sent / 4);
+  const char* kSent = "shm.sw1.ewo.updates_sent";
+  EXPECT_LT(batched.fabric.metrics_snapshot().values.at(kSent).count,
+            unbatched.fabric.metrics_snapshot().values.at(kSent).count / 4);
 }
 
 TEST(Ewo, PartialBatchFlushedByTimer) {
@@ -194,8 +195,9 @@ TEST(Ewo, BroadcastFanoutConvergesFasterThanRandomOne) {
   broadcast.fabric.run_for(500 * kMs);
   EXPECT_TRUE(random_one.counters_converged(1, 10));
   EXPECT_TRUE(broadcast.counters_converged(1, 10));
-  EXPECT_GT(broadcast.fabric.runtime(0).stats().ewo_updates_sent,
-            random_one.fabric.runtime(0).stats().ewo_updates_sent);
+  const char* kSent = "shm.sw1.ewo.updates_sent";
+  EXPECT_GT(broadcast.fabric.metrics_snapshot().values.at(kSent).count,
+            random_one.fabric.metrics_snapshot().values.at(kSent).count);
 }
 
 TEST(Ewo, NoWritesMeansNoSyncTraffic) {
@@ -203,16 +205,17 @@ TEST(Ewo, NoWritesMeansNoSyncTraffic) {
   cfg.runtime.sync_period = 1 * kMs;
   Rig rig(cfg);
   rig.fabric.run_for(50 * kMs);
-  EXPECT_EQ(rig.fabric.runtime(0).stats().sync_entries_sent, 0u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.ewo.sync_entries_sent").count, 0u);
 }
 
 TEST(Ewo, UpdatesAreCountedBidirectionally) {
   Rig rig(cfg3());
   rig.fabric.sw(0).inject(udp(0, 1000));
   rig.fabric.run_for(20 * kMs);
-  EXPECT_GT(rig.fabric.runtime(0).stats().ewo_updates_sent, 0u);
-  EXPECT_GT(rig.fabric.runtime(1).stats().ewo_updates_received, 0u);
-  EXPECT_GT(rig.fabric.runtime(1).stats().ewo_entries_merged, 0u);
+  const auto snap = rig.fabric.metrics_snapshot();
+  EXPECT_GT(snap.values.at("shm.sw1.ewo.updates_sent").count, 0u);
+  EXPECT_GT(snap.values.at("shm.sw2.ewo.updates_received").count, 0u);
+  EXPECT_GT(snap.values.at("shm.sw2.ewo.entries_merged").count, 0u);
 }
 
 class LossSweep : public ::testing::TestWithParam<double> {};

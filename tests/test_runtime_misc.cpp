@@ -42,12 +42,13 @@ TEST(RuntimeMisc, WriteFailsAfterMaxRetriesWhenHeadUnreachable) {
   fabric.kill_switch(0);  // the head, permanently
 
   bool released = false;
-  fabric.runtime(2).sro_write({{kSpace, 1, 9}}, pkt::Packet{},
-                              [&](pkt::Packet&&) { released = true; });
+  fabric.runtime(2).write({{kSpace, 1, 9}}, pkt::Packet{},
+                          [&](pkt::Packet&&) { released = true; });
   fabric.run_for(500 * kMs);
   EXPECT_FALSE(released);
-  EXPECT_EQ(fabric.runtime(2).stats().writes_failed, 1u);
-  EXPECT_EQ(fabric.runtime(2).stats().write_retries, 3u);
+  const auto snap = fabric.metrics_snapshot();
+  EXPECT_EQ(snap.values.at("shm.sw3.sro.writes_failed").count, 1u);
+  EXPECT_EQ(snap.values.at("shm.sw3.sro.write_retries").count, 3u);
   EXPECT_EQ(fabric.runtime(2).cp_buffered_packets(), 0u);  // buffer reclaimed
 }
 
@@ -59,13 +60,13 @@ TEST(RuntimeMisc, CpBufferLimitRejectsExcessWrites) {
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
   for (int i = 0; i < 5; ++i) {
-    fabric.runtime(1).sro_write({{kSpace, static_cast<std::uint64_t>(i), 1}}, pkt::Packet{},
-                                nullptr);
+    fabric.runtime(1).write({{kSpace, static_cast<std::uint64_t>(i), 1}}, pkt::Packet{},
+                            nullptr);
   }
-  EXPECT_EQ(fabric.runtime(1).stats().writes_rejected, 3u);
+  EXPECT_EQ(fabric.metrics_snapshot().values.at("shm.sw2.sro.writes_rejected").count, 3u);
   EXPECT_EQ(fabric.runtime(1).cp_buffered_packets(), 2u);
   fabric.run_for(500 * kMs);
-  EXPECT_EQ(fabric.runtime(1).stats().writes_committed, 2u);
+  EXPECT_EQ(fabric.metrics_snapshot().values.at("shm.sw2.sro.writes_committed").count, 2u);
 }
 
 TEST(RuntimeMisc, StaleConfigPushesIgnored) {
@@ -107,13 +108,14 @@ TEST(RuntimeMisc, ProtocolByteCountersAccount) {
   cfg.num_switches = 3;
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
-  fabric.runtime(0).sro_write({{kSpace, 1, 5}}, pkt::Packet{}, nullptr);
+  fabric.runtime(0).write({{kSpace, 1, 5}}, pkt::Packet{}, nullptr);
   fabric.runtime(0).ewo_add(kSpace + 1, 0, 1);
   fabric.run_for(100 * kMs);
-  EXPECT_GT(fabric.runtime(0).stats().bytes_write_path, 0u);
-  EXPECT_GT(fabric.runtime(0).stats().bytes_ewo, 0u);
+  const auto snap = fabric.metrics_snapshot();
+  EXPECT_GT(snap.values.at("shm.sw1.sro.bytes_write").count, 0u);
+  EXPECT_GT(snap.values.at("shm.sw1.ewo.bytes").count, 0u);
   // Latency histogram is coherent.
-  const auto& h = fabric.runtime(0).stats().write_latency;
+  const Histogram& h = snap.values.at("shm.sw1.sro.write_latency_ns").hist;
   EXPECT_EQ(h.count(), 1u);
   EXPECT_LE(h.p50(), h.p99());
 }
@@ -146,7 +148,7 @@ TEST(RuntimeMisc, WriterReleaseRunsOnWriterSwitch) {
   // timing must include a full chain traversal, not fire synchronously.
   TimeNs released_at = -1;
   const TimeNs submit_at = fabric.simulator().now();
-  fabric.runtime(2).sro_write({{kSpace, 3, 1}}, pkt::Packet{}, [&](pkt::Packet&&) {
+  fabric.runtime(2).write({{kSpace, 3, 1}}, pkt::Packet{}, [&](pkt::Packet&&) {
     released_at = fabric.simulator().now();
   });
   EXPECT_EQ(released_at, -1);  // not synchronous

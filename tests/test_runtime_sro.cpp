@@ -21,11 +21,11 @@ class Driver : public NfApp {
     if (port >= 1000 && port < 2000) {
       std::vector<pkt::WriteOp> ops{
           {kSpace, static_cast<std::uint64_t>(port - 1000), ctx.parsed->udp->src_port}};
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 2000 && port < 3000) {
       std::uint64_t value = 0;
-      const auto st = rt.sro_read(ctx, kSpace, port - 2000, value);
+      const auto st = rt.read(&ctx, kSpace, port - 2000, value);
       if (st == ReadStatus::kOk) {
         last_read = value;
         ++reads_ok;
@@ -100,8 +100,10 @@ TEST(Sro, OutputHeldUntilCommit) {
   rig.fabric.run_for(100 * kMs);
   EXPECT_EQ(rig.delivered, 1u);
   // Writer-observed commit latency is recorded.
-  EXPECT_EQ(rig.fabric.runtime(0).stats().write_latency.count(), 1u);
-  EXPECT_GT(rig.fabric.runtime(0).stats().write_latency.mean(), 0.0);
+  const auto snap = rig.fabric.metrics_snapshot();
+  const Histogram& latency = snap.values.at("shm.sw1.sro.write_latency_ns").hist;
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_GT(latency.mean(), 0.0);
 }
 
 TEST(Sro, ConcurrentWritesSameKeyLastSequencedWins) {
@@ -141,9 +143,9 @@ TEST(Sro, ReadDuringPendingWriteRedirectsToTail) {
   rig.fabric.sw(0).inject(udp(0, 2009));
   rig.fabric.run_for(200 * kMs);
   EXPECT_EQ(rig.drivers[0]->reads_redirected, 1);
-  // The tail served the redirected read (reentry) with committed data.
-  const auto& tail_stats = rig.fabric.runtime(3).stats();
-  EXPECT_EQ(tail_stats.redirects_processed, 1u);
+  // The tail (switch id 4) served the redirected read (reentry) with
+  // committed data.
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw4.redirects_processed").count, 1u);
   // The read produced a delivery from the tail with the new value.
   EXPECT_EQ(rig.drivers[3]->last_read, 77u);
 }
@@ -177,9 +179,11 @@ TEST(Sro, LossRecoveredByRetry) {
   }
   rig.fabric.run_for(2 * kSec);
   // Every write eventually committed on every replica despite 30% loss.
+  const auto snap = rig.fabric.metrics_snapshot();
   std::uint64_t committed = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    committed += rig.fabric.runtime(i).stats().writes_committed;
+    const std::string writer = "shm.sw" + std::to_string(i + 1);
+    committed += snap.values.at(writer + ".sro.writes_committed").count;
     for (int k = 0; k < 20; ++k) {
       EXPECT_EQ(rig.fabric.runtime(i).sro_space(kSpace)->read(k).value(), 100u + k)
           << "switch " << i << " key " << k;
@@ -198,7 +202,7 @@ TEST(Sro, RetriesAreCounted) {
     rig.fabric.sw(1).inject(udp(7, static_cast<std::uint16_t>(1000 + k)));
   }
   rig.fabric.run_for(2 * kSec);
-  EXPECT_GT(rig.fabric.runtime(1).stats().write_retries, 0u);
+  EXPECT_GT(rig.fabric.metrics_snapshot().values.at("shm.sw2.sro.write_retries").count, 0u);
 }
 
 TEST(Sro, DuplicateDeliveryIsIdempotent) {
@@ -211,7 +215,7 @@ TEST(Sro, DuplicateDeliveryIsIdempotent) {
   rig.fabric.sw(2).inject(udp(5, 1004));
   rig.fabric.run_for(2 * kSec);
   EXPECT_EQ(rig.delivered, 1u);
-  EXPECT_EQ(rig.fabric.runtime(2).stats().writes_committed, 1u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw3.sro.writes_committed").count, 1u);
   EXPECT_EQ(rig.fabric.runtime(0).sro_space(kSpace)->read(4).value(), 5u);
 }
 
@@ -231,14 +235,14 @@ TEST(Sro, WriterOnHeadCommits) {
   Rig rig(cfg4());
   rig.fabric.sw(0).inject(udp(9, 1000));  // switch 0 is the head
   rig.fabric.run_for(50 * kMs);
-  EXPECT_EQ(rig.fabric.runtime(0).stats().writes_committed, 1u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.sro.writes_committed").count, 1u);
 }
 
 TEST(Sro, WriterOnTailCommits) {
   Rig rig(cfg4());
   rig.fabric.sw(3).inject(udp(9, 1000));  // switch 3 is the tail
   rig.fabric.run_for(50 * kMs);
-  EXPECT_EQ(rig.fabric.runtime(3).stats().writes_committed, 1u);
+  EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw4.sro.writes_committed").count, 1u);
 }
 
 TEST(Sro, SingleSwitchChainDegeneratesGracefully) {

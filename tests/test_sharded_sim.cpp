@@ -176,8 +176,8 @@ struct ShardRig {
       for (int w = 0; w < 3; ++w) {
         const TimeNs at = 1 * kMs + w * 5 * kMs + static_cast<TimeNs>(i) * 250 * kUs;
         fabric.simulator_for(i).schedule_at(at, [f, i, w]() {
-          f->runtime(i).sro_write({{kReg, i, 100 * i + static_cast<std::uint64_t>(w)}},
-                                  udp(1), [](pkt::Packet&&) {});
+          f->runtime(i).write({{kReg, i, 100 * i + static_cast<std::uint64_t>(w)}},
+                              udp(1), [](pkt::Packet&&) {});
           f->runtime(i).ewo_write(kCtr, i, 7 * static_cast<std::uint64_t>(w) + i + 1);
         });
       }

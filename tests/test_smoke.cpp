@@ -22,8 +22,8 @@ class TestApp : public shm::NfApp {
     } else if (ctx.parsed->udp->dst_port == 2222) {
       std::vector<pkt::WriteOp> ops{{kRegSpace, 5, 42}};
       pisa::Switch* sw = &ctx.sw;
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
   }
 };
@@ -85,7 +85,7 @@ TEST(Smoke, SroWriteCommitsOnAllReplicasAndReleasesOutput) {
   fabric.run_for(100 * kMs);
 
   EXPECT_EQ(delivered, 1u);  // output released only after commit
-  EXPECT_EQ(fabric.runtime(2).stats().writes_committed, 1u);
+  EXPECT_EQ(fabric.metrics_snapshot().values.at("shm.sw3.sro.writes_committed").count, 1u);
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     ASSERT_NE(fabric.runtime(i).sro_space(kRegSpace), nullptr);
     EXPECT_EQ(fabric.runtime(i).sro_space(kRegSpace)->read(5).value_or(0), 42u)

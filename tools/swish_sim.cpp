@@ -782,17 +782,40 @@ int main(int argc, char** argv) {
   rep << "\n";
 
   if (!opt.quiet) {
+    // Per-switch rows come from the same snapshot. The strong-class columns
+    // sum whichever of the sro/ero/con engines the switch runs (a space's
+    // class can be overridden with --space), so absent cells count as zero.
+    auto cell = [&snap](const std::string& name) -> const telemetry::MetricValue* {
+      auto it = snap.values.find(name);
+      return it == snap.values.end() ? nullptr : &it->second;
+    };
+    auto count = [&cell](const std::string& name) -> std::uint64_t {
+      const telemetry::MetricValue* v = cell(name);
+      return v == nullptr ? 0 : v->count;
+    };
     TextTable table("per-switch protocol activity");
     table.header({"switch", "alive", "processed", "writes committed", "write p99 (us)",
                   "reads local", "reads redirected", "EWO updates rx", "CP backlog drops"});
     for (std::size_t i = 0; i < fabric.size(); ++i) {
-      const auto& st = fabric.runtime(i).stats();
+      const std::string p = "shm.sw" + std::to_string(fabric.sw(i).id()) + ".";
+      std::uint64_t committed = 0;
+      std::uint64_t reads_local = 0;
+      std::uint64_t reads_redirected = 0;
+      for (const char* cls : {"sro.", "ero.", "con."}) {
+        committed += count(p + cls + "writes_committed");
+        reads_local += count(p + cls + "reads_local");
+        reads_redirected += count(p + cls + "reads_redirected");
+      }
+      Histogram write_latency;
+      for (const char* h :
+           {"sro.write_latency_ns", "ero.write_latency_ns", "con.commit_latency_ns"}) {
+        if (const telemetry::MetricValue* v = cell(p + h)) write_latency.merge(v->hist);
+      }
       table.row({std::to_string(i), fabric.sw(i).alive() ? "yes" : "no",
-                 std::to_string(fabric.sw(i).stats().processed),
-                 std::to_string(st.writes_committed),
-                 format_double(st.write_latency.p99() / 1000.0, 1),
-                 std::to_string(st.reads_local), std::to_string(st.reads_redirected),
-                 std::to_string(st.ewo_updates_received),
+                 std::to_string(fabric.sw(i).stats().processed), std::to_string(committed),
+                 format_double(write_latency.p99() / 1000.0, 1), std::to_string(reads_local),
+                 std::to_string(reads_redirected),
+                 std::to_string(count(p + "ewo.updates_received")),
                  std::to_string(fabric.sw(i).control_plane().stats().dropped)});
     }
     table.print(rep);
