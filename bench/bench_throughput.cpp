@@ -243,6 +243,12 @@ struct RunStats {
   std::uint64_t delivered = 0;
   std::uint64_t sw_delivered = 0;
   net::LinkStats link;
+  // Sharded-core counters (windows and cross-shard events are zero on one
+  // shard): what a --sweep-shards row needs to explain its own scaling.
+  std::size_t shards = 1;
+  std::uint64_t windows = 0;
+  std::uint64_t cross_events = 0;
+  std::uint64_t max_shard_events = 0;  ///< events executed by the busiest shard
 };
 
 RunStats run_scenario(const Options& opt, std::size_t shards, std::uint64_t span_sample,
@@ -302,16 +308,28 @@ RunStats run_scenario(const Options& opt, std::size_t shards, std::uint64_t span
   pkt::PacketStats::global().reset();
 #endif
 
+  const sim::ShardSet& set = fabric.shard_set();
+  std::vector<std::uint64_t> shard_events_before(set.count());
+  for (std::size_t k = 0; k < set.count(); ++k) {
+    shard_events_before[k] = set.sim(k).executed_events();
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   const std::clock_t cpu_start = std::clock();
-  const std::uint64_t events_before = fabric.shard_set().executed_events();
+  const std::uint64_t events_before = set.executed_events();
   fabric.run_for(opt.sim_duration + 2 * kMs);  // drain in-flight traffic
   const std::clock_t cpu_end = std::clock();
   const auto wall_end = std::chrono::steady_clock::now();
 
   rs.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
   rs.cpu_seconds = static_cast<double>(cpu_end - cpu_start) / CLOCKS_PER_SEC;
-  rs.events = fabric.shard_set().executed_events() - events_before;
+  rs.events = set.executed_events() - events_before;
+  rs.shards = set.count();
+  rs.windows = set.windows();
+  rs.cross_events = set.cross_events();
+  for (std::size_t k = 0; k < set.count(); ++k) {
+    rs.max_shard_events =
+        std::max(rs.max_shard_events, set.sim(k).executed_events() - shard_events_before[k]);
+  }
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     rs.injected += fabric.sw(i).stats().injected;
     rs.processed += fabric.sw(i).stats().processed;
@@ -320,6 +338,26 @@ RunStats run_scenario(const Options& opt, std::size_t shards, std::uint64_t span
   }
   rs.link = fabric.network().total_stats();
   return rs;
+}
+
+/// Why a run scales as it does: events per conservative window (0 on one
+/// shard), the share of events that crossed shards, and the busiest shard's
+/// events over the mean shard's (1 = perfectly balanced).
+struct ShardShape {
+  double events_per_window = 0;
+  double cross_frac = 0;
+  double imbalance = 0;
+};
+
+ShardShape shard_shape(const RunStats& rs) {
+  ShardShape s;
+  if (rs.events == 0) return s;
+  const auto events = static_cast<double>(rs.events);
+  if (rs.windows > 0) s.events_per_window = events / static_cast<double>(rs.windows);
+  s.cross_frac = static_cast<double>(rs.cross_events) / events;
+  s.imbalance =
+      static_cast<double>(rs.max_shard_events) * static_cast<double>(rs.shards) / events;
+  return s;
 }
 
 /// Best wall-clock of three runs — the gate compares medians of the fastest
@@ -437,6 +475,11 @@ void build_report(telemetry::MetricsRegistry& report, const Options& opt, std::s
   report.counter("results.link_packets_sent") += rs.link.packets_sent;
   report.counter("results.link_bytes_sent") += rs.link.bytes_sent;
   report.counter("results.switch_delivered") += rs.sw_delivered;
+  const ShardShape shape = shard_shape(rs);
+  report.counter("results.windows") += rs.windows;
+  report.gauge("results.events_per_window") = shape.events_per_window;
+  report.gauge("results.cross_event_frac") = shape.cross_frac;
+  report.gauge("results.shard_imbalance") = shape.imbalance;
   if (pps_at_1 > 0.0) {
     report.gauge("results.speedup_vs_1shard") = pps / pps_at_1;
     report.gauge("results.scaling_efficiency") =
@@ -512,6 +555,11 @@ int main(int argc, char** argv) {
                 << "  packets delivered  " << rs.delivered << "\n"
                 << "  link traffic       " << rs.link.packets_sent << " pkts, "
                 << rs.link.bytes_sent << " bytes\n";
+      const ShardShape shape = shard_shape(rs);
+      std::cout << "  windows            " << rs.windows << " ("
+                << json_num(shape.events_per_window) << " events/window, "
+                << json_num(100.0 * shape.cross_frac) << "% cross-shard, max/mean shard events "
+                << json_num(shape.imbalance) << ")\n";
       if (pps_at_1 > 0.0 && shards != 1) {
         std::cout << "  speedup vs 1 shard " << json_num(pps / pps_at_1) << "x (efficiency "
                   << json_num(pps / (static_cast<double>(shards) * pps_at_1)) << ")\n";

@@ -153,14 +153,16 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
     // Warm the parse cache on the sending thread: the underlying buffer may
     // be shared with same-shard copies (multicast fan-out), and the cache
     // must not be written concurrently from two shards. After this, every
-    // later parse() on any shard is a read; the barrier between windows
+    // later parsed() on any shard is a read; the barrier between windows
     // publishes the cached result.
-    (void)packet.parse();
+    (void)packet.parsed();
   }
-  // Fire-and-forget delivery: no cancellation handle. The HalfLink is
-  // re-resolved at delivery time because connect() may reallocate the port
-  // vectors between scheduling and firing.
-  auto deliver = [this, from, port, to, to_port, p = std::move(packet)]() mutable {
+  // Fire-and-forget delivery: no cancellation handle. The closure carries the
+  // receiver-side counter cells rather than the HalfLink, which connect() may
+  // reallocate before it fires and whose line the sender's shard keeps
+  // writing — the receiving shard never reads sender-owned link state.
+  auto deliver = [this, from, to, to_port, delivered = link.stats.packets_delivered,
+                  dead = link.stats.packets_dropped_dead, p = std::move(packet)]() mutable {
     auto it = nodes_.find(to);
     if (it == nodes_.end()) return;
     Node* n = it->second;
@@ -168,13 +170,13 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
       // Failed switches black-hole traffic — but not silently: the membership
       // layer's suspicion window shows up here as typed dead-node drops.
       sim::Simulator& dst_sim = sim_for(to);
-      ++half(from, port).stats.packets_dropped_dead;
+      ++dead;
       dst_sim.tracer().record(telemetry::kTraceDrop, to, "dead_node_drop", from, p.size());
       dst_sim.drops().record(to, telemetry::DropReason::kDeadNode, p.size(), from,
                              int_hops_of(p));
       return;
     }
-    ++half(from, port).stats.packets_delivered;
+    ++delivered;
     n->handle_packet(std::move(p), to_port);
   };
   if (cross_shard) {

@@ -105,7 +105,7 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
       {kNatSpace, key, pack_endpoint(config_.public_ip, public_port)},
       {kNatSpace, reverse.hash(), pack_endpoint(internal_ip, internal_port)},
   };
-  auto parsed = packet.parse();
+  const pkt::ParsedPacket* parsed = packet.parsed();
   if (!parsed) return;
   pkt::Packet out = pkt::rewrite_l3l4(packet, *parsed, config_.public_ip, std::nullopt,
                                       public_port, std::nullopt);

@@ -1,5 +1,8 @@
 #include "packet/packet.hpp"
 
+#include <array>
+#include <atomic>
+
 namespace swish::pkt {
 
 namespace {
@@ -30,7 +33,69 @@ std::optional<ParsedPacket> parse_bytes(const std::vector<std::uint8_t>& bytes) 
   }
 }
 
+/// One thread's slice of the packet counters, alone on its cache line. Only
+/// the thread holding the stripe writes `counts`; readers sum every stripe.
+struct alignas(64) Stripe {
+  std::array<std::atomic<std::uint64_t>, PacketStats::kNumFields> counts{};
+  std::atomic<bool> held{false};
+  Stripe* next = nullptr;  ///< immutable once published
+};
+
+/// Every stripe ever created, newest first. Stripes are never freed: an
+/// exited thread's counts stay in the sums, and its stripe goes to the next
+/// thread that needs one.
+std::atomic<Stripe*> g_stripes{nullptr};
+
+thread_local Stripe* tls_stripe = nullptr;
+
+/// Releases the thread's stripe when the thread exits.
+struct StripeLease {
+  Stripe* stripe;
+  ~StripeLease() { stripe->held.store(false, std::memory_order_release); }
+};
+
+Stripe& acquire_stripe() {
+  for (Stripe* s = g_stripes.load(std::memory_order_acquire); s != nullptr; s = s->next) {
+    bool held = false;
+    if (s->held.compare_exchange_strong(held, true, std::memory_order_acq_rel)) return *s;
+  }
+  auto* s = new Stripe;
+  s->held.store(true, std::memory_order_relaxed);
+  s->next = g_stripes.load(std::memory_order_relaxed);
+  while (!g_stripes.compare_exchange_weak(s->next, s, std::memory_order_release,
+                                          std::memory_order_relaxed)) {
+  }
+  return *s;
+}
+
+Stripe& my_stripe() {
+  if (tls_stripe == nullptr) {
+    tls_stripe = &acquire_stripe();
+    thread_local const StripeLease lease{tls_stripe};
+  }
+  return *tls_stripe;
+}
+
 }  // namespace
+
+void PacketStats::Counter::add(std::uint64_t d) noexcept {
+  std::atomic<std::uint64_t>& c = my_stripe().counts[field_];
+  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+}
+
+PacketStats::Counter::operator std::uint64_t() const noexcept {
+  std::uint64_t total = 0;
+  for (Stripe* s = g_stripes.load(std::memory_order_acquire); s != nullptr; s = s->next) {
+    total += s->counts[field_].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void PacketStats::reset() noexcept {
+  for (Stripe* s = g_stripes.load(std::memory_order_acquire); s != nullptr; s = s->next) {
+    for (auto& c : s->counts) c.store(0, std::memory_order_relaxed);
+  }
+}
 
 PacketStats& PacketStats::global() noexcept {
   static PacketStats stats;

@@ -10,7 +10,6 @@
 // re-parsed at later hops, taps, or recirculations).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -44,43 +43,53 @@ struct ParsedPacket {
   }
 };
 
-/// Relaxed atomic counter with plain-integer ergonomics. The packet-layer
-/// stats are process-global while the sharded simulator runs one thread per
-/// shard, so the bumps must be atomic; relaxed ordering keeps them a single
-/// uncontended RMW (each counter is a pure tally — no ordering is derived
-/// from it, totals are read after the run joins).
-class RelaxedCounter {
+/// Data-path instrumentation: one process-wide instance, bumped from every
+/// shard's thread. Cheap enough to keep always-on: each thread bumps its own
+/// cache-line stripe with a plain load and store — no locked RMW, no line
+/// shared between cores — and reading a field sums the stripes of every
+/// thread that ever bumped one (a stripe outlives its thread, so totals stay
+/// exact after workers exit). Read totals and reset() at quiescent points,
+/// between runs: a bump racing a reset may survive it.
+class PacketStats {
  public:
-  constexpr RelaxedCounter() noexcept = default;
-  void operator++() noexcept { v_.fetch_add(1, std::memory_order_relaxed); }
-  void operator+=(std::uint64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-  operator std::uint64_t() const noexcept {  // NOLINT(google-explicit-constructor)
-    return v_.load(std::memory_order_relaxed);
-  }
+  enum Field : std::uint8_t {
+    kBuffersCreated,
+    kBufferBytes,
+    kParseExecutions,
+    kParseCacheHits,
+    kRewriteCopies,
+    kRewriteBytes,
+    kNumFields,
+  };
+
+  /// One field, with plain-integer ergonomics: bumps land in the calling
+  /// thread's stripe, the conversion sums all stripes.
+  class Counter {
+   public:
+    void operator++() noexcept { add(1); }
+    void operator+=(std::uint64_t d) noexcept { add(d); }
+    operator std::uint64_t() const noexcept;  // NOLINT(google-explicit-constructor)
+
+   private:
+    friend class PacketStats;
+    explicit constexpr Counter(Field field) noexcept : field_(field) {}
+    void add(std::uint64_t d) noexcept;
+    Field field_;
+  };
+
+  Counter buffers_created{kBuffersCreated};    ///< fresh buffer allocations
+  Counter buffer_bytes{kBufferBytes};          ///< bytes placed into fresh buffers
+  Counter parse_executions{kParseExecutions};  ///< full header-stack parses run
+  Counter parse_cache_hits{kParseCacheHits};   ///< parse() answered from the buffer cache
+  Counter rewrite_copies{kRewriteCopies};      ///< copy-on-write buffer materializations
+  Counter rewrite_bytes{kRewriteBytes};        ///< bytes copied by those rewrites
+
+  /// Zeroes every stripe.
+  void reset() noexcept;
+  static PacketStats& global() noexcept;
 
  private:
-  friend struct PacketStats;
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Data-path instrumentation (single global instance, shared by every shard).
-/// Cheap enough to keep always-on: a few relaxed bumps per buffer/parse,
-/// nothing per-copy.
-struct PacketStats {
-  RelaxedCounter buffers_created;   ///< fresh buffer allocations
-  RelaxedCounter buffer_bytes;      ///< bytes placed into fresh buffers
-  RelaxedCounter parse_executions;  ///< full header-stack parses run
-  RelaxedCounter parse_cache_hits;  ///< parse() answered from the buffer cache
-  RelaxedCounter rewrite_copies;    ///< copy-on-write buffer materializations
-  RelaxedCounter rewrite_bytes;     ///< bytes copied by those rewrites
-
-  void reset() noexcept {
-    for (RelaxedCounter* c : {&buffers_created, &buffer_bytes, &parse_executions,
-                              &parse_cache_hits, &rewrite_copies, &rewrite_bytes}) {
-      c->v_.store(0, std::memory_order_relaxed);
-    }
-  }
-  static PacketStats& global() noexcept;
+  PacketStats() = default;
 };
 
 /// An immutable network packet backed by a shared buffer. Rewrites go

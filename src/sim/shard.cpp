@@ -35,22 +35,16 @@ ShardSet::ShardSet(std::size_t shards) {
     sims_.push_back(std::make_unique<Simulator>());
     sims_.back()->spans().set_id_base(static_cast<std::uint64_t>(k) << 48);
   }
-  inboxes_.resize(shards);
-  for (auto& row : inboxes_) row.resize(shards);
-  nexts_.assign(shards, 0);
-  horizons_.assign(shards, 0);
+  lanes_.resize(2 * shards * shards);
+  state_.resize(shards);
 }
 
 ShardSet::~ShardSet() { shutdown_workers(); }
 
 void ShardSet::assign(NodeId id, std::size_t shard) {
   if (shard >= sims_.size()) throw std::out_of_range("ShardSet::assign: no such shard");
-  shard_of_[id] = shard;
-}
-
-std::size_t ShardSet::shard_of(NodeId id) const noexcept {
-  auto it = shard_of_.find(id);
-  return it == shard_of_.end() ? 0 : it->second;
+  if (id >= shard_of_.size()) shard_of_.resize(static_cast<std::size_t>(id) + 1, 0);
+  shard_of_[id] = static_cast<std::uint32_t>(shard);
 }
 
 void ShardSet::note_cross_link(TimeNs propagation_delay) {
@@ -74,7 +68,7 @@ void ShardSet::post_at_shard(std::size_t dst, TimeNs t, EventFn fn) {
 void ShardSet::post_after_node(NodeId dst, TimeNs delay, EventFn fn) {
   const std::size_t dst_shard = shard_of(dst);
   const std::size_t src =
-      running_.load(std::memory_order_relaxed) && tls_owner == this ? tls_shard : 0;
+      running_.value.load(std::memory_order_relaxed) && tls_owner == this ? tls_shard : 0;
   TimeNs d = delay;
   if (dst_shard != src && sims_.size() > 1 && lookahead_ != kNoLookahead) {
     d = std::max(d, lookahead_);
@@ -83,7 +77,7 @@ void ShardSet::post_after_node(NodeId dst, TimeNs delay, EventFn fn) {
 }
 
 void ShardSet::post_impl(std::size_t dst, TimeNs t, EventFn fn) {
-  if (!running_.load(std::memory_order_relaxed)) {
+  if (!running_.value.load(std::memory_order_relaxed)) {
     // Setup / between-runs path: single-threaded, post straight through.
     sims_[dst]->post_at(t, std::move(fn));
     return;
@@ -101,13 +95,20 @@ void ShardSet::post_impl(std::size_t dst, TimeNs t, EventFn fn) {
         "ShardSet: cross-shard event scheduled inside the lookahead window (conservative "
         "synchronization violated)");
   }
-  Lane& lane = inboxes_[dst][src];
-  lane.entries.push_back(Inbound{t, lane.next_seq++, std::move(fn)});
+  ShardState& st = state_[src];
+  st.sent_min = std::min(st.sent_min, t);
+  lane(st.lane_set, dst, src).entries.push_back(Inbound{t, std::move(fn)});
 }
 
 std::uint64_t ShardSet::executed_events() const noexcept {
   std::uint64_t total = 0;
   for (const auto& s : sims_) total += s->executed_events();
+  return total;
+}
+
+std::uint64_t ShardSet::cross_events() const noexcept {
+  std::uint64_t total = 0;
+  for (const ShardState& st : state_) total += st.cross_events;
   return total;
 }
 
@@ -118,58 +119,86 @@ void ShardSet::run_until(TimeNs deadline) {
     return;
   }
   ensure_workers();
-  running_.store(true, std::memory_order_relaxed);
-  const std::size_t k = sims_.size();
-  while (true) {
-    drain_inboxes();
-    flush_observatory_logs();
-
-    // Global minimum next-event time: the window floor.
-    for (std::size_t i = 0; i < k; ++i) nexts_[i] = sims_[i]->next_event_time();
-    TimeNs min1 = Simulator::kNoEvent;
-    for (std::size_t i = 0; i < k; ++i) min1 = std::min(min1, nexts_[i]);
-    if (min1 > deadline) break;
-
-    // Bounded-lag window: every shard may run events strictly below the
-    // GLOBAL min next + lookahead (see header for the safety argument — a
-    // looser per-shard bound lets replies land in a front-runner's past).
-    // The deadline cap is exclusive too, hence deadline + 1.
-    const TimeNs cap = sat_add(deadline, 1);
-    const TimeNs h = lookahead_ == kNoLookahead ? cap : std::min(cap, sat_add(min1, lookahead_));
-    for (std::size_t i = 0; i < k; ++i) horizons_[i] = h;
-    exec_window();
-    ++windows_;
-    if (error_) {
-      // Surface the first shard failure on the coordinating thread; the run
-      // is unrecoverable (the failed shard stopped mid-window).
-      running_.store(false, std::memory_order_relaxed);
-      std::exception_ptr e;
-      {
-        const std::lock_guard<std::mutex> lock(err_mu_);
-        std::swap(e, error_);
-      }
-      std::rethrow_exception(e);
-    }
+  deadline_ = deadline;
+  running_.value.store(true, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(run_mu_);
+    ++run_gen_;
   }
-  running_.store(false, std::memory_order_relaxed);
+  run_cv_.notify_all();
+  participate(0);
+  running_.value.store(false, std::memory_order_relaxed);
+  if (failed_.load(std::memory_order_relaxed)) {
+    // The run is unrecoverable (the failed shard stopped mid-window).
+    failed_.store(false, std::memory_order_relaxed);
+    std::exception_ptr e;
+    {
+      const std::lock_guard<std::mutex> lock(err_mu_);
+      std::swap(e, error_);
+    }
+    std::rethrow_exception(e);
+  }
   for (auto& s : sims_) s->advance_to(deadline);
   if (obs_master_enabled_) master_now_ = deadline;
 }
 
-void ShardSet::exec_window() {
-  // Publish horizons_ and all barrier-time posts: the release store of
-  // claim_ (and the release bump of epoch_ that wakes the workers) pairs
-  // with the acquire fetch_add in run_claimed.
-  done_.store(0, std::memory_order_relaxed);
-  claim_.store(0, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_release);
+void ShardSet::participate(std::size_t p) {
+  const std::size_t k = sims_.size();
+  const std::size_t stride = participants_;
+  std::uint64_t generation = decision_.generation.load(std::memory_order_acquire);
+  // Records the first failure instead of letting it escape a worker.
+  const auto guarded = [this](auto&& step) {
+    try {
+      step();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(err_mu_);
+      if (!error_) error_ = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
+  };
+  tls_owner = this;
+  std::size_t set = 0;  // lane set the next window posts into
+  while (true) {
+    // Publish this owner's floor: its shards' next events plus the earliest
+    // post it left undrained in a lane during the window that just ran.
+    TimeNs floor = Simulator::kNoEvent;
+    for (std::size_t s = p; s < k; s += stride) {
+      ShardState& st = state_[s];
+      floor = std::min({floor, sims_[s]->next_event_time(), st.sent_min});
+      st.sent_min = Simulator::kNoEvent;
+    }
+    slots_[p].value = floor;
+    barrier(generation, /*decide=*/true);
 
-  run_claimed();
+    // Merge what the closed window posted to this owner's shards — also on
+    // the last barrier, so a run never returns with events left in a lane.
+    for (std::size_t s = p; s < k; s += stride) guarded([&] { drain(s, set ^ 1); });
+    if (decision_.stop) break;
+    const TimeNs horizon = decision_.horizon;
+    for (std::size_t s = p; s < k; s += stride) {
+      tls_shard = s;
+      state_[s].lane_set = set;
+      guarded([&] { sims_[s]->run_before(horizon); });
+    }
+    set ^= 1;
+  }
+  tls_owner = nullptr;
+  // Leave together: the caller must not return while an owner still drains.
+  barrier(generation, /*decide=*/false);
+}
 
-  // The acquire load pairs with every runner's release increment, making
-  // their sim state and inbox lanes visible to the coordinator.
+void ShardSet::barrier(std::uint64_t& generation, bool decide) {
+  ++generation;
+  // acq_rel: the last arriver acquires every participant's window (sim
+  // state, lane posts, slot) through the chain of arrivals.
+  if (arrived_.value.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {
+    arrived_.value.store(0, std::memory_order_relaxed);
+    if (decide) decide_window();
+    decision_.generation.store(generation, std::memory_order_release);
+    return;
+  }
   std::uint32_t spins = 0;
-  while (done_.load(std::memory_order_acquire) != sims_.size()) {
+  while (decision_.generation.load(std::memory_order_acquire) != generation) {
     if (++spins < 4096) {
       cpu_relax();
     } else {
@@ -178,90 +207,74 @@ void ShardSet::exec_window() {
   }
 }
 
-void ShardSet::run_claimed() {
-  const std::size_t k = sims_.size();
-  tls_owner = this;
-  std::size_t shard;
-  while ((shard = claim_.fetch_add(1, std::memory_order_acquire)) < k) {
-    tls_shard = shard;
-    try {
-      sims_[shard]->run_before(horizons_[shard]);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(err_mu_);
-      if (!error_) error_ = std::current_exception();
-    }
-    done_.fetch_add(1, std::memory_order_release);
-  }
-  tls_owner = nullptr;
+void ShardSet::decide_window() {
+  flush_observatory_logs();
+  // Global minimum next-event time: the window floor.
+  TimeNs floor = Simulator::kNoEvent;
+  for (std::size_t p = 0; p < participants_; ++p) floor = std::min(floor, slots_[p].value);
+  Decision& d = decision_;
+  d.stop = floor > deadline_ || failed_.load(std::memory_order_relaxed);
+  if (d.stop) return;
+  // Bounded-lag window: every shard may run events strictly below the
+  // GLOBAL min next + lookahead (see header for the safety argument — a
+  // looser per-shard bound lets replies land in a front-runner's past).
+  // The deadline cap is exclusive too, hence deadline + 1.
+  const TimeNs cap = sat_add(deadline_, 1);
+  d.horizon = lookahead_ == kNoLookahead ? cap : std::min(cap, sat_add(floor, lookahead_));
+  ++d.windows;
 }
 
-void ShardSet::worker_main() {
+void ShardSet::worker_main(std::size_t p) {
   std::uint64_t seen = 0;
   while (true) {
-    std::uint64_t e;
-    std::uint32_t spins = 0;
-    while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-      if (quit_.load(std::memory_order_acquire)) return;
-      if (++spins < 4096) {
-        cpu_relax();
-      } else {
-        std::this_thread::yield();
-      }
+    {
+      std::unique_lock<std::mutex> lock(run_mu_);
+      run_cv_.wait(lock, [&] { return quit_ || run_gen_ != seen; });
+      if (quit_) return;
+      seen = run_gen_;
     }
-    if (quit_.load(std::memory_order_acquire)) return;
-    seen = e;
-    run_claimed();
+    participate(p);
   }
 }
 
 void ShardSet::ensure_workers() {
-  if (!workers_.empty()) return;
-  // One worker per extra shard, capped by the machine: a one-core host gets
-  // zero workers and exec_window degenerates to a serial sweep. The env
+  if (!slots_.empty()) return;
+  // One participant per shard, capped by the machine: a one-core host gets
+  // zero workers and the window loop degenerates to a serial sweep. The env
   // override keeps the threaded path testable (TSan) on small machines.
   std::size_t target = std::thread::hardware_concurrency();
   if (target == 0) target = 1;
   if (std::getenv("SWISH_SHARD_FORCE_THREADS") != nullptr) target = sims_.size();
-  target = std::min(target, sims_.size()) - 1;
-  if (target == 0) return;
-  workers_.reserve(target);
-  for (std::size_t w = 0; w < target; ++w) {
-    workers_.emplace_back([this] { worker_main(); });
+  participants_ = std::min(target, sims_.size());
+  slots_.resize(participants_);
+  workers_.reserve(participants_ - 1);
+  for (std::size_t p = 1; p < participants_; ++p) {
+    workers_.emplace_back([this, p] { worker_main(p); });
   }
 }
 
 void ShardSet::shutdown_workers() {
   if (workers_.empty()) return;
-  quit_.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(run_mu_);
+    quit_ = true;
+  }
+  run_cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();
 }
 
-void ShardSet::drain_inboxes() {
-  // Tag-and-sort per destination: (time, src shard, lane seq) is the
-  // documented deterministic merge order for inbound cross-shard events.
-  struct Tagged {
-    TimeNs time;
-    std::size_t src;
-    std::uint64_t seq;
-    Inbound* entry;
-  };
-  std::vector<Tagged> batch;
-  for (std::size_t dst = 0; dst < sims_.size(); ++dst) {
-    batch.clear();
-    for (std::size_t src = 0; src < sims_.size(); ++src) {
-      for (Inbound& e : inboxes_[dst][src].entries) {
-        batch.push_back(Tagged{e.time, src, e.seq, &e});
-      }
-    }
-    std::sort(batch.begin(), batch.end(), [](const Tagged& a, const Tagged& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.src != b.src) return a.src < b.src;
-      return a.seq < b.seq;
-    });
-    for (const Tagged& t : batch) sims_[dst]->post_at(t.time, std::move(t.entry->fn));
-    cross_events_ += batch.size();
-    for (std::size_t src = 0; src < sims_.size(); ++src) inboxes_[dst][src].entries.clear();
+void ShardSet::drain(std::size_t dst, std::size_t set) {
+  // (time, src shard, lane seq) is the documented merge order. The queue
+  // orders events by (time, post order), so posting lane after lane in source
+  // order, each in lane order, yields exactly that order: a sort would only
+  // rearrange events the queue's time order separates anyway.
+  Simulator& sim = *sims_[dst];
+  for (std::size_t src = 0; src < sims_.size(); ++src) {
+    std::vector<Inbound>& entries = lane(set, dst, src).entries;
+    for (Inbound& e : entries) sim.post_at(e.time, std::move(e.fn));
+    state_[dst].cross_events += entries.size();
+    entries.clear();
   }
 }
 

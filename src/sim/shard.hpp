@@ -8,8 +8,8 @@
 // than the minimum propagation delay over inter-shard links.
 //
 // Window rule (bounded-lag variant of classic null-message PDES): at each
-// barrier the coordinator reads every shard's next event time n_k and lets
-// every shard run events with
+// barrier the last arriver takes every shard's next event time n_k (pending
+// handoffs included) and lets every shard run events with
 //
 //     t  <  horizon = min_k n_k + lookahead
 //
@@ -21,47 +21,59 @@
 // min_{j != i} n_j + lookahead — letting the earliest shard run further —
 // is NOT safe: the front-runner's own sends can drag a quiet shard's clock
 // back below the front-runner's, and the reply then lands in its past.)
-// Handoffs buffer in per-(dst, src) inbox lanes and are drained only at
-// barriers. The global minimum advances by at least the lookahead per
-// window, so progress is guaranteed.
+// Handoffs buffer in per-(dst, src) inbox lanes and are drained only between
+// windows. The global minimum advances by at least the lookahead per window,
+// so progress is guaranteed.
 //
 // Determinism: execution order within a shard is the Simulator's total order
-// (time, then sequence id). Inbound cross-shard events are merged at each
-// barrier sorted by (timestamp, source shard, per-lane sequence), then posted
-// — so they adopt destination sequence ids in that deterministic order, after
-// all events the destination already queued. Same seed + same shard count
+// (time, then sequence id). Inbound cross-shard events are merged after each
+// barrier in (timestamp, source shard, per-lane sequence) order, after all
+// events the destination already queued: they are posted lane by lane in
+// source order, so equal-time events adopt destination sequence ids in
+// (source, lane) order and the queue's time order does the rest — no sort
+// is needed. Same seed + same shard count
 // reproduces byte-identical results; window boundaries only batch execution
 // and never reorder it. A one-shard set bypasses windowing entirely and is
 // byte-identical to the legacy single-threaded Simulator run.
 //
-// Memory model of the handoff queues: each lane (dst, src) has exactly one
-// writer during a window — the participant that claimed shard src — and is
-// drained by the coordinator strictly between windows. The window barrier —
-// a release bump of an epoch counter to start, a release-incremented
-// done-count the coordinator acquires to finish — provides the
-// happens-before edge in both directions, so lanes need no per-entry
-// synchronization (they are plain vectors).
+// Execution model: owned shards, one barrier per window. P = min(shards,
+// hardware threads) participants — the calling thread (participant 0) plus
+// P - 1 workers — and participant p owns shards {p, p + P, ...} for the
+// set's whole life, so a shard's event queue and switch state never move
+// between cores. Each window, every owner:
+//   1. drains its shards' inbound lanes (filled by the window that just
+//      closed) into their queues;
+//   2. runs its shards up to the horizon;
+//   3. publishes, in its own cache-line slot, the earliest of its shards'
+//      next events and of the cross-shard events it posted this window (the
+//      latter sit undrained in lanes, so they count toward min_k n_k);
+//   4. meets the others at the barrier, whose last arriver takes the minimum
+//      of the slots, fixes the next horizon (or ends the run), and flushes the
+//      observatory logs.
+// On a single-core host P = 1: no workers, and the window loop is a serial
+// sweep. SWISH_SHARD_FORCE_THREADS=1 forces one participant per shard
+// regardless of core count (the TSan suite does, so the barrier and lane
+// protocol are exercised under contention even on a one-core CI box).
 //
-// Execution model: shard windows are work items, not pinned threads. Each
-// window, every participant (the coordinating thread plus
-// min(shards, hardware threads) - 1 workers) claims shard indices from an
-// atomic counter and runs them; on a single-core host that means zero
-// worker threads and a plain serial sweep — no oversubscribed spinning.
-// Determinism is unaffected: shards are disjoint, so which participant runs
-// a shard never matters. Set SWISH_SHARD_FORCE_THREADS=1 to force one
-// worker per extra shard regardless of core count (the TSan suite does, so
-// the barrier and lane protocol are exercised under contention even on a
-// one-core CI box).
+// Memory model of the handoff queues: lanes come in two sets, used by
+// alternating windows. During window w, lane (dst, src) of set w % 2 has
+// exactly one writer — src's owner — and no reader; after the barrier that
+// closes window w it has exactly one reader — dst's owner, which drains it
+// while the next window's posts go to the other set. The barrier (an
+// acq_rel arrival count, then a release bump of a generation the others
+// acquire) orders every post before its drain, so lanes are plain vectors.
+// Barrier atomics, lanes and per-shard state each sit on their own cache
+// line: no two cores write one line except through the barrier itself.
 #pragma once
 
 #include <atomic>
-#include <exception>
-#include <mutex>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -84,9 +96,14 @@ class ShardSet {
   [[nodiscard]] const Simulator& sim(std::size_t shard) const noexcept { return *sims_[shard]; }
 
   /// Pins node `id` to `shard`. Call while building the topology, before any
-  /// run; unassigned nodes live on shard 0.
+  /// run; unassigned nodes live on shard 0. The table is indexed by id, so
+  /// it grows to the largest id assigned (a Fabric numbers switches from 1,
+  /// the controller 1000 and spines from 2000).
   void assign(NodeId id, std::size_t shard);
-  [[nodiscard]] std::size_t shard_of(NodeId id) const noexcept;
+  /// A flat per-node table lookup: Network::send asks on every packet.
+  [[nodiscard]] std::size_t shard_of(NodeId id) const noexcept {
+    return id < shard_of_.size() ? shard_of_[id] : 0;
+  }
   [[nodiscard]] Simulator& sim_for(NodeId id) noexcept { return sim(shard_of(id)); }
 
   /// Registers a cross-shard link's propagation delay; the minimum over all
@@ -118,18 +135,18 @@ class ShardSet {
 
   /// Runs every shard to `deadline`. With one shard this delegates to
   /// Simulator::run_until (no threads, no windowing — the legacy path);
-  /// otherwise it executes conservative windows, shard work claimed by the
-  /// calling thread plus min(shards, hardware threads) - 1 workers (see the
-  /// execution-model note at the top of this header). An exception thrown by
-  /// any shard's events is rethrown here, on the calling thread.
+  /// otherwise it executes conservative windows, each shard on its owning
+  /// participant (see the execution-model note at the top of this header).
+  /// An exception thrown by any shard's events is rethrown here, on the
+  /// calling thread.
   void run_until(TimeNs deadline);
 
   // -- Synchronization statistics -----------------------------------------------
 
   /// Conservative windows executed (multi-shard runs only).
-  [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
+  [[nodiscard]] std::uint64_t windows() const noexcept { return decision_.windows; }
   /// Events that crossed a shard boundary via the inbox lanes.
-  [[nodiscard]] std::uint64_t cross_events() const noexcept { return cross_events_; }
+  [[nodiscard]] std::uint64_t cross_events() const noexcept;
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t executed_events() const noexcept;
 
@@ -159,58 +176,85 @@ class ShardSet {
 
  private:
   static constexpr TimeNs kNoLookahead = std::numeric_limits<TimeNs>::max();
+  static constexpr std::size_t kCacheLine = 64;
+
+  /// A value alone on its cache line(s).
+  template <typename T>
+  struct alignas(kCacheLine) Padded {
+    T value{};
+  };
 
   struct Inbound {
     TimeNs time;
-    std::uint64_t seq;  ///< per-lane, assigned at post in source execution order
-    EventFn fn;
+    EventFn fn;  ///< lane position is the per-lane sequence number
   };
-  /// One handoff lane: single writer (shard src's thread, during a window),
-  /// drained by the coordinator between windows.
-  struct Lane {
+  /// One handoff lane (dst, src) of one lane set: src's owner appends during
+  /// that set's windows, dst's owner drains it after the closing barrier.
+  struct alignas(kCacheLine) Lane {
     std::vector<Inbound> entries;
-    std::uint64_t next_seq = 0;
+  };
+  /// What only a shard's owner touches during a run.
+  struct alignas(kCacheLine) ShardState {
+    std::size_t lane_set = 0;               ///< where this window's cross-shard posts go
+    TimeNs sent_min = Simulator::kNoEvent;  ///< earliest cross-shard post this window
+    std::uint64_t cross_events = 0;         ///< inbound events merged, all runs
+  };
+  /// Written by the barrier's last arriver before it bumps `generation`;
+  /// read by every participant after acquiring the bump.
+  struct alignas(kCacheLine) Decision {
+    std::atomic<std::uint64_t> generation{0};
+    TimeNs horizon = 0;
+    bool stop = false;
+    std::uint64_t windows = 0;  ///< conservative windows issued, all runs
   };
 
+  [[nodiscard]] Lane& lane(std::size_t set, std::size_t dst, std::size_t src) noexcept {
+    return lanes_[(set * sims_.size() + dst) * sims_.size() + src];
+  }
   void post_impl(std::size_t dst, TimeNs t, EventFn fn);
   void ensure_workers();
   void shutdown_workers();
-  void worker_main();
-  void exec_window();
-  void run_claimed();
-  void drain_inboxes();
+  void worker_main(std::size_t participant);
+  void participate(std::size_t participant);
+  void barrier(std::uint64_t& generation, bool decide);
+  void decide_window();
+  void drain(std::size_t dst, std::size_t set);
   void flush_observatory_logs();
 
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::unordered_map<NodeId, std::size_t> shard_of_;
+  std::vector<std::uint32_t> shard_of_;  ///< indexed by NodeId; absent ids are shard 0
   TimeNs lookahead_ = kNoLookahead;
 
-  /// inboxes_[dst][src]; only [dst != src] lanes are ever used.
-  std::vector<std::vector<Lane>> inboxes_;
-  std::vector<TimeNs> nexts_;     ///< per-shard next event time, read at barriers
-  std::vector<TimeNs> horizons_;  ///< per-shard window bound, published via epoch_
+  std::vector<Lane> lanes_;              ///< 2 sets x dst x src; only dst != src is used
+  std::vector<ShardState> state_;        ///< per shard
+  std::vector<Padded<TimeNs>> slots_;    ///< per participant: its published window floor
+  std::size_t participants_ = 1;
+  TimeNs deadline_ = 0;                  ///< of the current run
 
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> epoch_{0};   ///< bumped (release) to start a window
-  std::atomic<std::size_t> claim_{0};     ///< next shard index to execute this window
-  std::atomic<std::size_t> done_{0};      ///< shards finished this window
-  std::atomic<bool> quit_{false};
-  std::vector<std::thread> workers_;
+  Padded<std::atomic<bool>> running_;    ///< read on every post
+  Padded<std::atomic<std::size_t>> arrived_;
+  Decision decision_;
+
+  // Between runs workers block here; run_until bumps run_gen_ to start one.
+  std::mutex run_mu_;
+  std::condition_variable run_cv_;
+  std::uint64_t run_gen_ = 0;
+  bool quit_ = false;
 
   // First exception thrown by any shard's events, rethrown from run_until on
-  // the coordinating thread after the window barrier (an exception must never
-  // escape a worker — that would terminate the process).
+  // the calling thread once every participant has left the run (an
+  // exception must never escape a worker — that would terminate the process).
   std::mutex err_mu_;
   std::exception_ptr error_;
-
-  std::uint64_t windows_ = 0;
-  std::uint64_t cross_events_ = 0;
+  std::atomic<bool> failed_{false};
 
   // Sharded observatory (multi-shard only; see enable_observatory()).
   bool obs_master_enabled_ = false;
   telemetry::ConsistencyObservatory master_obs_;
   TimeNs master_now_ = 0;
   std::vector<std::vector<telemetry::ObsEvent>> obs_logs_;
+
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
 }  // namespace swish::sim

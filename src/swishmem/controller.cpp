@@ -204,7 +204,7 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
 void Controller::start() { membership_->start(); }
 
 void Controller::handle_packet(pkt::Packet packet, net::PortId) {
-  auto parsed = packet.parse();
+  const pkt::ParsedPacket* parsed = packet.parsed();
   if (!parsed || !parsed->udp || parsed->udp->dst_port != pkt::kSwishPort) return;
   auto msg = pkt::decode_message(packet.l4_payload(*parsed));
   if (!msg) return;

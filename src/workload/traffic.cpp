@@ -150,7 +150,7 @@ void TrafficGenerator::arm_syn_retransmit(std::uint64_t flow_id, unsigned attemp
 
 void MeasuringSink::observe(const pkt::Packet& packet) {
   ++delivered_;
-  auto parsed = packet.parse();
+  const pkt::ParsedPacket* parsed = packet.parsed();
   if (!parsed) return;
   auto stamp = Stamp::decode(packet.l4_payload(*parsed));
   if (!stamp) return;

@@ -1,9 +1,11 @@
 // Tests for the zero-copy packet fast path: copies share one refcounted
 // buffer, the parse cache runs the header parser at most once per buffer,
-// and rewrites are copy-on-write (the original is never mutated).
+// and rewrites are copy-on-write (the original is never mutated). Also the
+// per-thread striping of the PacketStats counters those paths bump.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -145,6 +147,47 @@ TEST(PacketSharing, MulticastFanOutSharesOneBuffer) {
   // The entire fan-out allocated zero new buffers.
   EXPECT_EQ(stats.buffers_created, 0u);
   EXPECT_EQ(stats.rewrite_copies, 0u);
+}
+
+TEST(PacketStats, ThreadStripesSumExactlyAndResetZeroesEveryStripe) {
+  // Every thread bumps its own stripe; a read sums all of them, including
+  // the stripes of threads that have already exited, and reset() zeroes
+  // every stripe (a sum of zero over unsigned stripes means each is zero).
+  auto& stats = pkt::PacketStats::global();
+  const std::vector<pkt::PacketStats::Counter*> counters{
+      &stats.buffers_created,  &stats.buffer_bytes,   &stats.parse_executions,
+      &stats.parse_cache_hits, &stats.rewrite_copies, &stats.rewrite_bytes};
+  constexpr std::uint64_t kBumps = 10'000;
+  constexpr std::uint64_t kThreads = 4;
+  auto run_threads = [&counters]() {
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&counters]() {
+        for (std::uint64_t i = 0; i < kBumps; ++i) {
+          for (pkt::PacketStats::Counter* c : counters) {
+            ++*c;
+            *c += 2;
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+
+  stats.reset();
+  run_threads();
+  for (const pkt::PacketStats::Counter* c : counters) {
+    EXPECT_EQ(std::uint64_t{*c}, kThreads * kBumps * 3);
+  }
+  stats.reset();
+  for (const pkt::PacketStats::Counter* c : counters) EXPECT_EQ(std::uint64_t{*c}, 0u);
+
+  // A second round reuses the exited threads' stripes and counts from zero.
+  run_threads();
+  for (const pkt::PacketStats::Counter* c : counters) {
+    EXPECT_EQ(std::uint64_t{*c}, kThreads * kBumps * 3);
+  }
+  stats.reset();
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 // same shard count are byte-identical, and — the cross-shard causal-tracing
 // contract — spans crossing a shard boundary stitch into one unforked,
 // undropped DAG whose canonicalized Perfetto export is byte-identical across
-// --shards {1, 2, 4} for the same seed, including under loss.
+// --shards {1, 2, 4} for the same seed, including under loss. A kCON
+// write_txn scenario on 16 leaves x 4 spines covers the cross-shard
+// consensus fan-out: byte-identical repeats at 4 shards, and the same commits
+// and applied slots as the 1-shard run.
 //
 // All fabric-level scenarios drive writes from the owning switch's own shard
 // (sim clock), which keeps virtual timings shard-count-invariant: in-fabric
@@ -301,6 +304,86 @@ TEST(ShardedSim, CrossShardSpansStitchUnforkedAndUndropped) {
     }
   }
   EXPECT_EQ(chain_traces, 12u);  // 4 switches x 3 writes
+}
+
+/// 16 leaves x 4 spines with two kCON spaces. Every switch commits two-op
+/// write_txns from its own shard, so each transaction is one consensus slot
+/// whose accept round fans out from the coordinator to 15 acceptors, most of
+/// them on other shards.
+struct ConTxnRig {
+  static constexpr std::uint32_t kConA = 82;
+  static constexpr std::uint32_t kConB = 83;
+  Fabric fabric;
+
+  explicit ConTxnRig(std::size_t shards) : fabric(config(shards)) {
+    for (const std::uint32_t id : {kConA, kConB}) {
+      SpaceConfig sp;
+      sp.id = id;
+      sp.name = id == kConA ? "t.con_a" : "t.con_b";
+      sp.cls = ConsistencyClass::kCON;
+      sp.size = 64;
+      fabric.add_space(sp);
+    }
+    fabric.install([] { return std::unique_ptr<NfApp>(); });
+    fabric.start();
+  }
+
+  static FabricConfig config(std::size_t shards) {
+    FabricConfig cfg;
+    cfg.num_switches = 16;
+    cfg.topology = FabricConfig::Topology::kLeafSpine;
+    cfg.spine_count = 4;
+    cfg.seed = 17;
+    cfg.shards = shards;
+    return cfg;
+  }
+
+  /// Shard-local transaction driving, as ShardRig::drive_writes: two
+  /// transactions per switch once the coordinator is elected.
+  void drive_txns() {
+    for (std::size_t i = 0; i < fabric.size(); ++i) {
+      Fabric* f = &fabric;
+      for (std::uint64_t w = 0; w < 2; ++w) {
+        const TimeNs at = 20 * kMs + static_cast<TimeNs>(w) * 4 * kMs +
+                          static_cast<TimeNs>(i) * 100 * kUs;
+        fabric.simulator_for(i).schedule_at(at, [f, i, w]() {
+          const std::uint64_t key = 2 * i + w;
+          f->runtime(i).write_txn({{kConA, key, 100 + key}, {kConB, key, 200 + key}}, udp(1),
+                                  [](pkt::Packet&&) {});
+        });
+      }
+    }
+    fabric.run_for(40 * kMs);
+  }
+
+  /// A con.* counter summed over every switch.
+  std::uint64_t con_total(const std::string& counter) {
+    const auto snap = fabric.metrics_snapshot();
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < fabric.size(); ++i) {
+      auto it = snap.values.find("shm.sw" + std::to_string(i + 1) + ".con." + counter);
+      if (it != snap.values.end()) total += it->second.count;
+    }
+    return total;
+  }
+};
+
+TEST(ShardedSim, ConsensusTxnFanOutIsDeterministicAcrossShards) {
+  ConTxnRig one(1);
+  one.drive_txns();
+  const std::uint64_t committed = one.con_total("writes_committed");
+  const std::uint64_t applied = one.con_total("slots_applied");
+  EXPECT_EQ(committed, 32u);  // 16 switches x 2 transactions
+  EXPECT_EQ(applied, 16u * committed);
+
+  ConTxnRig a(4);
+  ConTxnRig b(4);
+  a.drive_txns();
+  b.drive_txns();
+  EXPECT_GT(a.fabric.shard_set().cross_events(), 0u);
+  EXPECT_EQ(a.fabric.metrics_snapshot().to_json(), b.fabric.metrics_snapshot().to_json());
+  EXPECT_EQ(a.con_total("writes_committed"), committed);
+  EXPECT_EQ(a.con_total("slots_applied"), applied);
 }
 
 TEST(ShardedSim, FabricRejectsImpossibleShardCounts) {

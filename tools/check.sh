@@ -36,9 +36,10 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 # TSan pass over the multi-shard suites: the sharded-sim determinism tests,
 # the consistency-conformance suite (the heaviest cross-switch protocol
 # traffic), the CoW store suites (snapshot pins shared across the recovery
-# path), and the INT telemetry suites (per-node drop/report logs written from
-# every shard, gathered cross-shard by the health collector). TSan and ASan
-# cannot share a build, hence the second tree.
+# path), the INT telemetry suites (per-node drop/report logs written from
+# every shard, gathered cross-shard by the health collector), and the
+# per-thread PacketStats stripes. TSan and ASan cannot share a build, hence
+# the second tree.
 TSAN_BUILD="$ROOT/build-check-tsan"
 cmake -B "$TSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -49,7 +50,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
 SWISH_SHARD_FORCE_THREADS=1 \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector'
+    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector|PacketStats'
 
 echo
 echo "check.sh: clean (Werror + ASan/UBSan + TSan sharded suites)"
