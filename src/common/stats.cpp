@@ -50,8 +50,6 @@ constexpr std::size_t kOctaves = 58;           // enough for 64-bit values
 constexpr std::size_t kTotalBuckets = kExactLimit + kOctaves * kSubBuckets;
 }  // namespace
 
-Histogram::Histogram() : buckets_(kTotalBuckets, 0) {}
-
 std::size_t Histogram::bucket_of(std::uint64_t value) noexcept {
   if (value < kExactLimit) return static_cast<std::size_t>(value);
   const int log2 = 63 - std::countl_zero(value);
@@ -75,6 +73,7 @@ std::uint64_t Histogram::bucket_upper(std::size_t bucket) noexcept {
 void Histogram::add(std::uint64_t value) noexcept {
   if (count_ == 0) {
     min_ = max_ = value;
+    buckets_.assign(kTotalBuckets, 0);
   } else {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
@@ -95,7 +94,6 @@ std::uint64_t Histogram::percentile(double q) const noexcept {
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) return std::min(bucket_upper(i), max_);
     if (seen >= target) return std::min(bucket_upper(i), max_);
   }
   return max_;
@@ -104,12 +102,11 @@ std::uint64_t Histogram::percentile(double q) const noexcept {
 void Histogram::merge(const Histogram& other) noexcept {
   if (other.count_ == 0) return;
   if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    *this = other;
+    return;
   }
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
   count_ += other.count_;
   sum_ += other.sum_;
   for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];

@@ -35,11 +35,11 @@ class RunningStats {
 
 /// Histogram over non-negative integer samples (e.g. latency in ns) with
 /// geometric buckets: exact up to 128, then 64 sub-buckets per octave.
-/// Percentile error is bounded by ~1.6% above the exact range.
+/// Percentile error is bounded by ~1.6% above the exact range. The bucket
+/// vector (~30 KB) is allocated on the first sample, so an empty histogram
+/// costs a few scalars to hold and nothing to copy.
 class Histogram {
  public:
-  Histogram();
-
   void add(std::uint64_t value) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
@@ -59,7 +59,7 @@ class Histogram {
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t value) noexcept;
   [[nodiscard]] static std::uint64_t bucket_upper(std::size_t bucket) noexcept;
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  ///< empty until the first sample
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   std::uint64_t min_ = 0;

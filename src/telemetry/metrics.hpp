@@ -166,7 +166,7 @@ class MetricsRegistry {
     MetricKind kind = MetricKind::kCounter;
     std::uint64_t count = 0;
     double number = 0.0;
-    Histogram hist;  ///< engaged only for kHistogram
+    Histogram hist;  ///< used only by kHistogram; owns no buckets until sampled
     std::function<std::uint64_t()> probe_fn;
   };
 

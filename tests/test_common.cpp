@@ -184,6 +184,74 @@ TEST(Histogram, MeanTracksSum) {
   EXPECT_DOUBLE_EQ(h.mean(), 20.0);
 }
 
+// Buckets are allocated on the first sample, so the empty state must read as
+// zero through every accessor however it was produced.
+void expect_empty(const Histogram& h) {
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  for (int i = 0; i <= 100; ++i) EXPECT_EQ(h.percentile(i / 100.0), 0u) << "q=" << i;
+}
+
+void expect_same(const Histogram& got, const Histogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  for (double q : {0.0, 0.5, 0.99, 1.0}) EXPECT_EQ(got.percentile(q), want.percentile(q)) << q;
+}
+
+Histogram filled() {
+  Histogram h;
+  for (std::uint64_t v : {3u, 90u, 127u, 128u, 5000u, 70'000u, 1'000'000u}) h.add(v);
+  return h;
+}
+
+TEST(Histogram, EmptyReadsZeroWhenDefaultedOrCopied) {
+  const Histogram empty;
+  expect_empty(empty);
+  const Histogram copied(empty);
+  expect_empty(copied);
+  Histogram assigned = filled();
+  assigned = empty;
+  expect_empty(assigned);
+}
+
+TEST(Histogram, EmptyMergeEmptyStaysEmpty) {
+  Histogram a;
+  const Histogram b;
+  a.merge(b);
+  expect_empty(a);
+}
+
+TEST(Histogram, FreshMergedFromFilledMatchesIt) {
+  const Histogram src = filled();
+  Histogram fresh;
+  fresh.merge(src);
+  expect_same(fresh, src);
+  EXPECT_EQ(fresh.count(), 7u);
+  EXPECT_EQ(fresh.percentile(1.0), 1'000'000u);
+}
+
+TEST(Histogram, MergingEmptyChangesNothing) {
+  Histogram h = filled();
+  h.merge(Histogram{});
+  expect_same(h, filled());
+}
+
+TEST(Histogram, EmptyCopyAcceptsAdd) {
+  const Histogram empty;
+  Histogram h(empty);
+  h.add(42);
+  h.add(4242);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.min(), 42u);
+  EXPECT_EQ(h.max(), 4242u);
+  EXPECT_EQ(h.percentile(0.5), 42u);
+  expect_empty(empty);
+}
+
 TEST(ByteBuffer, RoundTripAllWidths) {
   ByteWriter w;
   w.u8(0xAB);

@@ -45,6 +45,49 @@ TEST(RegisterArray, MemoryAccounting) {
   EXPECT_EQ(RegisterArray("c", 1000, 32).memory_bytes(), 4000u);
 }
 
+TEST(RegisterArray, MergeMaxNeverLowers) {
+  RegisterArray r("r", 2, 8);
+  r.write(0, 200);
+  EXPECT_EQ(r.merge_max(0, 256), 200u);  // 256 is 0 at 8 bits
+  EXPECT_EQ(r.read(0), 200u);
+  EXPECT_EQ(r.merge_max(0, 0x1FF), 0xFFu);
+  EXPECT_EQ(r.read(1), 0u);
+}
+
+// Entries are stored in 1, 2, 4 or 8 bytes; exercise both sides of every
+// storage-width step and check that neighbours never bleed into each other.
+TEST(RegisterArray, EveryWidthBoundary) {
+  for (unsigned bits : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u}) {
+    SCOPED_TRACE("entry_bits=" + std::to_string(bits));
+    const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+    RegisterArray r("r", 4, bits);
+
+    r.write(1, mask);
+    EXPECT_EQ(r.read(1), mask);
+    EXPECT_EQ(r.read(0), 0u);
+    EXPECT_EQ(r.read(2), 0u);
+
+    r.write(2, mask + 1);
+    EXPECT_EQ(r.read(2), 0u);
+    EXPECT_EQ(r.read(1), mask);
+
+    EXPECT_EQ(r.add(1, 1), 0u);
+    EXPECT_EQ(r.add(1, mask), mask);
+    EXPECT_EQ(r.add(1, 2), 1u);
+
+    EXPECT_EQ(r.merge_or(3, ~0ULL), mask);
+    EXPECT_EQ(r.read(3), mask);
+    EXPECT_EQ(r.read(2), 0u);
+
+    r.fill(~0ULL);
+    for (RegisterIndex i = 0; i < 4; ++i) EXPECT_EQ(r.read(i), mask);
+    r.fill(mask + 1);
+    for (RegisterIndex i = 0; i < 4; ++i) EXPECT_EQ(r.read(i), 0u);
+
+    EXPECT_EQ(RegisterArray("m", 1000, bits).memory_bytes(), (1000 * bits + 7) / 8);
+  }
+}
+
 TEST(RegisterArray, BadBitsThrow) {
   EXPECT_THROW(RegisterArray("x", 4, 0), std::invalid_argument);
   EXPECT_THROW(RegisterArray("x", 4, 65), std::invalid_argument);
