@@ -13,8 +13,9 @@ using namespace swish;
 namespace {
 
 std::size_t bytes_for(shm::SpaceConfig sp, std::size_t replicas) {
-  sim::Simulator sim;
-  net::Network net{sim, 1};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 1};
   pisa::Switch sw{sim, net, 1, {}};
   net.attach(sw);
   std::vector<SwitchId> group;
@@ -34,8 +35,9 @@ std::string pct_of_budget(std::size_t bytes) {
 /// Bytes of a sparse (ordered CoW index) SRO space holding `live_keys`
 /// entries: memory grows with the live set, not the keyspace.
 std::size_t sparse_bytes_for(std::size_t live_keys) {
-  sim::Simulator sim;
-  net::Network net{sim, 1};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 1};
   pisa::Switch sw{sim, net, 1, {}};
   net.attach(sw);
   shm::SpaceConfig sp;

@@ -35,8 +35,8 @@ int main() {
     // Sample staleness halfway through the burst.
     std::uint64_t staleness = 0;
     rig.fabric.simulator().schedule_at(kSpan / 2, [&]() {
-      const auto local = rig.fabric.runtime(0).ewo_read(bench::kCtrSpace, 0);
-      const auto remote = rig.fabric.runtime(1).ewo_read(bench::kCtrSpace, 0);
+      const auto local = bench::read_value(rig.fabric.runtime(0), bench::kCtrSpace, 0);
+      const auto remote = bench::read_value(rig.fabric.runtime(1), bench::kCtrSpace, 0);
       staleness = local - std::min(local, remote);
     });
     rig.fabric.run_for(kSpan + 100 * kMs);

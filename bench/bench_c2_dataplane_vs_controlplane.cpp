@@ -82,8 +82,9 @@ Result run_ewo(double writes_per_sec) {
   }
   rig.fabric.run_for(kDuration + kSettle);
   Result r;
-  r.replicated_fraction = static_cast<double>(rig.fabric.runtime(1).ewo_read(bench::kCtrSpace, 0)) /
-                          static_cast<double>(total);
+  r.replicated_fraction =
+      static_cast<double>(bench::read_value(rig.fabric.runtime(1), bench::kCtrSpace, 0)) /
+      static_cast<double>(total);
   r.cp_dropped = 0;
   return r;
 }

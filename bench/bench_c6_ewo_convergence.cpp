@@ -29,7 +29,7 @@ TimeNs convergence_time(double loss, TimeNs sync_period) {
     rig.fabric.run_for(100 * kUs);
     bool done = true;
     for (std::size_t i = 0; i < 3; ++i) {
-      if (rig.fabric.runtime(i).ewo_read(bench::kCtrSpace, 0) != 300) done = false;
+      if (bench::read_value(rig.fabric.runtime(i), bench::kCtrSpace, 0) != 300) done = false;
     }
     if (done) return rig.fabric.simulator().now() - burst_end;
   }
@@ -76,17 +76,17 @@ int main() {
       for (int i = 0; i < 900; ++i) {
         auto& rt = fabric.runtime(i % 3);
         if (crdt) {
-          rt.ewo_add(1, 0, 1);
+          rt.update(1, 0, 1);
         } else {
-          rt.ewo_write(1, 0, rt.ewo_read(1, 0) + 1);
+          rt.write({{1, 0, bench::read_value(rt, 1, 0) + 1}}, pkt::Packet{}, nullptr);
         }
         if (i % 10 == 9) fabric.run_for(200 * kUs);  // interleave with replication
       }
       fabric.run_for(500 * kMs);
-      const auto v0 = fabric.runtime(0).ewo_read(1, 0);
+      const auto v0 = bench::read_value(fabric.runtime(0), 1, 0);
       bool agree = true;
       for (std::size_t i = 1; i < 3; ++i) {
-        if (fabric.runtime(i).ewo_read(1, 0) != v0) agree = false;
+        if (bench::read_value(fabric.runtime(i), 1, 0) != v0) agree = false;
       }
       table.row({crdt ? "G-counter (CRDT)" : "LWW register", agree ? "yes" : "no",
                  std::to_string(v0), "900",

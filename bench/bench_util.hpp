@@ -14,6 +14,14 @@
 
 namespace swish::bench {
 
+/// The value a switch's runtime holds for (space, key), read outside packet
+/// processing through the NF-facing read(); kMiss reads 0.
+inline std::uint64_t read_value(shm::ShmRuntime& rt, std::uint32_t space, std::uint64_t key) {
+  std::uint64_t value = 0;
+  rt.read(nullptr, space, key, value);
+  return value;
+}
+
 /// Space ids used by the raw-register driver NF below.
 inline constexpr std::uint32_t kSroSpace = 100;
 inline constexpr std::uint32_t kEroSpace = 101;
@@ -51,7 +59,7 @@ class DriverNf : public shm::NfApp {
         ctx.sw.deliver(std::move(ctx.packet));
       }
     } else if (port >= 3000 && port < 4000) {
-      rt.ewo_add(kCtrSpace, port - 3000, 1);
+      rt.update(kCtrSpace, port - 3000, 1);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (port >= 4000 && port < 5000) {
       rt.write({{kEroSpace, static_cast<std::uint64_t>(port - 4000),

@@ -70,9 +70,9 @@ int main() {
   }
   table.print(std::cout);
 
-  const auto slot = apps[0]->user_slot(heavy);
-  std::cout << "\nheavy user's aggregated bytes (read at switch 0): "
-            << fabric.runtime(0).ewo_read(nf::kRateLimiterSpace, slot) << '\n';
+  std::uint64_t heavy_bytes = 0;
+  fabric.runtime(0).read(nullptr, nf::kRateLimiterSpace, apps[0]->user_slot(heavy), heavy_bytes);
+  std::cout << "\nheavy user's aggregated bytes (read at switch 0): " << heavy_bytes << '\n';
   std::cout << "packets dropped across the fabric: " << dropped << '\n';
   std::cout << "\nEach switch saw only ~25 KB/window from this user — below the\n"
                "limit — yet the shared counter exposed the 100 KB aggregate and\n"

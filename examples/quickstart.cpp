@@ -24,7 +24,7 @@ class QuickstartNf : public shm::NfApp {
     if (!ctx.parsed || !ctx.parsed->udp) return;
 
     // EWO: write-intensive state, updated on every packet, merged fabric-wide.
-    rt.ewo_add(kCounterSpace, ctx.parsed->udp->dst_port % 16, 1);
+    rt.update(kCounterSpace, ctx.parsed->udp->dst_port % 16, 1);
 
     // SRO: read-intensive state, strongly consistent on every switch.
     std::uint64_t drop_flag = 0;
@@ -90,7 +90,9 @@ int main() {
   for (std::size_t s = 0; s < fabric.size(); ++s) {
     std::cout << "  switch " << s << ":";
     for (std::uint64_t k = 0; k < 4; ++k) {
-      std::cout << " " << fabric.runtime(s).ewo_read(kCounterSpace, k);
+      std::uint64_t count = 0;
+      fabric.runtime(s).read(nullptr, kCounterSpace, k, count);
+      std::cout << " " << count;
     }
     std::cout << '\n';
   }

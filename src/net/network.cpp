@@ -58,10 +58,10 @@ Network::Connection Network::connect(NodeId a, NodeId b, const LinkParams& param
                         Rng(link_seed(seed_, a, port_a))});
   pb.push_back(HalfLink{a, port_a, params, 0, make_counters(b, port_b, a),
                         Rng(link_seed(seed_, b, port_b))});
-  if (shards_ != nullptr && shards_->shard_of(a) != shards_->shard_of(b)) {
+  if (shards_.shard_of(a) != shards_.shard_of(b)) {
     // The minimum cross-shard propagation delay funds the conservative
     // lookahead (throws on zero delay: that would stall the window engine).
-    shards_->note_cross_link(params.propagation_delay);
+    shards_.note_cross_link(params.propagation_delay);
   }
   return Connection{port_a, port_b};
 }
@@ -147,8 +147,7 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
   const TimeNs delivery = link.next_free_time + link.params.propagation_delay + jitter;
   const NodeId to = link.to;
   const PortId to_port = link.to_port;
-  const bool cross_shard =
-      shards_ != nullptr && shards_->count() > 1 && shards_->shard_of(to) != shards_->shard_of(from);
+  const bool cross_shard = shards_.count() > 1 && shards_.shard_of(to) != shards_.shard_of(from);
   if (cross_shard) {
     // Warm the parse cache on the sending thread: the underlying buffer may
     // be shared with same-shard copies (multicast fan-out), and the cache
@@ -180,7 +179,7 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
     n->handle_packet(std::move(p), to_port);
   };
   if (cross_shard) {
-    shards_->post_at_node(to, delivery, std::move(deliver));
+    shards_.post_at_node(to, delivery, std::move(deliver));
   } else {
     src_sim.post_at(delivery, std::move(deliver));
   }

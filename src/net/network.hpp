@@ -87,14 +87,11 @@ struct LinkStats {
 /// identically at every shard count).
 class Network {
  public:
-  Network(sim::Simulator& simulator, std::uint64_t seed) : sim_(simulator), seed_(seed) {}
-
-  /// Sharded fabric: nodes live on the shard the set assigns them
-  /// (ShardSet::assign before connect()); cross-shard links register their
-  /// propagation delay as conservative lookahead, and deliveries hop shards
-  /// through the set's inbox lanes.
-  Network(sim::ShardSet& shards, std::uint64_t seed)
-      : sim_(shards.sim(0)), shards_(&shards), seed_(seed) {}
+  /// Nodes live on the shard the set assigns them (ShardSet::assign before
+  /// connect()); cross-shard links register their propagation delay as
+  /// conservative lookahead, and deliveries hop shards through the set's
+  /// inbox lanes. A one-shard set is the single-threaded run.
+  Network(sim::ShardSet& shards, std::uint64_t seed) : shards_(shards), seed_(seed) {}
 
   /// Registers a node. The caller retains ownership; the node must outlive
   /// the network.
@@ -150,17 +147,8 @@ class Network {
     tap_ = std::move(tap);
   }
 
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
-
-  /// The simulator executing `node`'s events (shard-resolved; `sim_` when
-  /// the network was built on a single Simulator).
-  [[nodiscard]] sim::Simulator& sim_for(NodeId node) noexcept {
-    return shards_ != nullptr ? shards_->sim_for(node) : sim_;
-  }
-
-  /// The shard set this network runs on, or nullptr for the legacy
-  /// single-simulator construction.
-  [[nodiscard]] sim::ShardSet* shard_set() noexcept { return shards_; }
+  /// The simulator executing `node`'s events.
+  [[nodiscard]] sim::Simulator& sim_for(NodeId node) noexcept { return shards_.sim_for(node); }
 
  private:
   /// Registry-backed per-direction counters; see LinkStats for invariants.
@@ -191,8 +179,7 @@ class Network {
   [[nodiscard]] const HalfLink& half(NodeId node, PortId port) const;
   [[nodiscard]] LinkCounters make_counters(NodeId node, PortId port, NodeId peer);
 
-  sim::Simulator& sim_;
-  sim::ShardSet* shards_ = nullptr;
+  sim::ShardSet& shards_;
   std::uint64_t seed_;
   std::unordered_map<NodeId, Node*> nodes_;
   std::unordered_map<NodeId, std::vector<HalfLink>> ports_;

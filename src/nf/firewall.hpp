@@ -68,7 +68,7 @@ class FirewallApp : public shm::NfApp {
   /// prefix; requires prefix_space() to be deployed.
   static void block_prefix(shm::ShmRuntime& rt, pkt::Ipv4Addr prefix, unsigned len,
                            std::uint64_t verdict = 1) {
-    rt.ewo_write(kFirewallPrefixSpace, prefix_key(prefix, len), verdict);
+    rt.write({{kFirewallPrefixSpace, prefix_key(prefix, len), verdict}}, pkt::Packet{}, nullptr);
   }
 
   void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override;

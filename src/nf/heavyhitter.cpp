@@ -9,7 +9,7 @@ void HeavyHitterApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   const std::uint64_t slot = slot_of(src);
   // Count locally; the aggregate reflects every switch's traffic after the
   // EWO merge — the "network-wide" part, with no controller involved.
-  const std::uint64_t aggregate = rt.ewo_add(kHeavyHitterSpace, slot, 1);
+  const std::uint64_t aggregate = rt.update(kHeavyHitterSpace, slot, 1).value_or(0);
   if (aggregate >= config_.threshold && !reported_.contains(slot)) {
     reported_.insert(slot);
     ++stats_.reports;

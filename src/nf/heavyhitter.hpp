@@ -47,7 +47,9 @@ class HeavyHitterApp : public shm::NfApp {
 
   /// Fabric-wide count for a source prefix, read locally.
   [[nodiscard]] std::uint64_t count(shm::ShmRuntime& rt, pkt::Ipv4Addr src) const {
-    return rt.ewo_read(kHeavyHitterSpace, slot_of(src));
+    std::uint64_t value = 0;
+    rt.read(nullptr, kHeavyHitterSpace, slot_of(src), value);
+    return value;
   }
 
   /// Fired once per (switch, key) when the aggregate crosses the threshold.

@@ -29,9 +29,11 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   const pkt::ParsedPacket& p = *ctx.parsed;
   const std::uint64_t src_slot = p.ipv4->src.value() % config_.blocklist_size;
 
+  std::uint64_t block_bits = 0;
   const bool blocked =
       config_.shared_blocklist
-          ? rt.ewo_read(kIpsBlocklistSpace, src_slot) != 0
+          ? rt.read(nullptr, kIpsBlocklistSpace, src_slot, block_bits) == shm::ReadStatus::kOk &&
+                block_bits != 0
           : match_counts_ && match_counts_->read(static_cast<RegisterIndex>(src_slot)) >=
                                  config_.block_threshold;
   if (blocked) {
@@ -48,9 +50,10 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
     if (match_counts_) {
       const std::uint64_t count = match_counts_->add(static_cast<RegisterIndex>(src_slot), 1);
       if (config_.shared_blocklist && count >= config_.block_threshold) {
-        // Publish the block decision fabric-wide (grow-only set: a blocked
-        // source stays blocked everywhere, regardless of delivery order).
-        rt.ewo_set_add(kIpsBlocklistSpace, src_slot, 1);
+        // Publish the block decision fabric-wide (a write to the grow-only
+        // set joins: a blocked source stays blocked everywhere, regardless of
+        // delivery order).
+        rt.write({{kIpsBlocklistSpace, src_slot, 1}}, pkt::Packet{}, nullptr);
       }
     }
     return;  // matched packet dropped

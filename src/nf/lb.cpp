@@ -49,19 +49,17 @@ void LoadBalancerApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   };
 
   // When the refcount space is deployed on the same engine, bump the DIP's
-  // live-connection counter in the same transaction as the mapping install:
+  // live-connection counter in the same atomic write as the mapping install:
   // no failure (loss, coordinator change) can leave a connection counted but
   // unmapped or vice versa. The peek-then-write increment is last-writer-wins
-  // across concurrent writers; the invariant the transaction guarantees is
-  // the atomicity of the pair, not counter linearizability.
+  // across concurrent writers; the invariant the write guarantees is the
+  // atomicity of the pair, not counter linearizability.
   shm::ProtocolEngine* conn_engine = rt.engine_for_space(kLbSpace);
   if (conn_engine != nullptr && rt.engine_for_space(kLbRefcountSpace) == conn_engine) {
     std::uint64_t refs = 0;
     rt.read(nullptr, kLbRefcountSpace, dip_index, refs);
     ops.push_back({kLbRefcountSpace, dip_index, refs + 1});
     ++stats_.txn_installs;
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-    return;
   }
   rt.write(std::move(ops), std::move(out), std::move(release));
 }

@@ -42,8 +42,8 @@ class LoadBalancerApp : public shm::NfApp {
   /// Per-backend live-connection counters, keyed by backend index. When this
   /// space shares an engine with conn_to_dip (same consistency class), the
   /// SYN install moves the connection entry and the DIP refcount in one
-  /// multi-key transaction (ShmRuntime::write_txn) — under kCON the pair
-  /// occupies one consensus log slot and is applied all-or-nothing.
+  /// multi-op ShmRuntime::write — under kCON the pair occupies one consensus
+  /// log slot and is applied all-or-nothing.
   static shm::SpaceConfig refcount_space(std::size_t backends = 64) {
     shm::SpaceConfig s;
     s.id = kLbRefcountSpace;

@@ -73,9 +73,8 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
       config_.port_base + ctx.sw.id() * config_.port_span + next_port_offset_++);
   ++stats_.new_connections;
 
-  // Both directions of the mapping commit as one multi-key transaction: one
-  // consensus log slot under kCON, one chain write request under the chain
-  // classes. An undeclared space keeps the legacy chain-write path.
+  // Both directions of the mapping commit as one atomic write: one consensus
+  // log slot under kCON, one chain write request under the chain classes.
   const pkt::FlowKey reverse{p.ipv4->dst, config_.public_ip, p.dst_port(), public_port,
                              p.ipv4->protocol};
   std::vector<pkt::WriteOp> ops{
@@ -86,11 +85,7 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
                                       public_port, std::nullopt);
   pisa::Switch* sw = &ctx.sw;
   auto release = [sw](pkt::Packet&& released) { sw->deliver(std::move(released)); };
-  if (rt.engine_for_space(kNatSpace) != nullptr) {
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-  } else {
-    rt.write(std::move(ops), std::move(out), std::move(release));
-  }
+  rt.write(std::move(ops), std::move(out), std::move(release));
 }
 
 void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet packet,
@@ -98,8 +93,8 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
                              pkt::Ipv4Addr internal_ip, std::uint16_t internal_port,
                              pkt::Ipv4Addr remote_ip, std::uint16_t remote_port,
                              std::uint8_t protocol) {
-  // Both directions of the mapping commit as one multi-key transaction (see
-  // outbound() above for the class-by-class atomicity guarantees).
+  // Both directions of the mapping commit as one atomic write (see outbound()
+  // above for the class-by-class atomicity guarantees).
   const pkt::FlowKey reverse{remote_ip, config_.public_ip, remote_port, public_port, protocol};
   std::vector<pkt::WriteOp> ops{
       {kNatSpace, key, pack_endpoint(config_.public_ip, public_port)},
@@ -111,11 +106,7 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
                                       public_port, std::nullopt);
   pisa::Switch* swp = &sw;
   auto release = [swp](pkt::Packet&& released) { swp->deliver(std::move(released)); };
-  if (rt.engine_for_space(kNatSpace) != nullptr) {
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-  } else {
-    rt.write(std::move(ops), std::move(out), std::move(release));
-  }
+  rt.write(std::move(ops), std::move(out), std::move(release));
 }
 
 void NatApp::inbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt, const pkt::ParsedPacket& p) {

@@ -19,8 +19,9 @@ void RateLimiterApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
     ++stats_.dropped_limited;
     return;
   }
-  const std::uint64_t aggregate = rt.ewo_add(kRateLimiterSpace, slot,
-                                             static_cast<std::int64_t>(ctx.packet.size()));
+  const std::uint64_t aggregate =
+      rt.update(kRateLimiterSpace, slot, static_cast<std::int64_t>(ctx.packet.size()))
+          .value_or(0);
   // A subnet-specific budget (longest matching prefix) overrides the global
   // default; deployments without subnet_space() read nullopt and pay nothing.
   std::uint64_t limit = config_.bytes_per_window;
@@ -42,7 +43,8 @@ void RateLimiterApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
 
 void RateLimiterApp::window_tick(shm::ShmRuntime& rt) {
   for (std::size_t slot = 0; slot < config_.user_slots; ++slot) {
-    const std::uint64_t aggregate = rt.ewo_read(kRateLimiterSpace, slot);
+    std::uint64_t aggregate = 0;
+    rt.read(nullptr, kRateLimiterSpace, slot, aggregate);
     window_base_[slot] = aggregate;
     if (limited_) limited_->write(static_cast<RegisterIndex>(slot), 0);
   }

@@ -65,7 +65,8 @@ class RateLimiterApp : public shm::NfApp {
   /// to be deployed.
   static void set_subnet_limit(shm::ShmRuntime& rt, pkt::Ipv4Addr prefix, unsigned len,
                                std::uint64_t bytes_per_window) {
-    rt.ewo_write(kRateLimiterPrefixSpace, subnet_key(prefix, len), bytes_per_window);
+    rt.write({{kRateLimiterPrefixSpace, subnet_key(prefix, len), bytes_per_window}},
+             pkt::Packet{}, nullptr);
   }
 
   void setup(pisa::Switch& sw, shm::ShmRuntime& runtime) override;

@@ -111,9 +111,7 @@ Fabric::Fabric(FabricConfig config)
     }
   }
 
-  controller_ =
-      std::make_unique<Controller>(shards_.sim(0), net_, kControllerId, config_.controller);
-  controller_->set_shard_set(&shards_);
+  controller_ = std::make_unique<Controller>(shards_, net_, kControllerId, config_.controller);
   net_.attach(*controller_);
   // The controller has a (lossy, in-band) link to every switch, so losing any
   // one switch cannot partition it from the rest of the fabric — standard

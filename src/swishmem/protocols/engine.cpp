@@ -114,13 +114,13 @@ void ProtocolEngine::add_remote_space(const SpaceConfig& config) {
                               " spaces cannot be remote");
 }
 
-bool ProtocolEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-                            UpdateDone done) {
+std::optional<std::uint64_t> ProtocolEngine::update(std::uint32_t space, std::uint64_t key,
+                                                    std::int64_t delta, UpdateDone done) {
   (void)space;
   (void)key;
   (void)delta;
   (void)done;
-  return false;
+  return std::nullopt;
 }
 
 void ProtocolEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,

@@ -48,7 +48,7 @@ enum class ReadStatus {
 /// Runs when a buffered output packet may be released (write committed).
 using WriteRelease = std::function<void(pkt::Packet&&)>;
 
-/// Completion of an asynchronous read-modify-write; receives the new value.
+/// Completion of a read-modify-write; receives the new value when it applies.
 using UpdateDone = std::function<void(std::uint64_t)>;
 
 /// One entry of a recovery snapshot: the op replaying the value plus the
@@ -221,14 +221,18 @@ class ProtocolEngine {
   /// nullopt when the space is dense, unknown, or nothing matches.
   [[nodiscard]] virtual std::optional<std::uint64_t> read_lpm(std::uint32_t space,
                                                               std::uint64_t key);
-  /// Write of one or more ops (all in spaces of this engine). `release` runs
-  /// on this switch when the write has committed per the engine's contract —
-  /// immediately for eventually-consistent engines.
+  /// Write of one or more ops (all in spaces of this engine), applied as one
+  /// atomic unit. `release` runs on this switch when the write has committed
+  /// per the engine's contract — immediately for eventually-consistent
+  /// engines.
   virtual void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) = 0;
-  /// Read-modify-write (counters). Returns false when the engine does not
-  /// support atomic updates; `done` receives the new value once applied.
-  virtual bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-                      UpdateDone done);
+  /// Read-modify-write (counters). Returns the new value when the update
+  /// applied before returning; nullopt when it is deferred (queued behind an
+  /// ownership migration), the engine has no read-modify-write, or the space
+  /// is unknown. `done`, when set, receives the new value whenever the update
+  /// applies — before the return or later.
+  virtual std::optional<std::uint64_t> update(std::uint32_t space, std::uint64_t key,
+                                              std::int64_t delta, UpdateDone done = {});
 
   // -- Wire --------------------------------------------------------------------
   /// Message types this engine consumes; the runtime registers the engine

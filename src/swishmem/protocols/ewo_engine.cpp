@@ -87,68 +87,17 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Local register operations (§6.2)
-// ---------------------------------------------------------------------------
-
-std::uint64_t EwoEngine::local_read(std::uint32_t space, std::uint64_t key) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
-  return it->second->read(key);
-}
-
-void EwoEngine::local_write(std::uint32_t space, std::uint64_t key, std::uint64_t value) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return;
-  ++stats_.local_writes;
-  // Lamport-style hybrid timestamp (§6.2 allows either a Lamport clock or a
-  // synchronized real-time clock): strictly monotone per switch, so two
-  // same-instant local writes still produce ordered versions and the later
-  // value is never rejected by remote merges.
-  TimeNs ts = host_.sw().simulator().now() + host_.config().clock_offset;
-  if (ts <= last_lww_timestamp_) ts = last_lww_timestamp_ + 1;
-  last_lww_timestamp_ = ts;
-  const RawVersion version = Version::pack(ts, host_.self());
-  it->second->write_local(key, value, version);
-  const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
-  if (obs_ != nullptr && obs_->enabled()) {
-    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
-  }
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-}
-
-std::uint64_t EwoEngine::add(std::uint32_t space, std::uint64_t key, std::int64_t delta) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.local_writes;
-  const std::uint64_t result = it->second->add_local(key, delta);
-  const telemetry::SpanContext tr = trace_origin("ewo_add", space, key);
-  observe_commit(*it->second, space, key);
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-  return result;
-}
-
-std::uint64_t EwoEngine::set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.local_writes;
-  const std::uint64_t result = it->second->set_add_local(key, bits);
-  const telemetry::SpanContext tr = trace_origin("ewo_set_add", space, key);
-  observe_commit(*it->second, space, key);
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Uniform datapath interface
+// Datapath: every register operation applies locally (§6.2)
 // ---------------------------------------------------------------------------
 
 ReadStatus EwoEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                            std::uint64_t& value) {
   (void)ctx;  // EWO never redirects
-  if (!spaces_.contains(space)) return ReadStatus::kMiss;
-  value = local_read(space, key);
+  auto it = spaces_.find(space);
+  if (it == spaces_.end()) return ReadStatus::kMiss;
+  ++stats_.reads;
+  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  value = it->second->read(key);
   return ReadStatus::kOk;
 }
 
@@ -161,17 +110,58 @@ std::optional<std::uint64_t> EwoEngine::read_lpm(std::uint32_t space, std::uint6
 
 void EwoEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) {
   // EWO commits locally: apply, then release the output immediately.
-  for (const auto& op : ops) local_write(op.space, op.key, op.value);
+  for (const auto& op : ops) {
+    auto it = spaces_.find(op.space);
+    if (it == spaces_.end()) continue;
+    if (it->second->config().merge == MergePolicy::kGSet) {
+      set_add(*it->second, op.space, op.key, op.value);
+    } else {
+      local_write(*it->second, op.space, op.key, op.value);
+    }
+  }
   if (release) release(std::move(output));
 }
 
-bool EwoEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-                       UpdateDone done) {
+std::optional<std::uint64_t> EwoEngine::update(std::uint32_t space, std::uint64_t key,
+                                               std::int64_t delta, UpdateDone done) {
   auto it = spaces_.find(space);
-  if (it == spaces_.end()) return false;
-  const std::uint64_t result = add(space, key, delta);
+  if (it == spaces_.end()) return std::nullopt;
+  EwoSpaceState& st = *it->second;
+  ++stats_.local_writes;
+  const std::uint64_t result = st.add_local(key, delta);
+  const telemetry::SpanContext tr = trace_origin("ewo_add", space, key);
+  observe_commit(st, space, key);
+  if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
   if (done) done(result);
-  return true;
+  return result;
+}
+
+void EwoEngine::local_write(EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                            std::uint64_t value) {
+  ++stats_.local_writes;
+  // Lamport-style hybrid timestamp (§6.2 allows either a Lamport clock or a
+  // synchronized real-time clock): strictly monotone per switch, so two
+  // same-instant local writes still produce ordered versions and the later
+  // value is never rejected by remote merges.
+  TimeNs ts = host_.sw().simulator().now() + host_.config().clock_offset;
+  if (ts <= last_lww_timestamp_) ts = last_lww_timestamp_ + 1;
+  last_lww_timestamp_ = ts;
+  const RawVersion version = Version::pack(ts, host_.self());
+  st.write_local(key, value, version);
+  const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
+  if (obs_ != nullptr && obs_->enabled()) {
+    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
+  }
+  if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
+}
+
+void EwoEngine::set_add(EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                        std::uint64_t bits) {
+  ++stats_.local_writes;
+  st.set_add_local(key, bits);
+  const telemetry::SpanContext tr = trace_origin("ewo_set_add", space, key);
+  observe_commit(st, space, key);
+  if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,19 +31,16 @@ class EwoEngine final : public ProtocolEngine {
                   std::uint64_t& value) override;
   [[nodiscard]] std::optional<std::uint64_t> read_lpm(std::uint32_t space,
                                                       std::uint64_t key) override;
+  /// Applies locally and releases at once. An op on a G-set space joins its
+  /// bits into the set; LWW ops replace (counter spaces throw: they take
+  /// update(), not write()).
   void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) override;
-  bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-              UpdateDone done) override;
+  /// Counter add; always applied before returning.
+  std::optional<std::uint64_t> update(std::uint32_t space, std::uint64_t key,
+                                      std::int64_t delta, UpdateDone done) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
-
-  // -- Synchronous local API (the §5 register calls; used by the runtime's
-  // -- ewo_* wrappers and by NFs via those) --------------------------------------
-  std::uint64_t local_read(std::uint32_t space, std::uint64_t key);
-  void local_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
-  std::uint64_t add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
-  std::uint64_t set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits);
 
   [[nodiscard]] const EwoSpaceState* space_state(std::uint32_t id) const;
 
@@ -65,6 +62,11 @@ class EwoEngine final : public ProtocolEngine {
     std::uint64_t key = 0;
     telemetry::SpanContext trace;  ///< causal chain of the buffered write
   };
+
+  /// The two local applies behind write(): an LWW replace and a G-set join.
+  void local_write(EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                   std::uint64_t value);
+  void set_add(EwoSpaceState& st, std::uint32_t space, std::uint64_t key, std::uint64_t bits);
 
   void mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,
                       const telemetry::SpanContext& trace);

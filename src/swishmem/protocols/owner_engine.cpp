@@ -174,28 +174,26 @@ void OwnerEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
   }
 }
 
-bool OwnerEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-                         UpdateDone done) {
-  if (!spaces_.contains(space)) return false;
+std::optional<std::uint64_t> OwnerEngine::update(std::uint32_t space, std::uint64_t key,
+                                                 std::int64_t delta, UpdateDone done) {
   QueuedOp q;
   q.is_update = true;
   q.delta = delta;
   q.done = std::move(done);
-  apply_or_acquire(space, key, std::move(q));
-  return true;
+  return apply_or_acquire(space, key, std::move(q));
 }
 
-void OwnerEngine::apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint64_t key,
-                              QueuedOp& op) {
+std::uint64_t OwnerEngine::apply_owned(OwnSpaceState& st, std::uint32_t space,
+                                       std::uint64_t key, QueuedOp& op) {
   ++stats_.local_writes;
   trace_origin("own_write", space, key);
+  const std::uint64_t result =
+      op.is_update ? st.value(key) + static_cast<std::uint64_t>(op.delta) : op.value;
+  st.owner_write(key, result);
   if (op.is_update) {
-    const std::uint64_t result = st.value(key) + static_cast<std::uint64_t>(op.delta);
-    st.owner_write(key, result);
     if (op.done) op.done(result);
-  } else {
-    st.owner_write(key, op.value);
-    if (op.completion) op.completion();
+  } else if (op.completion) {
+    op.completion();
   }
   // OWN propagates owner writes to exactly one replica — the key's home —
   // via the periodic backup flush (or the grant relinquish path). Self-homed
@@ -203,36 +201,33 @@ void OwnerEngine::apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint6
   if (obs_ != nullptr && obs_->enabled() && home_of(space, key) != host_.self()) {
     obs_->on_commit(space, key, st.version(key), host_.self(), 1);
   }
+  return result;
 }
 
-void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, QueuedOp op) {
+std::optional<std::uint64_t> OwnerEngine::apply_or_acquire(std::uint32_t space,
+                                                           std::uint64_t key, QueuedOp op) {
   auto it = spaces_.find(space);
-  if (it == spaces_.end()) return;
+  if (it == spaces_.end()) return std::nullopt;
   OwnSpaceState& st = *it->second;
   const std::uint64_t slot = st.slot(key);  // ownership is slot-granular
-  if (st.owned(slot)) {
-    apply_owned(st, space, slot, op);
-    return;
-  }
+  if (st.owned(slot)) return apply_owned(st, space, slot, op);
   const KeyRef ref{space, slot};
   auto pit = pending_acquires_.find(ref);
   if (pit == pending_acquires_.end()) {
     begin_acquire(space, slot);
     // When this switch is its own home (or the whole path is local) the grant
     // installs synchronously inside begin_acquire.
-    if (st.owned(slot)) {
-      apply_owned(st, space, slot, op);
-      return;
-    }
+    if (st.owned(slot)) return apply_owned(st, space, slot, op);
     pit = pending_acquires_.find(ref);
-    if (pit == pending_acquires_.end()) return;  // acquisition not startable
+    if (pit == pending_acquires_.end()) return std::nullopt;  // acquisition not startable
   }
   if (pit->second.queue.size() >= host_.config().own_queue_limit) {
     ++stats_.queue_rejected;
     host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, slot);
-    return;  // dropped; the op's callbacks never fire
+    return std::nullopt;  // dropped; the op's callbacks never fire
   }
   pit->second.queue.push_back(std::move(op));
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ class OwnerEngine final : public ProtocolEngine {
   ReadStatus read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                   std::uint64_t& value) override;
   void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) override;
-  bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-              UpdateDone done) override;
+  /// Applied before returning when this switch owns the key's slot (or the
+  /// grant installs synchronously, as for a self-homed slot); otherwise
+  /// queued behind the acquisition and nullopt.
+  std::optional<std::uint64_t> update(std::uint32_t space, std::uint64_t key,
+                                      std::int64_t delta, UpdateDone done) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
@@ -107,10 +110,14 @@ class OwnerEngine final : public ProtocolEngine {
   void on_own_grant(const pkt::OwnGrant& msg);
   void on_own_update(const pkt::OwnUpdate& msg);
 
-  /// Applies `op` now if this switch owns the key, else queues it behind an
-  /// (possibly new) acquisition.
-  void apply_or_acquire(std::uint32_t space, std::uint64_t key, QueuedOp op);
-  void apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint64_t key, QueuedOp& op);
+  /// Applies `op` now if this switch owns the key and returns the value it
+  /// stored; else queues it behind an (possibly new) acquisition and returns
+  /// nullopt.
+  std::optional<std::uint64_t> apply_or_acquire(std::uint32_t space, std::uint64_t key,
+                                                QueuedOp op);
+  /// Applies `op` as owner; returns the value it stored.
+  std::uint64_t apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint64_t key,
+                            QueuedOp& op);
   void begin_acquire(std::uint32_t space, std::uint64_t key);
   void arm_acquire_retry(std::uint32_t space, std::uint64_t key, std::uint64_t req_id);
   void install_grant(const pkt::OwnGrant& msg);

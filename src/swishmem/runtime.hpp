@@ -96,10 +96,14 @@ class ShmRuntime final : public EngineHost {
   void set_space_chain(std::uint32_t space, const pkt::ChainConfig& config);
 
   // -- NF-facing register API (§5) ---------------------------------------------
+  // Four class-agnostic operations; the space's declared consistency class
+  // picks the engine that serves them.
 
-  /// Read during packet processing, dispatched to the space's engine. On
-  /// kRedirected the runtime has already encapsulated ctx's packet to the
-  /// tail; the caller must return without emitting output.
+  /// Read, dispatched to the space's engine. On kRedirected the runtime has
+  /// already encapsulated ctx's packet to the tail; the caller must return
+  /// without emitting output. kMiss (unknown space, or no entry in a
+  /// table-backed space) leaves `value` untouched. `ctx` may be nullptr
+  /// outside packet processing; such reads never redirect.
   ReadStatus read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                   std::uint64_t& value);
 
@@ -108,37 +112,25 @@ class ShmRuntime final : public EngineHost {
   /// key is present or the space does not support LPM.
   [[nodiscard]] std::optional<std::uint64_t> read_lpm(std::uint32_t space, std::uint64_t key);
 
-  /// Write of one or more ops (all in spaces of one engine). `release` runs
-  /// on this switch when the write has committed per the space's consistency
-  /// class. The output packet may be empty when the mutating packet produces
-  /// no output.
-  void write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-             std::function<void(pkt::Packet&&)> release);
+  /// Write of one or more ops — possibly in several spaces — as ONE atomic
+  /// unit on the engine serving them: under kCON the batch occupies one
+  /// consensus log slot and is applied all-or-nothing on every replica,
+  /// surviving coordinator failure; chain classes apply it as one write
+  /// request (atomic per hop). `release` runs on this switch once the write
+  /// has committed per the spaces' consistency class; the output packet may
+  /// be empty when the mutating packet produces no output. Returns false —
+  /// performing nothing and never running `release` — when `ops` is empty,
+  /// names an unknown space, or spans engines.
+  bool write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release);
 
   /// Atomic read-modify-write (counters / allocators), dispatched to the
-  /// space's engine. Returns false when the space (or its engine) does not
-  /// support updates; `done` receives the new value once applied — possibly
-  /// after an OWN ownership migration.
-  bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta, UpdateDone done);
-
-  /// Multi-key packet transaction: submits `ops` — which may span several
-  /// spaces — as ONE atomic write. All ops must be served by the same engine;
-  /// returns false (performing nothing) when they span engines or name an
-  /// unknown space. Under kCON the batch occupies one consensus log slot and
-  /// is applied all-or-nothing on every replica, surviving coordinator
-  /// failure; chain classes apply the batch as one write request (atomic per
-  /// hop). `release` runs once the transaction has committed.
-  bool write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                 std::function<void(pkt::Packet&&)> release);
-
-  // Synchronous EWO-named wrappers: they dispatch by space, so they keep
-  // working when the space is overridden to another class, and return the
-  // new value immediately (update() may defer it behind an OWN migration).
-
-  std::uint64_t ewo_read(std::uint32_t space, std::uint64_t key);
-  void ewo_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
-  std::uint64_t ewo_add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
-  std::uint64_t ewo_set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits);
+  /// space's engine. Returns the new value when the update applied before
+  /// returning (EWO always; OWN when this switch owns the slot); nullopt when
+  /// it is queued behind an OWN migration, the class has no read-modify-write
+  /// (SRO, ERO, CON), or the space is unknown. `done`, when set, receives the
+  /// new value whenever the update applies.
+  std::optional<std::uint64_t> update(std::uint32_t space, std::uint64_t key,
+                                      std::int64_t delta, UpdateDone done = {});
 
   // -- Protocol ingress ----------------------------------------------------------
 

@@ -14,6 +14,8 @@
 #include "telemetry/export.hpp"
 #include "telemetry/span.hpp"
 
+#include "read_value.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -190,7 +192,7 @@ std::string perfetto_of_run(std::uint64_t seed) {
   Rig rig(mesh(3, seed, /*loss=*/0.25), {sro_space(), ewo_space()}, /*span_sample=*/1);
   for (std::size_t i = 0; i < 4; ++i) {
     rig.fabric.runtime(i % 3).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
-    rig.fabric.runtime(i % 3).ewo_write(kCtr, i, 7 * i + 1);
+    rig.fabric.runtime(i % 3).write({{kCtr, i, 7 * i + 1}}, pkt::Packet{}, nullptr);
   }
   rig.fabric.run_for(150 * kMs);
   std::ostringstream os;
@@ -277,13 +279,13 @@ TEST(CausalTrace, SampledOutWritesRecordNothing) {
 
 TEST(CausalTrace, EwoMirrorLagAndStaleReads) {
   Rig rig(mesh(2), {ewo_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(0).ewo_write(kCtr, 5, 1234);
+  rig.fabric.runtime(0).write({{kCtr, 5, 1234}}, pkt::Packet{}, nullptr);
 
   // Before the mirror update reaches switch 1, its read is stale.
-  EXPECT_EQ(rig.fabric.runtime(1).ewo_read(kCtr, 5), 0u);
+  EXPECT_EQ(read_value(rig.fabric.runtime(1), kCtr, 5), 0u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
   // The origin always sees its own write: not stale.
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 1234u);
+  EXPECT_EQ(read_value(rig.fabric.runtime(0), kCtr, 5), 1234u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
 
   rig.fabric.run_for(50 * kMs);
@@ -293,7 +295,7 @@ TEST(CausalTrace, EwoMirrorLagAndStaleReads) {
   EXPECT_EQ(rig.metric_count("lag.t.ctr.full_propagation_ns"), 1u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.inflight"), 0u);
   // After the apply, reads at the replica are no longer stale.
-  EXPECT_EQ(rig.fabric.runtime(1).ewo_read(kCtr, 5), 1234u);
+  EXPECT_EQ(read_value(rig.fabric.runtime(1), kCtr, 5), 1234u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
 
   // The sampled write's trace crosses to the replica's apply.

@@ -43,14 +43,12 @@ class Driver : public NfApp {
         ++reads_redirected;
       }
     } else if (port >= 3000 && port < 4000) {
-      update_accepted = rt.update(kSpace, port - 3000, +1,
-                                  [this](std::uint64_t v) { update_results.push_back(v); });
+      rt.update(kSpace, port - 3000, +1, [this](std::uint64_t v) { update_results.push_back(v); });
     }
   }
   std::uint64_t last_read = 0;
   int reads_ok = 0;
   int reads_redirected = 0;
-  bool update_accepted = false;
   std::vector<std::uint64_t> update_results;
 };
 
@@ -201,10 +199,13 @@ TEST_P(EngineConformance, UpdateSupportMatchesClassContract) {
   Rig rig(cfg4(), GetParam(), MergePolicy::kPNCounter);
   for (int n = 0; n < 3; ++n) rig.fabric.sw(0).inject(udp(0, 3009));
   rig.fabric.run_for(50 * kMs);
-  EXPECT_EQ(rig.drivers[0]->update_accepted, expect_supported);
   if (expect_supported) {
     EXPECT_EQ(rig.drivers[0]->update_results, (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(stored(rig.fabric.runtime(0), GetParam().cls, 9).value_or(~0ull), 3u);
+  } else {
+    // No read-modify-write: `done` never fires and the key is never set.
+    EXPECT_TRUE(rig.drivers[0]->update_results.empty());
+    EXPECT_EQ(stored(rig.fabric.runtime(0), GetParam().cls, 9).value_or(0), 0u);
   }
 }
 

@@ -10,6 +10,8 @@
 #include "nf/ratelimiter.hpp"
 #include "swishmem/fabric.hpp"
 
+#include "read_value.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -23,7 +25,7 @@ class Driver : public NfApp {
     const std::uint16_t port = ctx.parsed->udp->dst_port;
     pisa::Switch* sw = &ctx.sw;
     if (port == 1111) {
-      rt.ewo_add(kCtr, 0, 1);
+      rt.update(kCtr, 0, 1);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (port == 2222) {
       rt.write({{kReg, 1, 42}}, std::move(ctx.packet),
@@ -81,7 +83,7 @@ TEST_P(TopologySweep, BothProtocolsWorkOnEveryTopology) {
   fabric.run_for(200 * kMs);
 
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(kCtr, 0), 8u) << "switch " << i;
+    EXPECT_EQ(read_value(fabric.runtime(i), kCtr, 0), 8u) << "switch " << i;
     EXPECT_EQ(fabric.runtime(i).sro_space(kReg)->read(1).value(), 42u) << "switch " << i;
   }
   EXPECT_EQ(delivered, 9u);

@@ -5,6 +5,8 @@
 
 #include "swishmem/fabric.hpp"
 
+#include "read_value.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -23,7 +25,7 @@ class Driver : public NfApp {
       rt.write(std::move(ops), std::move(ctx.packet),
                [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 3000 && port < 4000) {
-      rt.ewo_add(kCtr, port - 3000, 1);
+      rt.update(kCtr, port - 3000, 1);
       ctx.sw.deliver(std::move(ctx.packet));
     }
   }
@@ -158,7 +160,7 @@ TEST(Failover, EwoCountersSurviveFailureOfNonWriter) {
   rig.fabric.run_for(200 * kMs);
   for (std::size_t i = 0; i < 4; ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kCtr, 1), 8u) << "switch " << i;
+    EXPECT_EQ(read_value(rig.fabric.runtime(i), kCtr, 1), 8u) << "switch " << i;
   }
 }
 
@@ -175,7 +177,7 @@ TEST(Failover, EwoGossipSpreadsDeadSwitchsCounts) {
   rig.fabric.run_for(300 * kMs);
   for (std::size_t i = 0; i < 4; ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kCtr, 3), 5u) << "switch " << i;
+    EXPECT_EQ(read_value(rig.fabric.runtime(i), kCtr, 3), 5u) << "switch " << i;
   }
 }
 
@@ -262,10 +264,10 @@ TEST(Recovery, EwoReplacementRefilledByPeriodicSync) {
   rig.fabric.kill_switch(0);
   rig.fabric.run_for(100 * kMs);
   rig.fabric.revive_switch(0);
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 0u);  // boots empty
+  EXPECT_EQ(read_value(rig.fabric.runtime(0), kCtr, 5), 0u);  // boots empty
   rig.fabric.run_for(300 * kMs);
   // Gossip restored everything, including switch 0's own pre-crash slot.
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 9u);
+  EXPECT_EQ(read_value(rig.fabric.runtime(0), kCtr, 5), 9u);
 }
 
 TEST(Recovery, ErasedConnectionsStayErasedThroughSnapshotStream) {

@@ -25,8 +25,9 @@ pkt::Packet packet_of_size(std::size_t payload) {
 }
 
 struct Rig {
-  sim::Simulator sim;
-  Network net{sim, 42};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  Network net{shards, 42};
   SinkNode a{1}, b{2};
   Rig() {
     net.attach(a);
@@ -256,8 +257,9 @@ TEST(Topology, NodeIpDeterministic) {
 }
 
 struct TopoRig {
-  sim::Simulator sim;
-  Network net{sim, 1};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  Network net{shards, 1};
   std::vector<std::unique_ptr<SinkNode>> nodes;
   std::vector<NodeId> ids;
   explicit TopoRig(std::size_t n) {

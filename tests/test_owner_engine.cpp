@@ -192,6 +192,24 @@ TEST(Own, OwnerFailureRecoversFromHomeBackup) {
   EXPECT_EQ(rig.drivers[2]->update_results[0], 34u);
 }
 
+TEST(Own, UpdateReturnsValueOnlyWhenAppliedBeforeReturn) {
+  Rig rig(cfg4());
+  ShmRuntime& rt = rig.fabric.runtime(0);
+  std::uint64_t key = 0;
+  while (rig.engine(0)->home_of(kSpace, key) == rt.self()) ++key;
+  std::vector<std::uint64_t> done_values;
+  const auto record = [&](std::uint64_t v) { done_values.push_back(v); };
+  // Homed elsewhere and unowned: the update queues behind the acquisition.
+  EXPECT_EQ(rt.update(kSpace, key, 1, record), std::nullopt);
+  EXPECT_TRUE(done_values.empty());
+  rig.fabric.run_for(50 * kMs);  // the grant installs and drains the queue
+  EXPECT_EQ(done_values, (std::vector<std::uint64_t>{1}));
+  // Owned now: applied before returning, `done` included.
+  EXPECT_EQ(rt.update(kSpace, key, 1, record), 2u);
+  EXPECT_EQ(done_values, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(rt.update(kSpace + 1, 0, 1), std::nullopt);  // unknown space
+}
+
 TEST(Own, FetchAddAllocationsAreUnique) {
   // The NAT port-pool pattern: every switch fetch-adds the same counter key.
   // Linearizability per key means all returned values are distinct — the

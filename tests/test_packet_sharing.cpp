@@ -112,8 +112,9 @@ TEST(PacketSharing, MulticastFanOutSharesOneBuffer) {
   // One switch replicating to two peers: every delivered copy must reference
   // the sender's original buffer — the fan-out is refcount bumps, not byte
   // copies, end to end through egress, the link, and the peer pipeline.
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   pisa::Switch a{sim, net, 1, {}};
   pisa::Switch b{sim, net, 2, {}};
   pisa::Switch c{sim, net, 3, {}};

@@ -212,8 +212,9 @@ TEST(ControlPlane, GateSuppressesJobs) {
 }
 
 struct SwitchRig {
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch a{sim, net, 1, {}};
   Switch b{sim, net, 2, {}};
   SwitchRig() {
@@ -338,8 +339,9 @@ TEST(Switch, RecirculationCapDropsLoopingPackets) {
 }
 
 TEST(Switch, RecirculationCapConfigurable) {
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch::Config cfg;
   cfg.max_recirculations = 3;
   Switch sw{sim, net, 1, cfg};
@@ -372,8 +374,9 @@ TEST(Switch, RecirculationCapIsInclusiveAtTheBoundary) {
   // `recirc_count` counts recirculations already performed, so a cap of N
   // must permit a packet that needs exactly N trips around the pipeline —
   // an off-by-one here (> vs >=) would drop it one lap early.
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch::Config cfg;
   cfg.max_recirculations = 3;
   Switch sw{sim, net, 1, cfg};
@@ -388,8 +391,9 @@ TEST(Switch, RecirculationCapIsInclusiveAtTheBoundary) {
 
 TEST(Switch, RecirculationOnePastCapDrops) {
   // ...and the very next lap is the one the cap refuses.
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch::Config cfg;
   cfg.max_recirculations = 3;
   Switch sw{sim, net, 1, cfg};
@@ -403,8 +407,9 @@ TEST(Switch, RecirculationOnePastCapDrops) {
 }
 
 TEST(Switch, ZeroRecirculationCapDisablesRecirculation) {
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch::Config cfg;
   cfg.max_recirculations = 0;
   Switch sw{sim, net, 1, cfg};
@@ -432,8 +437,9 @@ TEST(Switch, FailedSwitchDropsEverything) {
 }
 
 TEST(Switch, CapacityDropsWhenOverloaded) {
-  sim::Simulator sim;
-  net::Network net{sim, 5};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 5};
   Switch::Config cfg;
   cfg.dataplane_pps = 1e6;  // 1 us per packet
   cfg.dataplane_queue = 10;

@@ -14,6 +14,8 @@
 #include "swishmem/fabric.hpp"
 #include "workload/stamp.hpp"
 
+#include "read_value.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -32,8 +34,9 @@ SpaceConfig gset_cfg() {
 }
 
 struct SpaceRig {
-  sim::Simulator sim;
-  net::Network net{sim, 3};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 3};
   pisa::Switch sw{sim, net, 1, {}};
   SpaceRig() { net.attach(sw); }
 };
@@ -91,11 +94,18 @@ TEST(GSet, RuntimePropagatesAcrossFabric) {
   fabric.add_space(gset_cfg());
   fabric.install(nullptr);
   fabric.start();
-  fabric.runtime(0).ewo_set_add(3, 5, 0b01);
-  fabric.runtime(2).ewo_set_add(3, 5, 0b10);
+  fabric.runtime(0).write({{3, 5, 0b01}}, pkt::Packet{}, nullptr);
+  fabric.runtime(2).write({{3, 5, 0b10}}, pkt::Packet{}, nullptr);
   fabric.run_for(50 * kMs);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(3, 5), 0b11u) << "switch " << i;
+    EXPECT_EQ(read_value(fabric.runtime(i), 3, 5), 0b11u) << "switch " << i;
+  }
+  // A G-set write joins rather than replaces: repeating 0b01 keeps 0b10.
+  fabric.runtime(0).write({{3, 5, 0b01}}, pkt::Packet{}, nullptr);
+  EXPECT_EQ(read_value(fabric.runtime(0), 3, 5), 0b11u);
+  fabric.run_for(50 * kMs);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(read_value(fabric.runtime(i), 3, 5), 0b11u) << "switch " << i;
   }
 }
 
@@ -172,10 +182,12 @@ TEST(Lww, SameInstantWritesStillConverge) {
   fabric.start();
   // Burst of writes at one switch within a single simulated instant: versions
   // must stay strictly increasing so the final value propagates.
-  for (int i = 1; i <= 50; ++i) fabric.runtime(0).ewo_write(4, 0, static_cast<std::uint64_t>(i));
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    fabric.runtime(0).write({{4, 0, i}}, pkt::Packet{}, nullptr);
+  }
   fabric.run_for(100 * kMs);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(4, 0), 50u) << "switch " << i;
+    EXPECT_EQ(read_value(fabric.runtime(i), 4, 0), 50u) << "switch " << i;
   }
 }
 
@@ -339,7 +351,7 @@ TEST(Chaos, RandomKillsPreserveAgreementAndCommittedWrites) {
                               committed[key] = value;
                             });
     // EWO increment.
-    fabric.runtime(w).ewo_add(7, 0, 1);
+    fabric.runtime(w).update(7, 0, 1);
     ++ctr_increments_total;
     if (w != 2) ++ctr_increments_by_survivors;
   });
@@ -359,9 +371,9 @@ TEST(Chaos, RandomKillsPreserveAgreementAndCommittedWrites) {
     }
   }
   // Invariant 2: all replicas agree on the counter, bounded by ground truth.
-  const auto v0 = fabric.runtime(0).ewo_read(7, 0);
+  const auto v0 = read_value(fabric.runtime(0), 7, 0);
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(7, 0), v0) << "switch " << i;
+    EXPECT_EQ(read_value(fabric.runtime(i), 7, 0), v0) << "switch " << i;
   }
   EXPECT_GE(v0, ctr_increments_by_survivors);  // survivors' counts never lost
   EXPECT_LE(v0, ctr_increments_total);

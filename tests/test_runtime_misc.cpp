@@ -93,14 +93,24 @@ TEST(RuntimeMisc, UnknownSpacesAreSafeNoOps) {
   cfg.num_switches = 2;
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
-  EXPECT_EQ(fabric.runtime(0).ewo_read(999, 0), 0u);
-  EXPECT_EQ(fabric.runtime(0).ewo_add(999, 0, 1), 0u);
-  EXPECT_EQ(fabric.runtime(0).ewo_set_add(999, 0, 1), 0u);
-  fabric.runtime(0).ewo_write(999, 0, 1);  // no crash
-  EXPECT_EQ(fabric.runtime(0).sro_space(999), nullptr);
-  EXPECT_EQ(fabric.runtime(0).ewo_space(999), nullptr);
-  EXPECT_FALSE(fabric.runtime(0).hosts_space(999));
-  EXPECT_TRUE(fabric.runtime(0).hosts_space(kSpace));
+  ShmRuntime& rt = fabric.runtime(0);
+  // A write naming an undeclared space is refused outright: nothing is
+  // buffered or submitted to any engine, and its release never runs.
+  bool released = false;
+  EXPECT_FALSE(rt.write({{999, 0, 1}}, pkt::Packet{}, [&](pkt::Packet&&) { released = true; }));
+  EXPECT_EQ(rt.cp_buffered_packets(), 0u);
+  EXPECT_FALSE(rt.write({}, pkt::Packet{}, [&](pkt::Packet&&) { released = true; }));
+  fabric.run_for(100 * kMs);
+  EXPECT_FALSE(released);
+  EXPECT_EQ(fabric.metrics_snapshot().values.at("shm.sw1.sro.writes_submitted").count, 0u);
+  EXPECT_EQ(rt.update(999, 0, 1), std::nullopt);
+  std::uint64_t value = 7;
+  EXPECT_EQ(rt.read(nullptr, 999, 0, value), ReadStatus::kMiss);
+  EXPECT_EQ(value, 7u);  // kMiss leaves the out-param untouched
+  EXPECT_EQ(rt.sro_space(999), nullptr);
+  EXPECT_EQ(rt.ewo_space(999), nullptr);
+  EXPECT_FALSE(rt.hosts_space(999));
+  EXPECT_TRUE(rt.hosts_space(kSpace));
 }
 
 TEST(RuntimeMisc, ProtocolByteCountersAccount) {
@@ -109,7 +119,7 @@ TEST(RuntimeMisc, ProtocolByteCountersAccount) {
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
   fabric.runtime(0).write({{kSpace, 1, 5}}, pkt::Packet{}, nullptr);
-  fabric.runtime(0).ewo_add(kSpace + 1, 0, 1);
+  fabric.runtime(0).update(kSpace + 1, 0, 1);
   fabric.run_for(100 * kMs);
   const auto snap = fabric.metrics_snapshot();
   EXPECT_GT(snap.values.at("shm.sw1.sro.bytes_write").count, 0u);

@@ -11,7 +11,7 @@
 // contract — spans crossing a shard boundary stitch into one unforked,
 // undropped DAG whose canonicalized Perfetto export is byte-identical across
 // --shards {1, 2, 4} for the same seed, including under loss. A kCON
-// write_txn scenario on 16 leaves x 4 spines covers the cross-shard
+// multi-op write scenario on 16 leaves x 4 spines covers the cross-shard
 // consensus fan-out: byte-identical repeats at 4 shards, and the same commits
 // and applied slots as the 1-shard run.
 //
@@ -181,7 +181,8 @@ struct ShardRig {
         fabric.simulator_for(i).schedule_at(at, [f, i, w]() {
           f->runtime(i).write({{kReg, i, 100 * i + static_cast<std::uint64_t>(w)}},
                               udp(1), [](pkt::Packet&&) {});
-          f->runtime(i).ewo_write(kCtr, i, 7 * static_cast<std::uint64_t>(w) + i + 1);
+          f->runtime(i).write({{kCtr, i, 7 * static_cast<std::uint64_t>(w) + i + 1}},
+                              pkt::Packet{}, nullptr);
         });
       }
     }
@@ -307,7 +308,7 @@ TEST(ShardedSim, CrossShardSpansStitchUnforkedAndUndropped) {
 }
 
 /// 16 leaves x 4 spines with two kCON spaces. Every switch commits two-op
-/// write_txns from its own shard, so each transaction is one consensus slot
+/// writes from its own shard, so each transaction is one consensus slot
 /// whose accept round fans out from the coordinator to 15 acceptors, most of
 /// them on other shards.
 struct ConTxnRig {
@@ -348,8 +349,8 @@ struct ConTxnRig {
                           static_cast<TimeNs>(i) * 100 * kUs;
         fabric.simulator_for(i).schedule_at(at, [f, i, w]() {
           const std::uint64_t key = 2 * i + w;
-          f->runtime(i).write_txn({{kConA, key, 100 + key}, {kConB, key, 200 + key}}, udp(1),
-                                  [](pkt::Packet&&) {});
+          f->runtime(i).write({{kConA, key, 100 + key}, {kConB, key, 200 + key}}, udp(1),
+                              [](pkt::Packet&&) {});
         });
       }
     }

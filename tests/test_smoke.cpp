@@ -4,6 +4,8 @@
 #include "nf/common.hpp"
 #include "swishmem/fabric.hpp"
 
+#include "read_value.hpp"
+
 namespace swish {
 namespace {
 
@@ -17,7 +19,7 @@ class TestApp : public shm::NfApp {
   void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override {
     if (!ctx.parsed || !ctx.parsed->udp) return;
     if (ctx.parsed->udp->dst_port == 1111) {
-      rt.ewo_add(kCtrSpace, 0, 1);
+      rt.update(kCtrSpace, 0, 1);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (ctx.parsed->udp->dst_port == 2222) {
       std::vector<pkt::WriteOp> ops{{kRegSpace, 5, 42}};
@@ -63,7 +65,7 @@ TEST(Smoke, EwoCounterConvergesAcrossSwitches) {
   fabric.run_for(50 * kMs);
 
   for (std::size_t i = 0; i < fabric.size(); ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(kCtrSpace, 0), 15u) << "switch " << i;
+    EXPECT_EQ(shm::read_value(fabric.runtime(i), kCtrSpace, 0), 15u) << "switch " << i;
   }
 }
 

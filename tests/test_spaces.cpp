@@ -9,8 +9,9 @@ namespace swish::shm {
 namespace {
 
 struct Rig {
-  sim::Simulator sim;
-  net::Network net{sim, 3};
+  sim::ShardSet shards{1};
+  sim::Simulator& sim = shards.sim(0);
+  net::Network net{shards, 3};
   pisa::Switch sw{sim, net, 1, {}};
   Rig() { net.attach(sw); }
   pisa::CpToken token() { return sw.control_plane().token(); }

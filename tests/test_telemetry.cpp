@@ -215,7 +215,7 @@ void drive(Fabric& fabric) {
     const auto key = static_cast<std::uint64_t>(k);
     const auto value = static_cast<std::uint64_t>(100 + k);
     fabric.runtime(k % 3).write({{kSro, key, value}}, pkt::Packet{}, nullptr);
-    fabric.runtime((k + 1) % 3).ewo_add(kEwo, key, 1);
+    fabric.runtime((k + 1) % 3).update(kEwo, key, 1);
     fabric.runtime((k + 2) % 3).write({{kEro, key, value}}, pkt::Packet{}, nullptr);
     fabric.runtime(k % 3).write({{kOwn, key, value}}, pkt::Packet{}, nullptr);
     fabric.runtime((k + 1) % 3).write({{kCon, key, value}}, pkt::Packet{}, nullptr);
