@@ -61,18 +61,6 @@ void encode_body(ByteWriter& w, const Heartbeat& m) {
   w.u64(m.send_time_ns);
 }
 
-void encode_body(ByteWriter& w, const ChainConfig& m) {
-  w.u32(m.epoch);
-  w.u16(static_cast<std::uint16_t>(m.chain.size()));
-  for (auto s : m.chain) w.u32(s);
-}
-
-void encode_body(ByteWriter& w, const GroupConfig& m) {
-  w.u32(m.epoch);
-  w.u16(static_cast<std::uint16_t>(m.members.size()));
-  for (auto s : m.members) w.u32(s);
-}
-
 void encode_body(ByteWriter& w, const ReadRedirect& m) {
   w.u32(m.origin);
   w.u16(static_cast<std::uint16_t>(m.original_packet.size()));
@@ -212,10 +200,6 @@ void encode_body(ByteWriter& w, const ConLearn& m) {
   encode_ops(w, m.ops, {});
 }
 
-constexpr MsgType type_of(const SwishMessage& msg) noexcept {
-  return static_cast<MsgType>(msg.index() + 1);
-}
-
 std::optional<SwishMessage> decode_body(ByteReader& r, MsgType type);
 
 }  // namespace
@@ -302,22 +286,6 @@ std::optional<SwishMessage> decode_body(ByteReader& r, MsgType type) {
         Heartbeat m;
         m.sender = r.u32();
         m.send_time_ns = r.u64();
-        return m;
-      }
-      case MsgType::kChainConfig: {
-        ChainConfig m;
-        m.epoch = r.u32();
-        const std::uint16_t n = r.u16();
-        m.chain.resize(n);
-        for (auto& s : m.chain) s = r.u32();
-        return m;
-      }
-      case MsgType::kGroupConfig: {
-        GroupConfig m;
-        m.epoch = r.u32();
-        const std::uint16_t n = r.u16();
-        m.members.resize(n);
-        for (auto& s : m.members) s = r.u32();
         return m;
       }
       case MsgType::kReadRedirect: {

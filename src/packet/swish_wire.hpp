@@ -8,6 +8,7 @@
 // payload.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,8 +35,8 @@ enum class MsgType : std::uint8_t {
   kWriteAck = 2,
   kEwoUpdate = 3,
   kHeartbeat = 4,
-  kChainConfig = 5,
-  kGroupConfig = 6,
+  // 5 and 6 are retired (in-band chain/group configuration frames): a frame
+  // carrying either type byte decodes as malformed.
   kReadRedirect = 7,
   kOwnRequest = 8,
   kOwnGrant = 9,
@@ -52,7 +53,7 @@ enum class MsgType : std::uint8_t {
   kConLearn = 20,
 };
 
-/// Number of distinct protocol message types (registry sizing).
+/// Highest assigned type byte (registry sizing).
 inline constexpr std::size_t kNumMsgTypes = 20;
 
 /// One register mutation inside a write request.
@@ -123,22 +124,6 @@ struct Heartbeat {
   std::uint64_t send_time_ns = 0;
 
   friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
-};
-
-/// Controller -> switch: the SRO chain for a new epoch.
-struct ChainConfig {
-  std::uint32_t epoch = 0;
-  std::vector<SwitchId> chain;  ///< head first, tail last
-
-  friend bool operator==(const ChainConfig&, const ChainConfig&) = default;
-};
-
-/// Controller -> switch: EWO replica-group membership for a new epoch.
-struct GroupConfig {
-  std::uint32_t epoch = 0;
-  std::vector<SwitchId> members;
-
-  friend bool operator==(const GroupConfig&, const GroupConfig&) = default;
 };
 
 /// A read that hit a pending register, encapsulated to the chain tail (§6.1).
@@ -244,7 +229,7 @@ struct SwimPingReq {
 
 /// Switch -> controller membership verdict feed: a switch that locally
 /// committed a member to faulty reports it so the central repair machinery
-/// (chain/group reconfiguration, recovery) can run. Detection itself is
+/// (placement repair, recovery) can run. Detection itself is
 /// switch-to-switch; the controller only consumes finished verdicts.
 struct MembershipUpdate {
   SwitchId sender = kInvalidNode;
@@ -345,10 +330,24 @@ struct ConLearn {
   friend bool operator==(const ConLearn&, const ConLearn&) = default;
 };
 
-using SwishMessage = std::variant<WriteRequest, WriteAck, EwoUpdate, Heartbeat, ChainConfig,
-                                  GroupConfig, ReadRedirect, OwnRequest, OwnGrant, OwnUpdate,
-                                  SwimPing, SwimAck, SwimPingReq, MembershipUpdate, ConForward,
-                                  ConPrepare, ConPromise, ConAccept, ConAccepted, ConLearn>;
+using SwishMessage = std::variant<WriteRequest, WriteAck, EwoUpdate, Heartbeat, ReadRedirect,
+                                  OwnRequest, OwnGrant, OwnUpdate, SwimPing, SwimAck, SwimPingReq,
+                                  MembershipUpdate, ConForward, ConPrepare, ConPromise, ConAccept,
+                                  ConAccepted, ConLearn>;
+
+/// Wire type byte of each SwishMessage alternative, in variant order.
+inline constexpr std::array<MsgType, std::variant_size_v<SwishMessage>> kMsgTypeOf{
+    MsgType::kWriteRequest, MsgType::kWriteAck,         MsgType::kEwoUpdate,
+    MsgType::kHeartbeat,    MsgType::kReadRedirect,     MsgType::kOwnRequest,
+    MsgType::kOwnGrant,     MsgType::kOwnUpdate,        MsgType::kSwimPing,
+    MsgType::kSwimAck,      MsgType::kSwimPingReq,      MsgType::kMembershipUpdate,
+    MsgType::kConForward,   MsgType::kConPrepare,       MsgType::kConPromise,
+    MsgType::kConAccept,    MsgType::kConAccepted,      MsgType::kConLearn};
+
+/// The message's wire type byte.
+[[nodiscard]] constexpr MsgType type_of(const SwishMessage& msg) noexcept {
+  return kMsgTypeOf[msg.index()];
+}
 
 /// Serializes a protocol message (type byte + body) into a UDP payload.
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg);

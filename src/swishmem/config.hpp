@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,27 @@ struct SpaceConfig {
   }
   [[nodiscard]] bool sparse() const noexcept { return kind == SpaceKind::kSparse; }
 };
+
+/// The chain-replicated classes (SRO, ERO): a rejoining replica enters their
+/// chains only after a snapshot stream from the live tail (§6.3).
+[[nodiscard]] constexpr bool chain_class(ConsistencyClass cls) noexcept {
+  return cls == ConsistencyClass::kSRO || cls == ConsistencyClass::kERO;
+}
+
+/// Where one space lives (§6.3, §9): its live replicas in chain order (head
+/// first, tail last) and the controller epoch that placed them. The
+/// controller's directory places every space; engines read the placement
+/// through EngineHost::placement().
+struct Placement {
+  std::uint32_t epoch = 0;
+  std::vector<SwitchId> members;
+
+  friend bool operator==(const Placement&, const Placement&) = default;
+};
+
+/// One controller push: a placement per space it names, all stamped with the
+/// push's epoch.
+using PlacementTable = std::map<std::uint32_t, Placement>;
 
 /// Per-switch runtime tuning.
 struct RuntimeConfig {

@@ -12,6 +12,10 @@
 namespace swish::shm {
 namespace {
 
+bool contains(const std::vector<SwitchId>& ids, SwitchId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
 std::unique_ptr<MembershipService> make_membership(sim::Simulator& sim,
                                                    const Controller::Config& config) {
   switch (config.membership) {
@@ -75,20 +79,17 @@ void Controller::register_switch(pisa::Switch& sw, ShmRuntime& runtime) {
 }
 
 void Controller::bootstrap() {
-  chain_.epoch = next_epoch_++;
-  chain_.chain.clear();
-  group_.epoch = chain_.epoch;
-  group_.members.clear();
-  for (const auto& [id, m] : members_) {
-    chain_.chain.push_back(id);
-    group_.members.push_back(id);
-  }
-  push_configs(/*immediate=*/true);
-  push_space_chains(/*immediate=*/true);
+  joined_.clear();
+  for (const auto& [id, m] : members_) joined_.push_back(id);
+  for (auto& [space, entry] : directory_) entry.placement.members = live(entry.replicas);
+  push(/*immediate=*/true);
 }
 
 void Controller::register_space(const SpaceConfig& config, std::vector<SwitchId> replicas) {
-  directory_[config.id] = SpaceEntry{config, std::move(replicas)};
+  if (replicas.empty()) {
+    for (const auto& [id, m] : members_) replicas.push_back(id);
+  }
+  directory_[config.id] = SpaceEntry{config, std::move(replicas), {}};
 }
 
 const std::vector<SwitchId>* Controller::space_replicas(std::uint32_t space) const {
@@ -96,39 +97,56 @@ const std::vector<SwitchId>* Controller::space_replicas(std::uint32_t space) con
   return it == directory_.end() ? nullptr : &it->second.replicas;
 }
 
-void Controller::push_space_chains(bool immediate) {
-  for (const auto& [space, entry] : directory_) {
-    pkt::ChainConfig chain;
-    chain.epoch = chain_.epoch;  // space chains ride the global epoch counter
-    for (SwitchId id : entry.replicas) {
-      if (members_.find(id) != members_.end() && usable(id)) chain.chain.push_back(id);
-    }
-    for (auto& [id, m] : members_) {
-      if (!usable(id)) continue;
-      ShmRuntime* rt = m.runtime;
-      auto apply = [rt, space = space, chain]() { rt->set_space_chain(space, chain); };
-      if (immediate) {
-        apply();
-      } else {
-        post_to_node(id, config_.mgmt_latency, std::move(apply));
-      }
-    }
+const Placement* Controller::placement(std::uint32_t space) const {
+  auto it = directory_.find(space);
+  return it == directory_.end() ? nullptr : &it->second.placement;
+}
+
+std::vector<SwitchId> Controller::live(const std::vector<SwitchId>& replicas) const {
+  std::vector<SwitchId> out;
+  for (SwitchId id : replicas) {
+    if (members_.find(id) != members_.end() && usable(id)) out.push_back(id);
   }
+  return out;
+}
+
+void Controller::run_streams(std::vector<Stream> streams, TimeNs delay,
+                             std::function<void()> done) {
+  if (streams.empty()) {
+    done();
+    return;
+  }
+  const Stream stream = streams.front();
+  streams.erase(streams.begin());
+  // The stream runs on the donor's shard; its completion hops back here
+  // before the next stream (or `done`) touches controller state. Each
+  // completion owns the rest of the plan, so nothing outlives the last one.
+  auto next = to_controller([this, rest = std::move(streams), done = std::move(done)]() {
+    run_streams(rest, 0, done);
+  });
+  ShmRuntime* donor = members_.at(stream.donor).runtime;
+  post_to_node(stream.donor, delay, [donor, stream, next = std::move(next)]() {
+    donor->start_recovery_stream(stream.target, next, stream.space);
+  });
 }
 
 void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_replicas,
                                std::function<void(TimeNs)> done) {
   auto it = directory_.find(space);
-  if (it == directory_.end()) return;
+  if (it == directory_.end()) throw std::invalid_argument("migrate_space: unregistered space");
   SpaceEntry& entry = it->second;
+  if (!chain_class(entry.config.cls)) {
+    throw std::invalid_argument(std::string("migrate_space: ") + to_string(entry.config.cls) +
+                                " spaces span every switch");
+  }
   sim_.tracer().record(telemetry::kTraceMigration, id(), "migrate_space_start", space,
                        new_replicas.size());
 
   // New members need storage before the stream arrives.
-  auto joiners = std::make_shared<std::vector<SwitchId>>();
+  std::vector<SwitchId> joiners;
   for (SwitchId id : new_replicas) {
-    if (std::find(entry.replicas.begin(), entry.replicas.end(), id) == entry.replicas.end()) {
-      joiners->push_back(id);
+    if (!contains(entry.replicas, id)) {
+      joiners.push_back(id);
       ShmRuntime* rt = members_.at(id).runtime;
       post_to_node(id, config_.mgmt_latency,
                    [rt, config = entry.config, new_replicas]() {
@@ -137,64 +155,30 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
     }
   }
 
-  // Donor: the space's current tail (must be alive; directory chains exclude
-  // failed members).
-  SwitchId donor_id = kInvalidNode;
-  for (auto rit = entry.replicas.rbegin(); rit != entry.replicas.rend(); ++rit) {
-    if (members_.find(*rit) != members_.end() && usable(*rit)) {
-      donor_id = *rit;
-      break;
-    }
-  }
-
-  auto finish = [this, space, new_replicas, done]() {
-    directory_.at(space).replicas = new_replicas;
-    chain_.epoch = next_epoch_++;  // bump the epoch counter for the new chain
+  auto finish = [this, space, new_replicas, joiners, done]() {
+    SpaceEntry& e = directory_.at(space);
+    e.replicas = new_replicas;
+    e.placement.members = live(new_replicas);
+    push(/*immediate=*/false, space, joiners);
     sim_.tracer().record(telemetry::kTraceMigration, id(), "migrate_space_done", space,
-                         chain_.epoch);
-    push_space_chains(/*immediate=*/false);
+                         e.placement.epoch);
     if (done) {
-      sim_.post_after(config_.mgmt_latency,
-                          [this, done]() { done(sim_.now()); });
+      sim_.post_after(config_.mgmt_latency, [this, done]() { done(sim_.now()); });
     }
   };
 
-  if (donor_id == kInvalidNode || joiners->empty()) {
+  // Donor: the space's live tail. Each joiner gets its own stream from it,
+  // one after another.
+  if (entry.placement.members.empty() || joiners.empty()) {
     // Pure shrink (or nothing to copy from): just switch the chain over.
     sim_.post_after(config_.mgmt_latency, finish);
     return;
   }
-
-  // Stream to each joiner sequentially (the donor runs one stream at a time).
-  // stream_next always executes on the controller's shard; sharded fabrics
-  // post the kickoff onto the donor's shard and route the stream-done
-  // callback back here before advancing to the next joiner.
-  ShmRuntime* donor = members_.at(donor_id).runtime;
-  auto stream_next = std::make_shared<std::function<void()>>();
-  auto index = std::make_shared<std::size_t>(0);
-  // The lambda holds only a weak self-reference (a strong capture would form
-  // an unreclaimable cycle); each stream's done-callback keeps it alive until
-  // the last joiner finishes.
-  std::weak_ptr<std::function<void()>> weak_next = stream_next;
-  *stream_next = [this, donor_id, donor, joiners, index, weak_next, finish, space]() {
-    if (*index >= joiners->size()) {
-      finish();
-      return;
-    }
-    const SwitchId target = (*joiners)[(*index)++];
-    auto self = weak_next.lock();
-    if (sharded()) {
-      auto resume = to_controller([self]() { if (self && *self) (*self)(); });
-      shards_.post_after_node(donor_id, 0,
-                              [donor, target, resume = std::move(resume), space]() {
-                                donor->start_recovery_stream(target, resume, space);
-                              });
-    } else {
-      donor->start_recovery_stream(
-          target, [self]() { if (self && *self) (*self)(); }, space);
-    }
-  };
-  sim_.post_after(2 * config_.mgmt_latency, [stream_next]() { (*stream_next)(); });
+  std::vector<Stream> streams;
+  for (SwitchId target : joiners) {
+    streams.push_back({entry.placement.members.back(), target, space});
+  }
+  run_streams(std::move(streams), 2 * config_.mgmt_latency, finish);
 }
 
 void Controller::start() { membership_->start(); }
@@ -220,13 +204,9 @@ void Controller::handle_failure(SwitchId failed, TimeNs detection_ns) {
   detection_ns_.add(static_cast<std::uint64_t>(detection_ns));
   if (on_failure_detected) on_failure_detected(failed, sim_.now());
 
-  std::erase(chain_.chain, failed);
-  std::erase(group_.members, failed);
-  const std::uint32_t epoch = next_epoch_++;
-  chain_.epoch = epoch;
-  group_.epoch = epoch;
-  push_configs(/*immediate=*/false);
-  push_space_chains(/*immediate=*/false);  // directory chains route around it too
+  std::erase(joined_, failed);
+  for (auto& [space, entry] : directory_) std::erase(entry.placement.members, failed);
+  push(/*immediate=*/false);
 
   const TimeNs detected_at = sim_.now();
   sim_.post_after(config_.mgmt_latency, [this, failed, detected_at]() {
@@ -242,16 +222,21 @@ void Controller::readmit_switch(SwitchId id) {
   sim_.tracer().record(telemetry::kTraceFailover, this->id(), "readmit_switch", id);
   membership_->readmit(id);
 
-  // EWO: membership change only; periodic synchronization restores state.
-  const bool had_chain = !chain_.chain.empty();
-  group_.epoch = next_epoch_++;
-  if (std::find(group_.members.begin(), group_.members.end(), id) == group_.members.end()) {
-    group_.members.push_back(id);
-  }
-  chain_.epoch = group_.epoch;  // keep epochs in lockstep
-  push_configs(/*immediate=*/false);
+  // The rejoiner is appended last to each space declaring it: at once for
+  // EWO/OWN/kCON (sync, backup flushes and repair restore its state, §6.3),
+  // and for SRO/ERO only by the join push below.
+  const auto join = [this, id](bool chains) {
+    for (auto& [space, entry] : directory_) {
+      if (chain_class(entry.config.cls) == chains && contains(entry.replicas, id) &&
+          !contains(entry.placement.members, id)) {
+        entry.placement.members.push_back(id);
+      }
+    }
+  };
+  join(/*chains=*/false);
+  push(/*immediate=*/false);
 
-  if (!had_chain) {
+  if (joined_.empty()) {
     if (on_recovery_complete) {
       sim_.post_after(config_.mgmt_latency, [this, id]() {
         on_recovery_complete(id, sim_.now());
@@ -260,30 +245,28 @@ void Controller::readmit_switch(SwitchId id) {
     return;
   }
 
-  // SRO: the current tail streams its snapshot (plus tapped live commits) to
-  // the newcomer; only then does the newcomer join the chain — as the new
-  // tail (§6.3). The stream runs on the donor's shard; the chain switchover
-  // below is controller state, so its callback hops back to this shard.
-  const SwitchId donor_id = chain_.chain.back();
-  ShmRuntime* donor = members_.at(donor_id).runtime;
-  auto streamed = to_controller([this, id]() {
-    const std::uint32_t epoch = next_epoch_++;
-    chain_.epoch = epoch;
-    group_.epoch = epoch;
-    if (std::find(chain_.chain.begin(), chain_.chain.end(), id) == chain_.chain.end()) {
-      chain_.chain.push_back(id);
+  // SRO/ERO: the last switch to join streams its snapshot (plus tapped live
+  // commits) to the newcomer, and a space whose live tail is another switch
+  // streams from that tail; only then does the newcomer join each chain — as
+  // the new tail (§6.3).
+  std::vector<Stream> streams{{joined_.back(), id, std::nullopt}};
+  for (const auto& [space, entry] : directory_) {
+    const auto& members = entry.placement.members;
+    if (chain_class(entry.config.cls) && contains(entry.replicas, id) && !members.empty() &&
+        members.back() != joined_.back()) {
+      streams.push_back({members.back(), id, space});
     }
-    push_configs(/*immediate=*/false);
+  }
+  run_streams(std::move(streams), config_.mgmt_latency, [this, id, join]() {
+    joined_.push_back(id);
+    join(/*chains=*/true);
+    push(/*immediate=*/false, std::nullopt, {id});
     if (on_recovery_complete) {
       sim_.post_after(config_.mgmt_latency, [this, id]() {
         on_recovery_complete(id, sim_.now());
       });
     }
   });
-  post_to_node(donor_id, config_.mgmt_latency,
-               [donor, id, streamed = std::move(streamed)]() {
-                 donor->start_recovery_stream(id, streamed);
-               });
 }
 
 std::vector<NodeId> Controller::failed_nodes() const {
@@ -294,16 +277,28 @@ std::vector<NodeId> Controller::failed_nodes() const {
   return failed;
 }
 
-void Controller::push_configs(bool immediate) {
-  auto tables = net::compute_routes(network_, failed_nodes(), /*no_transit=*/{id()});
+void Controller::push(bool immediate, std::optional<std::uint32_t> only,
+                      std::vector<SwitchId> joined) {
+  const std::uint32_t epoch = next_epoch_++;
+  PlacementTable table;
+  for (auto& [space, entry] : directory_) {
+    if (only && space != *only) continue;
+    entry.placement.epoch = epoch;
+    table.emplace(space, entry.placement);
+  }
+  std::unordered_map<NodeId, net::RoutingTable> routes;
+  if (!only) routes = net::compute_routes(network_, failed_nodes(), /*no_transit=*/{id()});
   for (auto& [id, m] : members_) {
     if (!usable(id)) continue;
     Member* member = &m;
-    auto apply = [member, chain = chain_, group = group_,
-                  routing = std::move(tables[id])]() mutable {
-      member->runtime->set_chain(chain);
-      member->runtime->set_group(group);
-      member->sw->set_routing(std::move(routing));
+    std::optional<net::RoutingTable> routing;
+    if (!only) routing = std::move(routes[id]);
+    auto apply = [member, table, joined, routing = std::move(routing)]() mutable {
+      // Routes first: engines reacting to the new placements (a kCON
+      // election, OWN claim flushes) send over them.
+      if (routing) member->sw->set_routing(std::move(*routing));
+      member->runtime->install_placements(table);
+      for (SwitchId target : joined) member->runtime->end_recovery_stream(target);
     };
     if (immediate) {
       apply();

@@ -1,9 +1,11 @@
 // Central controller (§6.3): detects fail-stop switch failures from missing
-// heartbeats, repairs the SRO chain and the EWO replica group, reprograms
-// routing around failed switches, and orchestrates recovery of replacement
-// switches via the tail's snapshot stream.
+// heartbeats, repairs every space's placement, reprograms routing around
+// failed switches, and orchestrates recovery of replacement switches via the
+// tail's snapshot stream. Its directory (§9) is the one placement mechanism:
+// it places every space — every switch by default, a subset for a
+// partitioned space — and keeps each space's live members in chain order.
 //
-// Heartbeats arrive over the data network (lossy); configuration pushes use
+// Heartbeats arrive over the data network (lossy); placement pushes use
 // an out-of-band management network modelled as a reliable RPC with fixed
 // latency — standard practice for SDN controllers (Onix et al.).
 #pragma once
@@ -11,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "net/network.hpp"
 #include "swishmem/membership/membership.hpp"
@@ -42,19 +45,19 @@ class Controller : public net::Node {
   };
 
   /// The controller runs on shard 0 of `shards` and routes every
-  /// member-object call through the set: config/chain pushes land on the
+  /// member-object call through the set: placement pushes land on the
   /// member's shard, recovery-stream kickoffs run on the donor's shard, and
   /// stream-completion callbacks hop back to the controller's shard. Throws
   /// std::invalid_argument when the timing configuration is impossible
   /// (non-positive periods, or a timeout the scan could never observe).
   Controller(sim::ShardSet& shards, net::Network& network, NodeId id, Config config);
 
-  /// Registers a switch and its runtime. Registration order defines the
-  /// initial chain order (head first).
+  /// Registers a switch and its runtime. Switch ids order the default
+  /// placement (head first).
   void register_switch(pisa::Switch& sw, ShmRuntime& runtime);
 
-  /// Installs epoch-1 chain/group/routing on all switches, directly (models
-  /// pre-provisioned configuration before traffic starts).
+  /// Installs epoch-1 routing and every space's placement on all switches,
+  /// directly (models pre-provisioned configuration before traffic starts).
   void bootstrap();
 
   /// Starts the heartbeat-based failure detector.
@@ -62,32 +65,36 @@ class Controller : public net::Node {
 
   void handle_packet(pkt::Packet packet, net::PortId ingress_port) override;
 
-  /// Re-admits a recovered/replacement switch: rejoins the EWO group at once
-  /// (periodic sync restores it, §6.3) and re-enters the SRO chain only after
-  /// the tail's snapshot stream completes.
+  /// Re-admits a recovered/replacement switch, appended last to every space
+  /// declaring it: EWO/OWN/kCON placements take it at once (sync, backup
+  /// flushes and repair restore its state, §6.3); an SRO/ERO placement takes
+  /// it only after a snapshot stream from that space's live tail.
   void readmit_switch(SwitchId id);
 
-  // -- Directory service (§9): partitioned spaces -----------------------------
+  // -- Directory service (§9) ---------------------------------------------------
 
-  /// Registers a partitioned space replicated only on `replicas`. Must be
-  /// called before bootstrap(). The directory owns the space's chain.
-  void register_space(const SpaceConfig& config, std::vector<SwitchId> replicas);
+  /// Registers a space replicated on `replicas`, head first — every
+  /// registered switch, in id order, when empty. Call after the last
+  /// register_switch() and before bootstrap().
+  void register_space(const SpaceConfig& config, std::vector<SwitchId> replicas = {});
 
-  /// Migrates a partitioned space to a new replica set: new members receive
-  /// the state through the tail's snapshot stream, then the space's chain
-  /// switches over. `done` fires when the new chain is installed.
+  /// Migrates an SRO/ERO space to a new replica set: new members receive the
+  /// state through the tail's snapshot stream, then the space's placement —
+  /// and only its placement — is re-pushed. `done` fires when the new chain
+  /// is installed. Throws std::invalid_argument for an unregistered space or
+  /// another class (their spaces span every switch).
   void migrate_space(std::uint32_t space, std::vector<SwitchId> new_replicas,
                      std::function<void(TimeNs)> done = nullptr);
 
-  /// Current replica set of a partitioned space (nullptr if unregistered).
+  /// Declared replica set of a space (nullptr if unregistered).
   [[nodiscard]] const std::vector<SwitchId>* space_replicas(std::uint32_t space) const;
+
+  /// The placement last pushed for a space (nullptr if unregistered).
+  [[nodiscard]] const Placement* placement(std::uint32_t space) const;
 
   /// Immediately marks a switch failed (bypasses heartbeat timeout), for
   /// experiments that separate detection time from repair time.
   void declare_failed(SwitchId id);
-
-  [[nodiscard]] const pkt::ChainConfig& chain() const noexcept { return chain_; }
-  [[nodiscard]] const pkt::GroupConfig& group() const noexcept { return group_; }
 
   /// The failure-detection service feeding the repair machinery.
   [[nodiscard]] const MembershipService& membership() const noexcept { return *membership_; }
@@ -115,18 +122,37 @@ class Controller : public net::Node {
   /// copyable handles held by the runtime.
   [[nodiscard]] std::function<void()> to_controller(std::function<void()> fn);
 
-  /// Pushes chain/group/routing to all live switches over the management
-  /// network (mgmt_latency); `immediate` bypasses latency for bootstrap.
-  void push_configs(bool immediate);
+  /// Stamps the next epoch on every space's placement and installs them on
+  /// all live switches over the management network (mgmt_latency;
+  /// `immediate` bypasses it for bootstrap): routing first, then the
+  /// placements, in one install per switch. With `only`, just that space's
+  /// placement is re-pushed, without routing (a migration). Recovery streams
+  /// to the `joined` switches retire with the install.
+  void push(bool immediate, std::optional<std::uint32_t> only = std::nullopt,
+            std::vector<SwitchId> joined = {});
 
   [[nodiscard]] std::vector<NodeId> failed_nodes() const;
 
-  /// Installs directory-owned space chains on every live switch.
-  void push_space_chains(bool immediate);
+  /// The usable registered switches of `replicas`, in order.
+  [[nodiscard]] std::vector<SwitchId> live(const std::vector<SwitchId>& replicas) const;
+
+  /// One snapshot stream (§6.3): `donor` sends `target` its state — one
+  /// space's, or everything it holds.
+  struct Stream {
+    SwitchId donor = kInvalidNode;
+    SwitchId target = kInvalidNode;
+    std::optional<std::uint32_t> space;
+  };
+
+  /// Runs `streams` one after another, the first kicked off `delay` from now
+  /// on its donor's shard and each next one as the previous completes; then
+  /// runs `done` on the controller's shard.
+  void run_streams(std::vector<Stream> streams, TimeNs delay, std::function<void()> done);
 
   struct SpaceEntry {
     SpaceConfig config;
-    std::vector<SwitchId> replicas;
+    std::vector<SwitchId> replicas;  ///< declared replica set, head first
+    Placement placement;             ///< live replicas in chain order, as last pushed
   };
 
   struct Member {
@@ -134,7 +160,7 @@ class Controller : public net::Node {
     ShmRuntime* runtime = nullptr;
   };
 
-  /// Usable for chains/groups/routing per the membership service.
+  /// Usable for placements and routing per the membership service.
   [[nodiscard]] bool usable(SwitchId id) const noexcept {
     return membership_->view().usable(id);
   }
@@ -150,10 +176,12 @@ class Controller : public net::Node {
   telemetry::Counter failures_detected_;
   telemetry::Histo detection_ns_;
   telemetry::Histo repair_ns_;
-  pkt::ChainConfig chain_;
-  pkt::GroupConfig group_;
-  std::map<std::uint32_t, SpaceEntry> directory_;  ///< partitioned spaces (§9)
-  std::uint32_t next_epoch_ = 1;
+  /// Live switches in the order they joined: id order, then each rejoiner
+  /// once its snapshot streams complete. Its last entry donates a rejoiner's
+  /// snapshot.
+  std::vector<SwitchId> joined_;
+  std::map<std::uint32_t, SpaceEntry> directory_;  ///< every space (§9)
+  std::uint32_t next_epoch_ = 1;  ///< one counter stamps every push
 };
 
 }  // namespace swish::shm

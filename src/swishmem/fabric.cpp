@@ -140,12 +140,20 @@ void Fabric::install(const std::function<std::unique_ptr<NfApp>()>& nf_factory) 
     // run SWIM agents.
     rc.membership = config_.controller.membership;
     runtimes_.push_back(std::make_unique<ShmRuntime>(sw, rc, kControllerId));
-    ShmRuntime& rt = *runtimes_.back();
-    rt.set_membership_peers(ids_);
-    for (const auto& [space, replicas] : spaces_) {
-      if (replicas.empty() ||
-          std::find(replicas.begin(), replicas.end(), sw.id()) != replicas.end()) {
-        rt.add_space(space, replicas.empty() ? ids_ : replicas);
+    runtimes_.back()->set_membership_peers(ids_);
+    controller_->register_switch(sw, *runtimes_.back());
+  }
+  // The directory places every space; a switch outside a space's replica
+  // set reaches it remotely.
+  for (const auto& [space, replicas] : spaces_) controller_->register_space(space, replicas);
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    pisa::Switch& sw = *switches_[i];
+    ShmRuntime& rt = *runtimes_[i];
+    for (const auto& entry : spaces_) {
+      const SpaceConfig& space = entry.first;
+      const std::vector<SwitchId>& replicas = *controller_->space_replicas(space.id);
+      if (std::find(replicas.begin(), replicas.end(), sw.id()) != replicas.end()) {
+        rt.add_space(space, replicas);
       } else {
         rt.add_remote_space(space);
       }
@@ -153,10 +161,6 @@ void Fabric::install(const std::function<std::unique_ptr<NfApp>()>& nf_factory) 
     auto nf = nf_factory ? nf_factory() : nullptr;
     if (nf) nf->setup(sw, rt);
     sw.install_program(std::make_unique<ShmProgram>(rt, std::move(nf)));
-    controller_->register_switch(sw, rt);
-  }
-  for (const auto& [space, replicas] : spaces_) {
-    if (!replicas.empty()) controller_->register_space(space, replicas);
   }
 }
 

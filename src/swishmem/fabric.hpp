@@ -63,10 +63,10 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Declares a replicated register space. By default every switch is a
-  /// replica; passing a `replicas` subset creates a partitioned space (§9)
-  /// managed by the controller's directory — other switches access it
-  /// remotely via its chain. Call before install().
+  /// Declares a replicated register space, placed by the controller's
+  /// directory: every switch is a replica by default; a `replicas` subset
+  /// creates a partitioned space (§9) that other switches access remotely
+  /// via its chain (SRO/ERO only). Call before install().
   void add_space(const SpaceConfig& space, std::vector<SwitchId> replicas = {});
 
   /// Instantiates the NF on every switch (one NfApp instance per switch) and

@@ -25,7 +25,7 @@ ChainEngine::ChainEngine(EngineHost& host, const char* proto_name) : ProtocolEng
 }
 
 void ChainEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
-  (void)replicas;  // chain membership comes from the controller's pushes
+  (void)replicas;  // chain membership comes from the space's placement
   spaces_.emplace(config.id, std::make_unique<SroSpaceState>(host_.sw(), config));
   remote_spaces_.erase(config.id);  // migration: this switch became a member
 }
@@ -80,13 +80,13 @@ void ChainEngine::send_chain_msg(SwitchId dst, const pkt::SwishMessage& msg) {
   stats_.bytes_write += host_.send(dst, msg);
 }
 
-bool ChainEngine::chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept {
-  return std::find(chain.chain.begin(), chain.chain.end(), sw) != chain.chain.end();
+bool ChainEngine::chain_contains(const Placement& chain, SwitchId sw) noexcept {
+  return std::find(chain.members.begin(), chain.members.end(), sw) != chain.members.end();
 }
 
-SwitchId ChainEngine::chain_successor(const pkt::ChainConfig& chain) const noexcept {
-  auto it = std::find(chain.chain.begin(), chain.chain.end(), host_.self());
-  if (it == chain.chain.end() || it + 1 == chain.chain.end()) return kInvalidNode;
+SwitchId ChainEngine::chain_successor(const Placement& chain) const noexcept {
+  auto it = std::find(chain.members.begin(), chain.members.end(), host_.self());
+  if (it == chain.members.end() || it + 1 == chain.members.end()) return kInvalidNode;
   return *(it + 1);
 }
 
@@ -117,7 +117,7 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
       // Commit-at-origin for lag accounting is the submit: each chain member
       // is one expected apply (the writer re-counts itself if in the chain).
       const auto expected =
-          static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
+          static_cast<std::uint32_t>(host_.placement(pw.ops.front().space).members.size());
       for (const auto& op : pw.ops) obs_->on_commit(op.space, op.key, id, host_.self(), expected);
     }
   }
@@ -140,14 +140,14 @@ void ChainEngine::send_write_request(std::uint64_t write_id) {
   auto it = pending_writes_.find(write_id);
   if (it == pending_writes_.end()) return;
   if (it->second.ops.empty()) return;
-  const pkt::ChainConfig& chain = host_.chain_for(it->second.ops.front().space);
-  if (chain.chain.empty()) return;  // no chain configured yet; retry later
+  const Placement& chain = host_.placement(it->second.ops.front().space);
+  if (chain.members.empty()) return;  // no chain configured yet; retry later
   pkt::WriteRequest req;
   req.epoch = chain.epoch;
   req.writer = host_.self();
   req.write_id = write_id;
   req.ops = it->second.ops;
-  send_chain_msg(chain.chain.front(), req);
+  send_chain_msg(chain.members.front(), req);
 }
 
 void ChainEngine::arm_retry(std::uint64_t write_id) {
@@ -187,14 +187,14 @@ bool ChainEngine::ops_table_backed(const std::vector<pkt::WriteOp>& ops) const {
 void ChainEngine::on_write_request(const pkt::WriteRequest& msg) {
   ++stats_.chain_requests_seen;
   if (msg.ops.empty()) return;
-  const pkt::ChainConfig& chain = host_.chain_for(msg.ops.front().space);
+  const Placement& chain = host_.placement(msg.ops.front().space);
   if (msg.epoch != chain.epoch) {
     ++stats_.chain_stale_epoch;
     return;  // writer will retry with the current epoch
   }
   if (!chain_contains(chain, host_.self())) return;
   if (msg.seqs.empty()) {
-    if (chain.chain.front() != host_.self()) return;  // misrouted; dropped, retried
+    if (chain.members.front() != host_.self()) return;  // misrouted; dropped, retried
     head_process(msg);
   } else {
     relay_process(msg);
@@ -233,8 +233,8 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
         }
       }
     }
-    const pkt::ChainConfig& chain = host_.chain_for(msg.ops.front().space);
-    if (chain.chain.back() == host_.self()) {
+    const Placement& chain = host_.placement(msg.ops.front().space);
+    if (chain.members.back() == host_.self()) {
       tail_commit(msg);
     } else {
       send_chain_msg(chain_successor(chain), msg);
@@ -282,8 +282,8 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
       // so downstream switches that missed it catch up.
     }
     if (applied_any) trace_point("chain_apply", msg.ops.front().space, msg.ops.front().key);
-    const pkt::ChainConfig& chain = host_.chain_for(msg.ops.front().space);
-    if (chain.chain.back() == host_.self()) {
+    const Placement& chain = host_.placement(msg.ops.front().space);
+    if (chain.members.back() == host_.self()) {
       tail_commit(msg);
     } else {
       send_chain_msg(chain_successor(chain), msg);
@@ -310,8 +310,8 @@ void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {
   }
   pkt::WriteAck ack{msg.epoch, msg.writer, msg.write_id, msg.ops, msg.seqs};
   send_chain_msg(msg.writer, ack);
-  const pkt::ChainConfig& chain = host_.chain_for(msg.ops.empty() ? 0 : msg.ops.front().space);
-  for (SwitchId member : chain.chain) {
+  const Placement& chain = host_.placement(msg.ops.empty() ? 0 : msg.ops.front().space);
+  for (SwitchId member : chain.members) {
     if (member == host_.self() || member == msg.writer) continue;
     send_chain_msg(member, ack);
   }
@@ -360,22 +360,22 @@ void ChainEngine::on_write_ack(const pkt::WriteAck& msg) {
 
 ReadStatus ChainEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                              std::uint64_t& value) {
-  const pkt::ChainConfig& chain = host_.chain_for(space);
+  const Placement& chain = host_.placement(space);
   auto it = spaces_.find(space);
   if (it == spaces_.end()) {
     // Not a replica of this space (§9 partitioning): serve from the tail.
     auto rit = remote_spaces_.find(space);
-    if (rit == remote_spaces_.end() || chain.chain.empty() || ctx == nullptr) {
+    if (rit == remote_spaces_.end() || chain.members.empty() || ctx == nullptr) {
       return ReadStatus::kMiss;
     }
     ++stats_.reads_redirected;
     stats_.bytes_redirect +=
-        host_.send(chain.chain.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
+        host_.send(chain.members.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
     return ReadStatus::kRedirected;
   }
   const SroSpaceState& sp = *it->second;
 
-  const bool tail_here = !chain.chain.empty() && chain.chain.back() == host_.self();
+  const bool tail_here = !chain.members.empty() && chain.members.back() == host_.self();
   bool local_ok = always_local()           // ERO: always local
                   || host_.authoritative() // already at the tail
                   || tail_here;            // tail state is committed
@@ -383,14 +383,14 @@ ReadStatus ChainEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
     local_ok = !sp.key_pending(key);  // CRAQ-style local read (§6.1)
   }
   if (!local_ok) {
-    if (chain.chain.empty() || ctx == nullptr) {
+    if (chain.members.empty() || ctx == nullptr) {
       // Unreplicated deployment (nothing to redirect to), or a caller that
       // cannot be redirected: serve the local copy.
       local_ok = true;
     } else {
       ++stats_.reads_redirected;
       stats_.bytes_redirect +=
-          host_.send(chain.chain.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
+          host_.send(chain.members.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
       return ReadStatus::kRedirected;
     }
   }

@@ -104,8 +104,8 @@ class ChainEngine : public ProtocolEngine {
   // Transport helpers accounting into bytes_write.
   void send_chain_msg(SwitchId dst, const pkt::SwishMessage& msg);
 
-  [[nodiscard]] SwitchId chain_successor(const pkt::ChainConfig& chain) const noexcept;
-  [[nodiscard]] static bool chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept;
+  [[nodiscard]] SwitchId chain_successor(const Placement& chain) const noexcept;
+  [[nodiscard]] static bool chain_contains(const Placement& chain, SwitchId sw) noexcept;
 
   /// Hosted space ids matching `space_filter`, ascending — snapshot order
   /// must not depend on unordered_map iteration (determinism across runs).

@@ -9,7 +9,7 @@ namespace {
 /// the burst when back-filling a freshly revived (empty) replica.
 constexpr std::size_t kRepairChunk = 64;
 
-/// Ballot = (group epoch << 32) | (coordinator id + 1): monotone across
+/// Ballot = (placement epoch << 32) | (coordinator id + 1): monotone across
 /// epochs, unique per coordinator, and never 0 (0 is the "nothing promised"
 /// floor). The low half names the ballot's owner for reply routing.
 std::uint64_t make_ballot(std::uint32_t epoch, SwitchId self) noexcept {
@@ -45,7 +45,7 @@ ConsensusEngine::ConsensusEngine(EngineHost& host) : ProtocolEngine(host) {
 }
 
 void ConsensusEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
-  (void)replicas;  // the replica set comes from the controller's group pushes
+  (void)replicas;  // the acceptor set comes from the spaces' placement
   spaces_.emplace(config.id, std::make_unique<SroSpaceState>(host_.sw(), config));
 }
 
@@ -59,10 +59,9 @@ const SroSpaceState* ConsensusEngine::space_state(std::uint32_t id) const {
 }
 
 void ConsensusEngine::start() {
+  // The bootstrap push already ran the first election (on_config_update);
+  // the repair tick re-drives any prepare it lost.
   host_.every(host_.config().con_retry_timeout, [this]() { repair_tick(); });
-  // Configuration bootstrap has run: adopt the initial coordinator (and run
-  // the first election if that is us).
-  on_config_update();
 }
 
 void ConsensusEngine::reset() {
@@ -86,9 +85,9 @@ void ConsensusEngine::reset() {
   next_req_id_ = 0;
 }
 
-const std::vector<SwitchId>& ConsensusEngine::members() const noexcept {
-  const auto& group = host_.group().members;
-  return group.empty() ? host_.deployment() : group;
+const Placement& ConsensusEngine::placement() const noexcept {
+  static const Placement kUnplaced;
+  return spaces_.empty() ? kUnplaced : host_.placement(spaces_.begin()->first);
 }
 
 void ConsensusEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
@@ -317,7 +316,7 @@ void ConsensusEngine::send_forward(std::uint64_t req_id) {
     }
     return;
   }
-  if (coordinator_ == kInvalidNode) return;  // retry after the config push
+  if (coordinator_ == kInvalidNode) return;  // retry after the placement push
   deliver(coordinator_, pkt::ConForward{epoch(), host_.self(), req_id, it->second.ops});
 }
 

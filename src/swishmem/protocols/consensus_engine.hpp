@@ -10,9 +10,9 @@
 // is also how a revived, empty replica catches up without controller help).
 //
 // Coordinator election is deterministic: the lowest-id member of the current
-// group epoch. The controller's membership machinery (PR 8) bumps the group
-// epoch on failure/readmission; every replica recomputes the coordinator in
-// on_config_update(), and a newly elected coordinator runs Paxos phase 1
+// placement. The controller bumps the placement epoch on every push
+// (bootstrap, failure, readmission); every replica recomputes the coordinator
+// in on_config_update(), and a newly elected coordinator runs Paxos phase 1
 // (ConPrepare/ConPromise) over the survivors to recover accepted-but-
 // uncommitted slots before opening the log for new writes — which is what
 // makes a mid-transaction coordinator failure atomic: an orphaned slot is
@@ -171,9 +171,16 @@ class ConsensusEngine final : public ProtocolEngine {
   void refresh_lease(std::uint64_t ballot);
 
   void deliver(SwitchId dst, const pkt::SwishMessage& msg);
-  [[nodiscard]] const std::vector<SwitchId>& members() const noexcept;
+  /// The acceptor set and ballot epoch: one log serves every kCON space, and
+  /// every kCON space spans every switch (add_remote_space refuses subsets)
+  /// with placements that move in lockstep, so the lowest space's placement
+  /// is every space's.
+  [[nodiscard]] const Placement& placement() const noexcept;
+  [[nodiscard]] const std::vector<SwitchId>& members() const noexcept {
+    return placement().members;
+  }
   [[nodiscard]] std::size_t quorum() const noexcept { return members().size() / 2 + 1; }
-  [[nodiscard]] std::uint32_t epoch() const noexcept { return host_.group().epoch; }
+  [[nodiscard]] std::uint32_t epoch() const noexcept { return placement().epoch; }
   [[nodiscard]] std::uint64_t mint_req_id() noexcept {
     return (static_cast<std::uint64_t>(host_.self()) << 40) |
            (++next_req_id_ & ((1ULL << 40) - 1));

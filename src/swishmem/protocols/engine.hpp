@@ -90,8 +90,8 @@ std::unique_ptr<SnapshotSource> make_chained_source(
     std::vector<std::unique_ptr<SnapshotSource>> sources);
 
 /// Services the runtime provides to its engines: transport with byte
-/// accounting, configuration pushed by the controller, timers, and hooks
-/// back into the NF / the recovery stream. Implemented by ShmRuntime.
+/// accounting, placements pushed by the controller, timers, and hooks back
+/// into the NF / the recovery stream. Implemented by ShmRuntime.
 class EngineHost {
  public:
   virtual ~EngineHost() = default;
@@ -100,11 +100,12 @@ class EngineHost {
   [[nodiscard]] virtual const RuntimeConfig& config() const noexcept = 0;
   [[nodiscard]] virtual SwitchId self() const noexcept = 0;
 
-  /// Chain governing a space (its own chain when partitioned, §9).
-  [[nodiscard]] virtual const pkt::ChainConfig& chain_for(std::uint32_t space) const noexcept = 0;
-  [[nodiscard]] virtual const pkt::GroupConfig& group() const noexcept = 0;
-  /// Replica set passed to add_space (the full deployment by default).
-  [[nodiscard]] virtual const std::vector<SwitchId>& deployment() const noexcept = 0;
+  /// A space's placement as the controller last pushed it: chain order and
+  /// epoch for SRO/ERO, acceptors (coordinator = lowest id) and ballot epoch
+  /// for kCON, mirror group for EWO, home set for OWN. Before the first push
+  /// (and after a state reset) an SRO/ERO space has no members and any other
+  /// space holds its add_space replica set at epoch 0.
+  [[nodiscard]] virtual const Placement& placement(std::uint32_t space) const noexcept = 0;
 
   /// Sends one protocol message into the fabric; returns the wire bytes so
   /// the engine can account its own protocol bandwidth.
@@ -208,7 +209,9 @@ class ProtocolEngine {
   virtual void start() {}
   /// Wipes all protocol and space state (a replacement switch boots empty).
   virtual void reset() = 0;
-  /// Chain/group configuration changed (controller push or failover).
+  /// A controller push changed placements (bootstrap, failover, readmission,
+  /// migration); called once per push, after routing and every placement of
+  /// the push are installed.
   virtual void on_config_update() {}
 
   // -- Datapath (NF-facing, uniform across engines) -----------------------------

@@ -21,6 +21,7 @@ EwoEngine::EwoEngine(EngineHost& host)
 }
 
 void EwoEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
+  if (spaces_.empty()) group_space_ = config.id;
   spaces_.emplace(config.id,
                   std::make_unique<EwoSpaceState>(host_.sw(), config, replicas, host_.self()));
 }
@@ -169,8 +170,7 @@ void EwoEngine::set_add(EwoSpaceState& st, std::uint32_t space, std::uint64_t ke
 // ---------------------------------------------------------------------------
 
 const std::vector<SwitchId>& EwoEngine::replication_targets() const noexcept {
-  const auto& members = host_.group().members;
-  return members.empty() ? host_.deployment() : members;
+  return host_.placement(group_space_).members;
 }
 
 std::uint32_t EwoEngine::expected_replicas() const noexcept {

@@ -72,6 +72,10 @@ class EwoEngine final : public ProtocolEngine {
                       const telemetry::SpanContext& trace);
   void flush_mirror_buffer();
   void periodic_sync();
+  /// The mirror group: one for the whole engine, since mirror and sync
+  /// batches mix spaces. Every EWO space spans every switch (add_remote_space
+  /// refuses subsets) and their placements move in lockstep, so the first
+  /// space's placement is every space's.
   [[nodiscard]] const std::vector<SwitchId>& replication_targets() const noexcept;
   /// Replicas other than this switch (expected applies for lag accounting).
   [[nodiscard]] std::uint32_t expected_replicas() const noexcept;
@@ -80,6 +84,7 @@ class EwoEngine final : public ProtocolEngine {
   void observe_commit(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key);
 
   std::unordered_map<std::uint32_t, std::unique_ptr<EwoSpaceState>> spaces_;
+  std::uint32_t group_space_ = 0;  ///< first space added; names the mirror group
 
   // Mirror batch buffer: (space state, key) pairs awaiting flush. Spaces are
   // add-only and unique_ptr-owned, so the pointers stay valid and the flush

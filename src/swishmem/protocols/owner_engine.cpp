@@ -23,7 +23,7 @@ OwnerEngine::OwnerEngine(EngineHost& host) : ProtocolEngine(host) {
 }
 
 void OwnerEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
-  (void)replicas;  // OWN spaces span the deployment; homes come from members()
+  (void)replicas;  // homes come from the space's placement
   spaces_.emplace(config.id, std::make_unique<OwnSpaceState>(host_.sw(), config));
 }
 
@@ -52,16 +52,15 @@ void OwnerEngine::on_config_update() {
   // Home side: reclaim keys whose recorded owner left the live set — the next
   // acquisition is granted from this home's backup copy (§6.3 failover; the
   // un-flushed tail of the dead owner's writes is the protocol's loss window).
-  const auto& live = members();
   for (auto& [id, sp] : spaces_) {
-    for (std::uint64_t slot : sp->dir_slots_owned_outside(live)) {
+    for (std::uint64_t slot : sp->dir_slots_owned_outside(host_.placement(id).members)) {
       sp->clear_dir_owner(slot);
     }
   }
   // In-flight revokes may reference dead switches; drop them and let the
   // requesters' retries re-walk the (repaired) directory.
   pending_grants_.clear();
-  // Owner side: a group change can move a key's home to a replica whose
+  // Owner side: a placement change can move a key's home to a replica whose
   // directory has never heard of us. Proactively re-claim everything we own
   // so the new homes converge in one round trip instead of one backup period.
   flush_claims();
@@ -96,13 +95,8 @@ bool OwnerEngine::handle_message(const pkt::SwishMessage& msg) {
 // Placement
 // ---------------------------------------------------------------------------
 
-const std::vector<SwitchId>& OwnerEngine::members() const noexcept {
-  const auto& group = host_.group().members;
-  return group.empty() ? host_.deployment() : group;
-}
-
 SwitchId OwnerEngine::home_of(std::uint32_t space, std::uint64_t key) const {
-  const auto& m = members();
+  const auto& m = host_.placement(space).members;
   if (m.empty()) return host_.self();
   const std::uint64_t mix =
       own_mix64(key ^ (static_cast<std::uint64_t>(space) * 0x9e3779b97f4a7c15ULL));
@@ -335,7 +329,7 @@ void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
   }
 
   // Home side. Ignore requests that landed on a stale home; the requester's
-  // retry recomputes placement from the next group config.
+  // retry recomputes the home from the next placement.
   if (home_of(msg.space, msg.key) != host_.self()) return;
 
   const SwitchId current = st.dir_owner(msg.key);

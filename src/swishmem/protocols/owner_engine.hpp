@@ -1,11 +1,12 @@
 // OWN: per-key single-writer ownership with a home-replica directory — the
 // protocol the paper sketches for write-intensive strongly-consistent state
 // (§6.3's NAT port-allocation discussion). Each key has a home replica,
-// chosen by hashing the key over the live group; the home tracks the key's
-// current owner in a directory and keeps a backup copy. A switch that wants
-// to write a key it does not own asks the home (OwnRequest); the home either
-// grants from its backup (key unowned) or revokes the current owner, which
-// relinquishes and ships (value, version) back through the home (OwnGrant).
+// chosen by hashing the key over the space's live members; the home tracks
+// the key's current owner in a directory and keeps a backup copy. A switch
+// that wants to write a key it does not own asks the home (OwnRequest); the
+// home either grants from its backup (key unowned) or revokes the current
+// owner, which relinquishes and ships (value, version) back through the home
+// (OwnGrant).
 // Writes by the owner are purely local and linearizable per key; a periodic
 // OwnUpdate flush backs dirty keys up to their homes, which doubles as
 // directory self-healing (claim flag). Every hop is idempotent: requests are
@@ -56,7 +57,7 @@ class OwnerEngine final : public ProtocolEngine {
 
   // -- Introspection (tests, tools) ---------------------------------------------
   [[nodiscard]] const OwnSpaceState* space_state(std::uint32_t id) const;
-  /// Home replica of a key (hash placement over the live group).
+  /// Home replica of a key (hash placement over the space's live members).
   [[nodiscard]] SwitchId home_of(std::uint32_t space, std::uint64_t key) const;
   /// True when this switch currently owns the key.
   [[nodiscard]] bool owns(std::uint32_t space, std::uint64_t key) const;
@@ -129,7 +130,7 @@ class OwnerEngine final : public ProtocolEngine {
   /// Periodic owner -> home flush of dirty keys (also heals directories).
   void backup_flush();
   /// Sends claim-updates for every owned key (directory healing after a
-  /// group change moved some keys' homes).
+  /// placement change moved some keys' homes).
   void flush_claims();
   void send_backup_entries(std::uint32_t space, const OwnSpaceState& st,
                            const std::vector<std::uint64_t>& slots);
@@ -137,8 +138,6 @@ class OwnerEngine final : public ProtocolEngine {
   /// Routes a protocol message, short-circuiting self-delivery (a switch can
   /// be requester, home, and owner in any combination).
   void deliver(SwitchId dst, const pkt::SwishMessage& msg);
-
-  [[nodiscard]] const std::vector<SwitchId>& members() const noexcept;
 
   std::map<std::uint32_t, std::unique_ptr<OwnSpaceState>> spaces_;
   std::map<KeyRef, PendingAcquire> pending_acquires_;   // requester side

@@ -22,7 +22,7 @@ constexpr std::uint32_t kRecoveryEpoch = 0xffffffffu;
 constexpr std::size_t kRecoveryChunkOps = 32;
 
 telemetry::TraceCategory msg_trace_category(const pkt::SwishMessage& msg) noexcept {
-  switch (static_cast<pkt::MsgType>(msg.index() + 1)) {
+  switch (pkt::type_of(msg)) {
     case pkt::MsgType::kWriteRequest:
     case pkt::MsgType::kWriteAck:
       return telemetry::kTraceProtoChain;
@@ -50,7 +50,7 @@ telemetry::TraceCategory msg_trace_category(const pkt::SwishMessage& msg) noexce
 }
 
 const char* msg_trace_name(const pkt::SwishMessage& msg) noexcept {
-  switch (static_cast<pkt::MsgType>(msg.index() + 1)) {
+  switch (pkt::type_of(msg)) {
     case pkt::MsgType::kWriteRequest:
       return "WriteRequest";
     case pkt::MsgType::kWriteAck:
@@ -59,10 +59,6 @@ const char* msg_trace_name(const pkt::SwishMessage& msg) noexcept {
       return "EwoUpdate";
     case pkt::MsgType::kHeartbeat:
       return "Heartbeat";
-    case pkt::MsgType::kChainConfig:
-      return "ChainConfig";
-    case pkt::MsgType::kGroupConfig:
-      return "GroupConfig";
     case pkt::MsgType::kReadRedirect:
       return "ReadRedirect";
     case pkt::MsgType::kOwnRequest:
@@ -101,7 +97,7 @@ constexpr std::size_t kMaxSendSpans = 65536;
 
 /// Idempotency identity of a message for span reuse across retransmissions:
 /// (tag, id, packed principal+destination). Messages without a stable retry
-/// identity (EwoUpdate mirror batches, periodic sync, heartbeats, config)
+/// identity (EwoUpdate mirror batches, periodic sync, heartbeats, SWIM)
 /// return nullopt — their re-flushes carry fresh content, so each
 /// transmission is a distinct causal event.
 std::optional<std::tuple<std::uint8_t, std::uint64_t, std::uint64_t>> send_identity(
@@ -191,13 +187,9 @@ ProtocolEngine* ShmRuntime::engine_for_space(std::uint32_t space) const noexcept
 }
 
 void ShmRuntime::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
-  if (config.cls == ConsistencyClass::kEWO) {
-    // EWO spaces span the full deployment (partitioning targets the rarely
-    // shared, strongly-consistent state, §9).
-    deployment_ = replicas;
-  } else if (deployment_.empty()) {
-    deployment_ = replicas;
-  }
+  const Placement& initial = initial_placements_[config.id] =
+      chain_class(config.cls) ? Placement{} : Placement{0, replicas};
+  placements_.try_emplace(config.id, initial);  // a migration joiner keeps its pushed one
   ProtocolEngine& engine = engine_for_class(config.cls);
   engine.add_space(config, replicas);
   space_engines_[config.id] = &engine;
@@ -238,55 +230,26 @@ void ShmRuntime::start() {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration from the controller
+// Placement from the controller
 // ---------------------------------------------------------------------------
 
-void ShmRuntime::set_chain(const pkt::ChainConfig& config) {
-  if (config.epoch <= chain_.epoch && !chain_.chain.empty()) return;  // stale push
-  chain_ = config;
-  retire_recovery_if_joined(chain_.chain);
-  notify_config_update();
-}
-
-void ShmRuntime::set_space_chain(std::uint32_t space, const pkt::ChainConfig& config) {
-  auto& current = space_chains_[space];
-  if (config.epoch <= current.epoch && !current.chain.empty()) return;
-  current = config;
-  retire_recovery_if_joined(config.chain);
-  notify_config_update();
-}
-
-void ShmRuntime::set_group(const pkt::GroupConfig& config) {
-  if (config.epoch <= group_.epoch && !group_.members.empty()) return;
-  group_ = config;
-  notify_config_update();
-}
-
-void ShmRuntime::retire_recovery_if_joined(const std::vector<SwitchId>& chain) {
-  // A completed recovery shows up as the stream target joining the chain; the
-  // donor can then retire the stream.
-  if (recovery_ &&
-      std::find(chain.begin(), chain.end(), recovery_->target) != chain.end()) {
-    recovery_->timer.cancel();
-    recovery_.reset();
-    recovery_tap_ = false;
+void ShmRuntime::install_placements(const PlacementTable& table) {
+  bool changed = false;
+  for (const auto& [space, placement] : table) {
+    Placement& installed = placements_[space];
+    if (placement.epoch <= installed.epoch) continue;  // stale push
+    installed = placement;
+    changed = true;
   }
-}
-
-void ShmRuntime::notify_config_update() {
+  if (!changed) return;
   for (const auto& e : engines_) e->on_config_update();
 }
 
-const pkt::ChainConfig& ShmRuntime::chain_for(std::uint32_t space) const noexcept {
-  auto it = space_chains_.find(space);
-  return it == space_chains_.end() ? chain_ : it->second;
+const Placement& ShmRuntime::placement(std::uint32_t space) const noexcept {
+  static const Placement kUnplaced;
+  auto it = placements_.find(space);
+  return it == placements_.end() ? kUnplaced : it->second;
 }
-
-bool ShmRuntime::chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept {
-  return std::find(chain.chain.begin(), chain.chain.end(), sw) != chain.chain.end();
-}
-
-bool ShmRuntime::in_chain() const noexcept { return chain_contains(chain_, sw_.id()); }
 
 // ---------------------------------------------------------------------------
 // Transport (EngineHost)
@@ -404,7 +367,8 @@ bool ShmRuntime::handle_protocol_packet(pisa::PacketContext& ctx) {
 
   // Cross-engine machinery handled at the runtime level: the recovery-stream
   // transport (which reuses the WriteRequest/WriteAck frames under
-  // kRecoveryEpoch), configuration pushes, and redirected reads.
+  // kRecoveryEpoch), redirected reads, and membership traffic. Placements
+  // arrive only over the controller's management network, never in band.
   if (const auto* wr = std::get_if<pkt::WriteRequest>(&*msg)) {
     if (wr->snapshot_replay || wr->epoch == kRecoveryEpoch) {
       on_recovery_chunk(*wr);
@@ -415,12 +379,6 @@ bool ShmRuntime::handle_protocol_packet(pisa::PacketContext& ctx) {
       on_recovery_ack(ack->write_id);
       return true;
     }
-  } else if (const auto* cc = std::get_if<pkt::ChainConfig>(&*msg)) {
-    set_chain(*cc);
-    return true;
-  } else if (const auto* gc = std::get_if<pkt::GroupConfig>(&*msg)) {
-    set_group(*gc);
-    return true;
   } else if (const auto* rr = std::get_if<pkt::ReadRedirect>(&*msg)) {
     on_read_redirect(*rr);
     return true;
@@ -443,7 +401,7 @@ bool ShmRuntime::handle_protocol_packet(pisa::PacketContext& ctx) {
   // Everything else goes through the message-type registry. Multiple engines
   // may share a type (SRO and ERO both speak the chain protocol); the first
   // engine that claims the message — by the space it names — consumes it.
-  for (ProtocolEngine* engine : registry_[msg->index() + 1]) {
+  for (ProtocolEngine* engine : registry_[static_cast<std::size_t>(pkt::type_of(*msg))]) {
     if (engine->handle_message(*msg)) break;
   }
   return true;
@@ -609,7 +567,7 @@ void ShmRuntime::recovery_send_next() {
   if (!recovery_refill()) {
     // Snapshot fully streamed and every chunk acknowledged: recovery is
     // complete. The stream stays alive to tap subsequent commits until the
-    // controller retires it at the epoch switch.
+    // controller's join push retires it (end_recovery_stream).
     if (recovery_->done) {
       auto cb = std::move(recovery_->done);
       recovery_->done = nullptr;
@@ -696,6 +654,13 @@ void ShmRuntime::on_recovery_chunk(const pkt::WriteRequest& msg) {
       send(msg.writer, pkt::WriteAck{kRecoveryEpoch, msg.writer, msg.write_id, {}, {}});
 }
 
+void ShmRuntime::end_recovery_stream(SwitchId target) {
+  if (!recovery_ || recovery_->target != target) return;
+  recovery_->timer.cancel();
+  recovery_.reset();
+  recovery_tap_ = false;
+}
+
 void ShmRuntime::reset_state() {
   for (const auto& e : engines_) e->reset();
   if (swim_) swim_->reset();
@@ -703,10 +668,9 @@ void ShmRuntime::reset_state() {
   last_recovery_epoch_ = 0;
   recovery_.reset();
   recovery_tap_ = false;
-  // A replacement switch also forgets its configuration; the controller's
-  // next push (any epoch) is accepted.
-  chain_ = {};
-  group_ = {};
+  // A replacement switch also forgets its placements; the controller's next
+  // push (any epoch) is accepted.
+  placements_ = initial_placements_;
 }
 
 // ---------------------------------------------------------------------------

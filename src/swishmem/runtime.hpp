@@ -6,11 +6,11 @@
 // ownership migration) live behind the ProtocolEngine interface in
 // swishmem/protocols/; the runtime owns the engines, routes each space's
 // operations to its engine, dispatches wire messages through a per-type
-// registry, and keeps the cross-engine machinery: controller configuration,
-// heartbeats, the tail redirect re-entry, and the §6.3 recovery stream
-// transport. Protocol packets arrive through the installed ShmProgram, which
-// dispatches UDP port kSwishPort traffic here before the NF logic sees
-// anything.
+// registry, and keeps the cross-engine machinery: the controller's
+// placements, heartbeats, the tail redirect re-entry, and the §6.3 recovery
+// stream transport. Protocol packets arrive through the installed
+// ShmProgram, which dispatches UDP port kSwishPort traffic here before the NF
+// logic sees anything.
 #pragma once
 
 #include <array>
@@ -52,9 +52,10 @@ class ShmRuntime final : public EngineHost {
   // -- Setup ------------------------------------------------------------------
 
   /// Declares a replicated space hosted on this switch; `replicas` is the
-  /// replica set (the full deployment by default; a subset for partitioned
-  /// spaces, §9). Call before traffic starts, or at migration time when this
-  /// switch joins a space's replica group.
+  /// replica set the directory holds for it (every switch by default; a
+  /// subset for partitioned spaces, §9). An EWO/OWN/kCON space uses it as its
+  /// placement until the controller's first push. Call before traffic starts,
+  /// or at migration time when this switch joins a space's replica group.
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas);
 
   /// Declares a space this switch does NOT replicate (§9 partitioning): all
@@ -85,15 +86,12 @@ class ShmRuntime final : public EngineHost {
     nf_reentry_ = std::move(reentry);
   }
 
-  // -- Configuration from the controller (management network) ------------------
+  // -- Placement from the controller (management network) ----------------------
 
-  void set_chain(const pkt::ChainConfig& config);
-  void set_group(const pkt::GroupConfig& config);
-  [[nodiscard]] const pkt::ChainConfig& chain() const noexcept { return chain_; }
-
-  /// Installs the chain used by one partitioned space (overrides the global
-  /// chain for that space's operations).
-  void set_space_chain(std::uint32_t space, const pkt::ChainConfig& config);
+  /// Installs one controller push: each space's placement replaces the
+  /// installed one unless its epoch is not newer (a stale push); when any
+  /// did, every engine then sees one on_config_update.
+  void install_placements(const PlacementTable& table);
 
   // -- NF-facing register API (§5) ---------------------------------------------
   // Four class-agnostic operations; the space's declared consistency class
@@ -149,7 +147,13 @@ class ShmRuntime final : public EngineHost {
   void start_recovery_stream(SwitchId target, std::function<void()> done,
                              std::optional<std::uint32_t> space_filter = std::nullopt);
 
-  /// Wipes all replicated state (a replacement switch boots empty).
+  /// Retires this switch's recovery stream to `target`, if any: the
+  /// controller's push that lets `target` join its chains is installed, so
+  /// live commits now reach it natively.
+  void end_recovery_stream(SwitchId target);
+
+  /// Wipes all replicated state and the installed placements (a replacement
+  /// switch boots empty and unplaced).
   void reset_state();
 
   // -- EngineHost (services the engines call back into) --------------------------
@@ -157,11 +161,7 @@ class ShmRuntime final : public EngineHost {
   [[nodiscard]] pisa::Switch& sw() noexcept override { return sw_; }
   [[nodiscard]] const RuntimeConfig& config() const noexcept override { return config_; }
   [[nodiscard]] SwitchId self() const noexcept override { return sw_.id(); }
-  [[nodiscard]] const pkt::ChainConfig& chain_for(std::uint32_t space) const noexcept override;
-  [[nodiscard]] const pkt::GroupConfig& group() const noexcept override { return group_; }
-  [[nodiscard]] const std::vector<SwitchId>& deployment() const noexcept override {
-    return deployment_;
-  }
+  [[nodiscard]] const Placement& placement(std::uint32_t space) const noexcept override;
   std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) override;
   /// send() plus control-class byte accounting (heartbeats, SWIM traffic);
   /// keeps the per-class counters summing to bytes_total.
@@ -187,8 +187,6 @@ class ShmRuntime final : public EngineHost {
   }
 
   // -- Introspection ------------------------------------------------------------
-
-  [[nodiscard]] bool in_chain() const noexcept;
 
   /// Number of output packets currently buffered in CP DRAM awaiting acks.
   [[nodiscard]] std::size_t cp_buffered_packets() const noexcept;
@@ -249,11 +247,9 @@ class ShmRuntime final : public EngineHost {
   void arm_recovery_timer(std::uint64_t expect);
   void on_recovery_ack(std::uint64_t stream_seq);
   void on_recovery_chunk(const pkt::WriteRequest& msg);
-  void retire_recovery_if_joined(const std::vector<SwitchId>& chain);
 
   [[nodiscard]] pkt::Packet wrap(SwitchId dst, const pkt::SwishMessage& msg,
                                  const telemetry::SpanContext& ctx) const;
-  void notify_config_update();
 
   /// Trace context to put on the wire for this send. Retransmissions of an
   /// idempotent message (same write_id/req_id to the same destination) reuse
@@ -261,8 +257,6 @@ class ShmRuntime final : public EngineHost {
   /// double-count propagation; first transmissions of a sampled chain record
   /// a send span and return its context.
   telemetry::SpanContext outgoing_trace(SwitchId dst, const pkt::SwishMessage& msg);
-
-  [[nodiscard]] static bool chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept;
 
   pisa::Switch& sw_;
   RuntimeConfig config_;
@@ -278,11 +272,11 @@ class ShmRuntime final : public EngineHost {
   /// Wire dispatch registry: message type -> engines claiming that type.
   std::array<std::vector<ProtocolEngine*>, pkt::kNumMsgTypes + 1> registry_{};
 
-  std::vector<SwitchId> deployment_;  ///< replicas passed to add_space
-
-  pkt::ChainConfig chain_;
-  pkt::GroupConfig group_;
-  std::unordered_map<std::uint32_t, pkt::ChainConfig> space_chains_;  ///< §9 partitioning
+  /// Installed placement of every space, by space id.
+  std::unordered_map<std::uint32_t, Placement> placements_;
+  /// What placements_ holds before the first push and after reset_state: no
+  /// chain for an SRO/ERO space, the add_space replica set for any other.
+  std::unordered_map<std::uint32_t, Placement> initial_placements_;
 
   // Donor-side recovery stream and target-side cursor.
   std::optional<RecoveryStream> recovery_;

@@ -127,6 +127,19 @@ TEST(Consensus, ElectionCompletesAndWritesReplicateEverywhere) {
   }
 }
 
+TEST(Consensus, BootstrapRunsOneRoutedElection) {
+  // The bootstrap push installs routes before placements and notifies the
+  // engines once, and start() runs no election of its own: the coordinator
+  // starts exactly one election, and none of its prepares is dropped for
+  // want of a route.
+  Rig rig(cfg4());
+  rig.fabric.run_for(20 * kMs);
+  const auto snap = rig.fabric.metrics_snapshot();
+  EXPECT_EQ(snap.values.at("shm.sw1.con.elections_started").count, 1u);
+  EXPECT_EQ(snap.values.at("shm.sw1.con.elections_completed").count, 1u);
+  EXPECT_EQ(snap.values.at("pisa.sw1.dropped_noroute").count, 0u);
+}
+
 TEST(Consensus, ReadOnFollowerStaysLocalThroughIdlePeriods) {
   Rig rig(cfg4());
   rig.fabric.sw(2).inject(udp(77, 1003));

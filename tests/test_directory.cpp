@@ -89,15 +89,27 @@ TEST(Directory, StorageOnlyOnReplicas) {
 }
 
 TEST(Directory, SpaceChainInstalledEverywhere) {
-  Rig rig({1, 2});
+  Fabric fabric(Rig::make_cfg(4));
+  SpaceConfig part;
+  part.id = kPart;
+  part.name = "part";
+  part.cls = ConsistencyClass::kSRO;
+  part.size = 64;
+  fabric.add_space(part, {1, 2});
+  SpaceConfig whole = part;
+  whole.id = kPart + 1;
+  whole.name = "whole";
+  fabric.add_space(whole);
+  fabric.install(nullptr);
+  fabric.start();
   for (std::size_t i = 0; i < 4; ++i) {
-    const auto& chain = rig.fabric.runtime(i).chain_for(kPart);
-    ASSERT_EQ(chain.chain.size(), 2u);
-    EXPECT_EQ(chain.chain.front(), 1u);
-    EXPECT_EQ(chain.chain.back(), 2u);
+    const auto& chain = fabric.runtime(i).placement(kPart).members;
+    ASSERT_EQ(chain.size(), 2u);
+    EXPECT_EQ(chain.front(), 1u);
+    EXPECT_EQ(chain.back(), 2u);
   }
-  // The global chain still spans all four switches.
-  EXPECT_EQ(rig.fabric.runtime(0).chain().chain.size(), 4u);
+  // A space declared without a replica set still spans all four switches.
+  EXPECT_EQ(fabric.runtime(0).placement(kPart + 1).members.size(), 4u);
 }
 
 TEST(Directory, WriteFromReplicaCommitsOnReplicaGroupOnly) {
@@ -164,7 +176,7 @@ TEST(Directory, MigrationTransfersStateToNewReplicas) {
   // The directory and every switch's space chain now point at {3, 4}.
   ASSERT_NE(rig.fabric.controller().space_replicas(kPart), nullptr);
   EXPECT_EQ(*rig.fabric.controller().space_replicas(kPart), (std::vector<SwitchId>{3, 4}));
-  EXPECT_EQ(rig.fabric.runtime(0).chain_for(kPart).chain, (std::vector<SwitchId>{3, 4}));
+  EXPECT_EQ(rig.fabric.runtime(0).placement(kPart).members, (std::vector<SwitchId>{3, 4}));
 }
 
 TEST(Directory, WritesWorkAfterMigration) {
@@ -222,7 +234,7 @@ TEST(Directory, ShrinkMigrationNeedsNoStream) {
   rig.fabric.controller().migrate_space(kPart, {1, 2}, [&](TimeNs t) { migrated_at = t; });
   rig.fabric.run_for(200 * kMs);
   ASSERT_GT(migrated_at, 0);
-  EXPECT_EQ(rig.fabric.runtime(0).chain_for(kPart).chain, (std::vector<SwitchId>{1, 2}));
+  EXPECT_EQ(rig.fabric.runtime(0).placement(kPart).members, (std::vector<SwitchId>{1, 2}));
   // Writes still work against the shrunk chain.
   rig.fabric.sw(0).inject(udp(10, 1001));
   rig.fabric.run_for(100 * kMs);
@@ -247,7 +259,7 @@ TEST(Directory, FailureOfSpaceReplicaRepairsSpaceChain) {
   fabric.run_for(50 * kMs);
   fabric.kill_switch(1);  // space replica (id 2) dies
   fabric.run_for(100 * kMs);
-  EXPECT_EQ(fabric.runtime(0).chain_for(kPart).chain, (std::vector<SwitchId>{1, 3}));
+  EXPECT_EQ(fabric.runtime(0).placement(kPart).members, (std::vector<SwitchId>{1, 3}));
   // Writes to the space still commit on the surviving replicas.
   bool committed = false;
   fabric.runtime(3).write({{kPart, 7, 99}}, pkt::Packet{},
@@ -256,6 +268,89 @@ TEST(Directory, FailureOfSpaceReplicaRepairsSpaceChain) {
   EXPECT_TRUE(committed);
   EXPECT_EQ(fabric.runtime(0).sro_space(kPart)->read(7).value(), 99u);
   EXPECT_EQ(fabric.runtime(2).sro_space(kPart)->read(7).value(), 99u);
+}
+
+TEST(Directory, MigrationRefusesClassesThatSpanEverySwitch) {
+  // Only chain classes have a remote-access path, so only they may live on a
+  // subset; the directory refuses to migrate anything else, as
+  // add_remote_space refuses it at install.
+  Fabric fabric(Rig::make_cfg(4));
+  for (auto [id, cls] : {std::pair{std::uint32_t{60}, ConsistencyClass::kEWO},
+                         std::pair{std::uint32_t{61}, ConsistencyClass::kOWN},
+                         std::pair{std::uint32_t{62}, ConsistencyClass::kCON}}) {
+    SpaceConfig sp;
+    sp.id = id;
+    sp.name = to_string(cls);
+    sp.cls = cls;
+    sp.size = 16;
+    fabric.add_space(sp);
+  }
+  fabric.install(nullptr);
+  fabric.start();
+  for (std::uint32_t space : {60u, 61u, 62u, 99u}) {
+    EXPECT_THROW(fabric.controller().migrate_space(space, {1, 2}), std::invalid_argument)
+        << space;
+    if (space != 99u) {
+      EXPECT_EQ(fabric.controller().placement(space)->members,
+                (std::vector<SwitchId>{1, 2, 3, 4}));
+    }
+  }
+}
+
+TEST(Directory, RevivedReplicaRejoinsPartitionedSpaceWithState) {
+  // A revived replica of a partitioned space receives the space's state from
+  // the space's own live tail and rejoins its chain as the new tail — at any
+  // shard count, and through a later unrelated failover.
+  for (std::size_t shards : {1u, 2u}) {
+    FabricConfig cfg = Rig::make_cfg(4);
+    cfg.shards = shards;
+    cfg.runtime.heartbeat_period = 5 * kMs;
+    cfg.controller.heartbeat_timeout = 20 * kMs;
+    cfg.controller.check_period = 5 * kMs;
+    Fabric fabric(cfg);
+    SpaceConfig sp;
+    sp.id = kPart;
+    sp.name = "part";
+    sp.cls = ConsistencyClass::kSRO;
+    sp.size = 64;
+    fabric.add_space(sp, {1, 2, 3});
+    fabric.install(nullptr);
+    fabric.start();
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      fabric.runtime(0).write({{kPart, k, 100 + k}}, pkt::Packet{}, nullptr);
+    }
+    fabric.run_for(50 * kMs);
+    fabric.schedule_kill(1, fabric.simulator().now());  // replica id 2 dies
+    fabric.run_for(100 * kMs);
+    fabric.schedule_revive(1, fabric.simulator().now());
+    fabric.run_for(100 * kMs);
+    fabric.schedule_kill(3, fabric.simulator().now());  // unrelated switch id 4
+    fabric.run_for(100 * kMs);
+    for (std::size_t i : {0u, 1u, 2u}) {
+      EXPECT_EQ(fabric.runtime(i).placement(kPart).members, (std::vector<SwitchId>{1, 3, 2}))
+          << "switch " << i << ", " << shards << " shards";
+    }
+
+    bool own_committed = false;
+    bool existing_committed = false;
+    fabric.runtime(1).write({{kPart, 20, 7}}, pkt::Packet{},
+                            [&](pkt::Packet&&) { own_committed = true; });
+    fabric.runtime(0).write({{kPart, 3, 555}}, pkt::Packet{},
+                            [&](pkt::Packet&&) { existing_committed = true; });
+    fabric.run_for(300 * kMs);
+    EXPECT_TRUE(own_committed) << shards << " shards";
+    EXPECT_TRUE(existing_committed) << shards << " shards";
+    const SroSpaceState* rejoined = fabric.runtime(1).sro_space(kPart);
+    ASSERT_NE(rejoined, nullptr);
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      EXPECT_EQ(rejoined->read(k).value_or(0), k == 3 ? 555u : 100 + k)
+          << "key " << k << ", " << shards << " shards";
+    }
+    EXPECT_EQ(rejoined->read(20).value_or(0), 7u) << shards << " shards";
+    const auto snap = fabric.metrics_snapshot();
+    EXPECT_EQ(snap.values.at("shm.sw1.sro.writes_failed").count, 0u) << shards << " shards";
+    EXPECT_EQ(snap.values.at("shm.sw2.sro.writes_failed").count, 0u) << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // robustness, and full recovery via the tail's snapshot stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "swishmem/fabric.hpp"
 
 #include "read_value.hpp"
@@ -98,7 +100,7 @@ TEST(Failover, ChainShrinksAfterFailure) {
   rig.fabric.run_for(50 * kMs);
   rig.fabric.kill_switch(1);
   rig.fabric.run_for(100 * kMs);
-  const auto& chain = rig.fabric.controller().chain().chain;
+  const auto& chain = rig.fabric.controller().placement(kSpace)->members;
   EXPECT_EQ(chain.size(), 3u);
   EXPECT_EQ(std::count(chain.begin(), chain.end(), rig.fabric.sw(1).id()), 0);
 }
@@ -205,7 +207,7 @@ TEST(Recovery, SroStateRestoredToReplacementSwitch) {
     EXPECT_EQ(rig.fabric.runtime(1).sro_space(kSpace)->read(k).value(), 200u + k);
   }
   // And it rejoined as chain tail.
-  EXPECT_EQ(rig.fabric.controller().chain().chain.back(), rig.fabric.sw(1).id());
+  EXPECT_EQ(rig.fabric.controller().placement(kSpace)->members.back(), rig.fabric.sw(1).id());
   EXPECT_GT(rig.fabric.metrics_snapshot().values.at("shm.sw2.recovery_chunks_applied").count,
             0u);
 }
@@ -336,9 +338,84 @@ TEST(Recovery, RecoveredSwitchServesStrongReadsOnlyAfterJoin) {
   rig.fabric.revive_switch(1);
   // Immediately after revival (not yet in chain) the runtime must not claim
   // chain membership.
-  EXPECT_FALSE(rig.fabric.runtime(1).in_chain());
+  const auto joined_chain = [&rig]() {
+    return std::ranges::count(rig.fabric.runtime(1).placement(kSpace).members,
+                              rig.fabric.sw(1).id()) == 1;
+  };
+  EXPECT_FALSE(joined_chain());
   rig.fabric.run_for(500 * kMs);
-  EXPECT_TRUE(rig.fabric.runtime(1).in_chain());
+  EXPECT_TRUE(joined_chain());
+}
+
+TEST(Failover, ReadmissionPlacementPolicy) {
+  // One space per class: the rejoiner enters the EWO/OWN/kCON placements at
+  // the readmit push, and the SRO chain only once the donor's snapshot stream
+  // completes — both times appended last.
+  FabricConfig cfg = cfg4();
+  cfg.controller.mgmt_latency = 2 * kMs;
+  Fabric fabric(cfg);
+  constexpr std::uint32_t kOwn = 42;
+  constexpr std::uint32_t kCon = 43;
+  for (auto [id, cls] : {std::pair{kSpace, ConsistencyClass::kSRO},
+                         std::pair{kCtr, ConsistencyClass::kEWO},
+                         std::pair{kOwn, ConsistencyClass::kOWN},
+                         std::pair{kCon, ConsistencyClass::kCON}}) {
+    SpaceConfig sp;
+    sp.id = id;
+    sp.name = to_string(cls);
+    sp.cls = cls;
+    sp.size = 64;
+    fabric.add_space(sp);
+  }
+  fabric.install(nullptr);
+  fabric.start();
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    fabric.runtime(0).write({{kSpace, k, 100 + k}}, pkt::Packet{}, nullptr);
+  }
+  fabric.run_for(50 * kMs);
+  fabric.kill_switch(1);
+  fabric.run_for(100 * kMs);
+
+  const std::vector<SwitchId> without{1, 3, 4};
+  const std::vector<SwitchId> last{1, 3, 4, 2};
+  const Controller& ctl = fabric.controller();
+  const std::uint32_t failover_epoch = ctl.placement(kSpace)->epoch;
+  for (std::uint32_t space : {kSpace, kCtr, kOwn, kCon}) {
+    EXPECT_EQ(ctl.placement(space)->members, without) << space;
+  }
+
+  bool recovered = false;
+  fabric.controller().on_recovery_complete = [&](SwitchId, TimeNs) { recovered = true; };
+  fabric.revive_switch(1);
+  // The readmit push is stamped and sent at once; it lands one management
+  // latency later. The stream starts as it lands, so the join push cannot
+  // land before twice that.
+  EXPECT_EQ(ctl.placement(kSpace)->members, without);
+  fabric.run_for(3 * kMs);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const ShmRuntime& rt = fabric.runtime(i);
+    EXPECT_EQ(rt.placement(kSpace).members, without) << "switch " << i;
+    EXPECT_EQ(rt.placement(kSpace).epoch, failover_epoch + 1) << "switch " << i;
+    for (std::uint32_t space : {kCtr, kOwn, kCon}) {
+      EXPECT_EQ(rt.placement(space).members, last) << "switch " << i << " space " << space;
+      EXPECT_EQ(rt.placement(space).epoch, failover_epoch + 1) << "switch " << i;
+    }
+  }
+  EXPECT_FALSE(recovered);
+
+  fabric.run_for(200 * kMs);
+  ASSERT_TRUE(recovered);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const ShmRuntime& rt = fabric.runtime(i);
+    for (std::uint32_t space : {kSpace, kCtr, kOwn, kCon}) {
+      EXPECT_EQ(rt.placement(space).members, last) << "switch " << i << " space " << space;
+      EXPECT_EQ(rt.placement(space).epoch, failover_epoch + 2) << "switch " << i;
+    }
+  }
+  // The stream delivered the chain's state before the rejoiner became its tail.
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(fabric.runtime(1).sro_space(kSpace)->read(k).value(), 100 + k) << k;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // detection, refutation after revival, shard determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -135,7 +136,7 @@ std::set<SwitchId> verdicts_after_kill(MembershipProtocol proto, std::uint64_t s
   rig.fabric.kill_switch(2);
   rig.fabric.run_for(400 * kMs);
   // The verdict must have driven the unchanged repair machinery.
-  const auto& chain = rig.fabric.controller().chain().chain;
+  const auto& chain = rig.fabric.controller().placement(kSpace)->members;
   EXPECT_EQ(chain.size(), 3u) << to_string(proto) << " seed " << seed;
   EXPECT_EQ(std::count(chain.begin(), chain.end(), rig.fabric.sw(2).id()), 0);
   EXPECT_EQ(rig.faulty(), std::set<SwitchId>{rig.fabric.sw(2).id()});
@@ -218,7 +219,7 @@ TEST(MembershipSwim, DetectsKilledSwitchAndRepairsChain) {
   EXPECT_GT(detected_at, kill_time);
   // probe round (10 ms) + ping/indirect timeouts + 40 ms suspicion + slack
   EXPECT_LT(detected_at - kill_time, 100 * kMs);
-  const auto& chain = rig.fabric.controller().chain().chain;
+  const auto& chain = rig.fabric.controller().placement(kSpace)->members;
   EXPECT_EQ(chain.size(), 3u);
   EXPECT_EQ(std::count(chain.begin(), chain.end(), rig.fabric.sw(2).id()), 0);
 
@@ -264,7 +265,9 @@ TEST(MembershipSwim, RevivedSwitchRefutesStaleVerdictsAndRejoins) {
   rig.fabric.run_for(500 * kMs);
   // Readmitted and refuted: nobody may re-fail the member off stale rumors.
   EXPECT_TRUE(rig.faulty().empty());
-  EXPECT_TRUE(rig.fabric.runtime(1).in_chain());
+  EXPECT_EQ(std::ranges::count(rig.fabric.runtime(1).placement(kSpace).members,
+                               rig.fabric.sw(1).id()),
+            1);
   ASSERT_NE(rig.fabric.runtime(1).swim(), nullptr);
   EXPECT_GE(rig.fabric.runtime(1).swim()->incarnation(), 1u);
 }
@@ -293,7 +296,8 @@ TEST(MembershipSwim, ShardCountDoesNotChangeVerdicts) {
     rig.fabric.run_for(50 * kMs);
     rig.fabric.kill_switch(2);
     rig.fabric.run_for(300 * kMs);
-    EXPECT_EQ(rig.fabric.controller().chain().chain.size(), 3u) << shards << " shards";
+    EXPECT_EQ(rig.fabric.controller().placement(kSpace)->members.size(), 3u)
+        << shards << " shards";
     return rig.faulty();
   };
   const auto one = verdicts_at(1);

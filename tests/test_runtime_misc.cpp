@@ -1,5 +1,6 @@
-// Runtime edge cases: retry exhaustion, CP buffer limits, stale config
-// pushes, unknown spaces, and stats accounting.
+// Runtime edge cases: retry exhaustion, CP buffer limits, stale placement
+// pushes, retired in-band configuration frames, unknown spaces, and stats
+// accounting.
 #include <gtest/gtest.h>
 
 #include "swishmem/fabric.hpp"
@@ -74,18 +75,57 @@ TEST(RuntimeMisc, StaleConfigPushesIgnored) {
   cfg.num_switches = 3;
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
-  const auto epoch = fabric.runtime(0).chain().epoch;
-  ASSERT_GE(epoch, 1u);
-  pkt::ChainConfig stale;
-  stale.epoch = 0;
-  stale.chain = {99};
-  fabric.runtime(0).set_chain(stale);
-  EXPECT_EQ(fabric.runtime(0).chain().epoch, epoch);  // unchanged
-  pkt::GroupConfig stale_group;
-  stale_group.epoch = 0;
-  stale_group.members = {99};
-  fabric.runtime(0).set_group(stale_group);
-  EXPECT_NE(fabric.runtime(0).group().members, (std::vector<SwitchId>{99}));
+  ShmRuntime& rt = fabric.runtime(0);
+  const Placement chain = rt.placement(kSpace);
+  const Placement group = rt.placement(kSpace + 1);
+  ASSERT_GE(chain.epoch, 1u);
+  // An older epoch, and a replay of the installed one, are both stale.
+  rt.install_placements({{kSpace, Placement{0, {99}}}, {kSpace + 1, Placement{0, {99}}}});
+  rt.install_placements({{kSpace, Placement{chain.epoch, {99}}}});
+  EXPECT_EQ(rt.placement(kSpace), chain);  // unchanged
+  EXPECT_EQ(rt.placement(kSpace + 1), group);
+  EXPECT_NE(rt.placement(kSpace + 1).members, (std::vector<SwitchId>{99}));
+}
+
+TEST(RuntimeMisc, InBandConfigFramesIgnored) {
+  // The controller places spaces only over its management network. A frame
+  // shaped like the retired in-band chain (type 5) or group (type 6)
+  // configuration — epoch 1000, members {3} — injected at the edge decodes
+  // as malformed and is dropped, so it can neither move the switch's epoch
+  // nor strand its writes behind a chain nobody else uses.
+  FabricConfig cfg;
+  cfg.num_switches = 3;
+  std::unique_ptr<Fabric> holder;
+  Fabric& fabric = *make(holder, cfg);
+  ShmRuntime& rt = fabric.runtime(0);
+  const Placement chain = rt.placement(kSpace);
+  const Placement group = rt.placement(kSpace + 1);
+  for (std::uint8_t type : {std::uint8_t{5}, std::uint8_t{6}}) {
+    ByteWriter w(16);
+    w.u8(type);
+    w.u32(1000);
+    w.u16(1);
+    w.u32(3);
+    pkt::PacketSpec spec;
+    spec.ip_src = pkt::Ipv4Addr(1, 2, 3, 4);
+    spec.ip_dst = net::node_ip(1);
+    spec.protocol = pkt::kProtoUdp;
+    spec.src_port = pkt::kSwishPort;
+    spec.dst_port = pkt::kSwishPort;
+    spec.payload = std::move(w).take();
+    fabric.sw(0).inject(pkt::build_packet(spec));
+  }
+  fabric.run_for(1 * kMs);
+  EXPECT_EQ(rt.placement(kSpace), chain);
+  EXPECT_EQ(rt.placement(kSpace + 1), group);
+  const auto drops = fabric.all_drop_counts();
+  EXPECT_EQ(drops.at(1)[static_cast<std::size_t>(telemetry::DropReason::kParseError)], 2u);
+
+  bool committed = false;
+  rt.write({{kSpace, 1, 9}}, pkt::Packet{}, [&](pkt::Packet&&) { committed = true; });
+  fabric.run_for(100 * kMs);
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(fabric.metrics_snapshot().values.at("shm.sw1.sro.writes_failed").count, 0u);
 }
 
 TEST(RuntimeMisc, UnknownSpacesAreSafeNoOps) {

@@ -61,16 +61,6 @@ TEST(Wire, HeartbeatRoundTrip) {
   EXPECT_EQ(roundtrip(m), m);
 }
 
-TEST(Wire, ChainConfigRoundTrip) {
-  ChainConfig m{7, {1, 2, 3, 4}};
-  EXPECT_EQ(roundtrip(m), m);
-}
-
-TEST(Wire, GroupConfigRoundTrip) {
-  GroupConfig m{8, {9, 8, 7}};
-  EXPECT_EQ(roundtrip(m), m);
-}
-
 TEST(Wire, ReadRedirectRoundTrip) {
   ReadRedirect m{3, {1, 2, 3, 4, 5}};
   EXPECT_EQ(roundtrip(m), m);
@@ -241,7 +231,6 @@ TEST(Wire, ConTruncationRejectedEverywhere) {
 TEST(Wire, EmptyCollectionsRoundTrip) {
   EXPECT_EQ(roundtrip(WriteRequest{}), WriteRequest{});
   EXPECT_EQ(roundtrip(EwoUpdate{}), EwoUpdate{});
-  EXPECT_EQ(roundtrip(ChainConfig{}), ChainConfig{});
   EXPECT_EQ(roundtrip(ReadRedirect{}), ReadRedirect{});
   EXPECT_EQ(roundtrip(OwnUpdate{}), OwnUpdate{});
   EXPECT_EQ(roundtrip(SwimPing{}), SwimPing{});
@@ -257,6 +246,47 @@ TEST(Wire, EmptyCollectionsRoundTrip) {
 TEST(Wire, UnknownTypeRejected) {
   std::vector<std::uint8_t> bytes{0x7F, 0, 0, 0};
   EXPECT_FALSE(decode_message(bytes).has_value());
+  // Type bytes 5 and 6 are retired (the in-band chain/group configuration
+  // frames): a frame shaped like one — epoch, count, one member — is
+  // malformed, with or without the traced flag.
+  for (std::uint8_t type : {std::uint8_t{5}, std::uint8_t{6}}) {
+    for (std::uint8_t flag : {std::uint8_t{0}, kTracedFlag}) {
+      ByteWriter w(16);
+      w.u8(type | flag);
+      if (flag != 0) {
+        w.u64(1);
+        w.u64(2);
+        w.u8(0);
+      }
+      w.u32(1000);
+      w.u16(1);
+      w.u32(3);
+      const std::vector<std::uint8_t> frame = std::move(w).take();
+      EXPECT_FALSE(decode_message(frame).has_value()) << int(type | flag);
+    }
+  }
+}
+
+TEST(Wire, TypeBytesSkipRetiredConfigFrames) {
+  const auto type_byte = [](const SwishMessage& msg) { return encode_message(msg).front(); };
+  EXPECT_EQ(type_byte(WriteRequest{}), 1);
+  EXPECT_EQ(type_byte(WriteAck{}), 2);
+  EXPECT_EQ(type_byte(EwoUpdate{}), 3);
+  EXPECT_EQ(type_byte(Heartbeat{}), 4);
+  EXPECT_EQ(type_byte(ReadRedirect{}), 7);
+  EXPECT_EQ(type_byte(OwnRequest{}), 8);
+  EXPECT_EQ(type_byte(OwnGrant{}), 9);
+  EXPECT_EQ(type_byte(OwnUpdate{}), 10);
+  EXPECT_EQ(type_byte(SwimPing{}), 11);
+  EXPECT_EQ(type_byte(SwimAck{}), 12);
+  EXPECT_EQ(type_byte(SwimPingReq{}), 13);
+  EXPECT_EQ(type_byte(MembershipUpdate{}), 14);
+  EXPECT_EQ(type_byte(ConForward{}), 15);
+  EXPECT_EQ(type_byte(ConPrepare{}), 16);
+  EXPECT_EQ(type_byte(ConPromise{}), 17);
+  EXPECT_EQ(type_byte(ConAccept{}), 18);
+  EXPECT_EQ(type_byte(ConAccepted{}), 19);
+  EXPECT_EQ(type_byte(ConLearn{}), 20);
 }
 
 TEST(Wire, EmptyPayloadRejected) {
@@ -398,8 +428,6 @@ TEST(WireTrace, EveryMessageTypeCarriesContext) {
   check(WriteAck{1, 2, 3, {{1, 2, 3}}, {4}});
   check(EwoUpdate{1, false, {{1, 2, 3, 4}}});
   check(Heartbeat{1, 2});
-  check(ChainConfig{1, {1, 2}});
-  check(GroupConfig{1, {3}});
   check(ReadRedirect{1, {2}});
   check(OwnRequest{1, 2, 3, 4, false});
   check(SwimPing{1, 2, 3, 4, {{5, 1, 6, 7}}});

@@ -37,9 +37,10 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 # the consistency-conformance suite (the heaviest cross-switch protocol
 # traffic), the CoW store suites (snapshot pins shared across the recovery
 # path), the INT telemetry suites (per-node drop/report logs written from
-# every shard, gathered cross-shard by the health collector), and the
-# per-thread PacketStats stripes. TSan and ASan cannot share a build, hence
-# the second tree.
+# every shard, gathered cross-shard by the health collector), the
+# per-thread PacketStats stripes, and the controller's 2- and 4-shard
+# migrations and readmissions (pushes and stream kickoffs hop shards). TSan
+# and ASan cannot share a build, hence the second tree.
 TSAN_BUILD="$ROOT/build-check-tsan"
 cmake -B "$TSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -50,7 +51,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
 SWISH_SHARD_FORCE_THREADS=1 \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector|PacketStats'
+    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector|PacketStats|ControllerMigrate|Directory'
 
 echo
 echo "check.sh: clean (Werror + ASan/UBSan + TSan sharded suites)"
