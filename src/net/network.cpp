@@ -111,9 +111,7 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
   TimeNs tx_start = std::max(now, link.next_free_time);
   if (tx_start - now > link.params.max_queue_delay) {
     ++link.stats.packets_dropped_queue;
-    src_sim.tracer().record(telemetry::kTraceDrop, from, "link_queue_drop", link.to,
-                            packet.size());
-    src_sim.drops().record(from, telemetry::DropReason::kLinkQueueOverflow, packet.size(),
+    src_sim.records().drop(from, telemetry::DropReason::kLinkQueueOverflow, packet.size(),
                            link.to, int_hops_of(packet));
     return;
   }
@@ -132,9 +130,7 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
   // occupied and the packet stays counted in packets_sent.
   if (link.params.loss_probability > 0.0 && link.rng.chance(link.params.loss_probability)) {
     ++link.stats.packets_dropped_loss;
-    src_sim.tracer().record(telemetry::kTraceDrop, from, "link_loss_drop", link.to,
-                            packet.size());
-    src_sim.drops().record(from, telemetry::DropReason::kLinkLoss, packet.size(), link.to,
+    src_sim.records().drop(from, telemetry::DropReason::kLinkLoss, packet.size(), link.to,
                            int_hops_of(packet));
     return;
   }
@@ -170,8 +166,7 @@ void Network::send(NodeId from, PortId port, pkt::Packet packet, TimeNs egress_d
       // layer's suspicion window shows up here as typed dead-node drops.
       sim::Simulator& dst_sim = sim_for(to);
       ++dead;
-      dst_sim.tracer().record(telemetry::kTraceDrop, to, "dead_node_drop", from, p.size());
-      dst_sim.drops().record(to, telemetry::DropReason::kDeadNode, p.size(), from,
+      dst_sim.records().drop(to, telemetry::DropReason::kDeadNode, p.size(), from,
                              int_hops_of(p));
       return;
     }

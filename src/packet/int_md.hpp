@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "packet/packet.hpp"
-#include "telemetry/drop.hpp"
+#include "telemetry/records.hpp"
 
 namespace swish::pkt {
 

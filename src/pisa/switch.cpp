@@ -21,7 +21,7 @@ Switch::Switch(sim::Simulator& simulator, net::Network& network, NodeId id, Conf
       network_(network),
       config_(config),
       control_plane_(simulator, config.control_plane, switch_prefix(id) + "cp."),
-      tracer_(simulator.tracer()) {
+      records_(simulator.records()) {
   telemetry::MetricsRegistry& reg = simulator.metrics();
   const std::string prefix = switch_prefix(id);
   stats_.processed = reg.counter(prefix + "processed");
@@ -82,7 +82,6 @@ bool Switch::admit() {
   const TimeNs backlog = dp_free_time_ > now ? dp_free_time_ - now : 0;
   if (dp_per_packet_ > 0 && backlog > dp_backlog_limit_) {
     ++stats_.dropped_capacity;
-    tracer_.record(telemetry::kTraceDrop, id(), "dp_capacity_drop");
     return false;
   }
   dp_free_time_ = std::max(now, dp_free_time_) + dp_per_packet_;
@@ -97,7 +96,7 @@ void Switch::handle_packet(pkt::Packet packet, net::PortId ingress_port) {
 void Switch::inject(pkt::Packet packet) {
   if (!alive()) return;
   ++stats_.injected;
-  tracer_.record(telemetry::kTracePacket, id(), "inject", packet.size());
+  records_.trace(telemetry::kTracePacket, id(), "inject", packet.size());
   if (int_enabled() && --int_countdown_ == 0) {
     // 1-in-N edge sampling: tag this packet with an empty INT trailer. The
     // countdown is a pure function of this switch's inject sequence, so the
@@ -105,7 +104,7 @@ void Switch::inject(pkt::Packet packet) {
     int_countdown_ = config_.int_sample_every;
     packet = pkt::with_int_trailer(
         packet, static_cast<std::uint8_t>(std::min(config_.int_hop_cap, 255u)));
-    tracer_.record(telemetry::kTraceInt, id(), "int_tag", packet.size());
+    records_.trace(telemetry::kTraceInt, id(), "int_tag", packet.size());
   }
   process(std::move(packet), net::kInvalidPort, /*from_edge=*/true, /*recirc_count=*/0);
 }
@@ -134,7 +133,6 @@ void Switch::send_to_node(NodeId dst, pkt::Packet packet, std::uint64_t flow_has
   if (port == net::kInvalidPort) {
     SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
     ++stats_.dropped_noroute;
-    tracer_.record(telemetry::kTraceDrop, id(), "no_route_drop", dst);
     report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
     return;
   }
@@ -143,11 +141,11 @@ void Switch::send_to_node(NodeId dst, pkt::Packet packet, std::uint64_t flow_has
 
 void Switch::send_to_port(net::PortId port, pkt::Packet packet) {
   ++stats_.sent;
-  tracer_.record(telemetry::kTracePacket, id(), "send", port, packet.size());
+  records_.trace(telemetry::kTracePacket, id(), "send", port, packet.size());
   if (int_enabled() && pkt::has_int_trailer(packet)) {
     bool truncated = false;
     packet = pkt::push_int_hop(packet, make_int_hop(port), &truncated);
-    tracer_.record(telemetry::kTraceInt, id(), "int_hop", port, truncated ? 1 : 0);
+    records_.trace(telemetry::kTraceInt, id(), "int_hop", port, truncated ? 1 : 0);
   }
   // Egress after the pipeline traversal latency, handed to the network
   // directly instead of through a per-packet egress event: the latency is a
@@ -164,7 +162,7 @@ void Switch::deliver(pkt::Packet packet) {
     packet = pkt::strip_int_trailer(packet);
   }
   ++stats_.delivered;
-  tracer_.record(telemetry::kTracePacket, id(), "deliver", packet.size());
+  records_.trace(telemetry::kTracePacket, id(), "deliver", packet.size());
   if (!delivery_sink_) return;
   sim_.post_after(config_.pipeline_latency, [this, p = std::move(packet)]() {
     if (delivery_sink_) delivery_sink_(p);
@@ -174,12 +172,11 @@ void Switch::deliver(pkt::Packet packet) {
 void Switch::recirculate(pkt::Packet packet, unsigned recirc_count) {
   if (recirc_count >= config_.max_recirculations) {
     ++stats_.dropped_recirc;
-    tracer_.record(telemetry::kTraceDrop, id(), "recirc_cap_drop", recirc_count);
     report_drop(telemetry::DropReason::kRecircCap, &packet, recirc_count);
     return;
   }
   ++stats_.recirculated;
-  tracer_.record(telemetry::kTraceRecirc, id(), "recirculate", recirc_count);
+  records_.trace(telemetry::kTraceRecirc, id(), "recirculate", recirc_count);
   sim_.post_after(config_.pipeline_latency,
                   [this, p = std::move(packet), recirc_count]() mutable {
                     if (!alive()) return;
@@ -198,7 +195,6 @@ void Switch::multicast_nodes(std::span<const SwitchId> nodes, const pkt::Packet&
     if (port == net::kInvalidPort) {
       SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
       ++stats_.dropped_noroute;
-      tracer_.record(telemetry::kTraceDrop, id(), "no_route_drop", dst);
       report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
       continue;
     }
@@ -234,10 +230,8 @@ bool Switch::record_int_sink(const pkt::Packet& packet) {
   // the decoded report rather than on the wire (and is exempt from the cap).
   stack->hops.push_back(make_int_hop(net::kInvalidPort));
   const std::size_t original_bytes = packet.size() - pkt::int_trailer_size(packet);
-  sim_.int_log().record(id(), std::move(stack->hops), stack->truncated, stack->hop_cap,
-                        original_bytes);
-  tracer_.record(telemetry::kTraceInt, id(), "int_sink", original_bytes,
-                 stack->truncated ? 1 : 0);
+  records_.int_sink(id(), std::move(stack->hops), stack->truncated, stack->hop_cap,
+                    original_bytes);
   return true;
 }
 
@@ -253,7 +247,7 @@ void Switch::report_drop(telemetry::DropReason reason, const pkt::Packet* packet
       }
     }
   }
-  sim_.drops().record(id(), reason, bytes, detail, std::move(hops));
+  records_.drop(id(), reason, bytes, detail, std::move(hops));
 }
 
 sim::TimerHandle Switch::start_packet_generator(TimeNs period, std::function<void()> fn) {

@@ -160,7 +160,7 @@ class Switch : public net::Node {
   /// when a trailer was present (caller decides whether to strip it).
   bool record_int_sink(const pkt::Packet& packet);
 
-  /// Mirror-on-drop: records a typed drop into this simulator's drop ring,
+  /// Mirror-on-drop: records a typed drop into this simulator's record log,
   /// carrying the packet's INT hop stack when it has one. `packet` may be
   /// null for packetless drops (e.g. protocol-level rejects).
   void report_drop(telemetry::DropReason reason, const pkt::Packet* packet,
@@ -199,7 +199,7 @@ class Switch : public net::Node {
   net::RoutingTable routing_;
   std::vector<std::unique_ptr<StatefulObject>> objects_;
   std::function<void(const pkt::Packet&)> delivery_sink_;
-  telemetry::Tracer& tracer_;
+  telemetry::RecordLog& records_;
   Stats stats_;
   TimeNs dp_free_time_ = 0;
   // Hoisted out of the per-packet admit() path: service time per packet and

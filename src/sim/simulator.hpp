@@ -34,11 +34,10 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "telemetry/drop.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
+#include "telemetry/records.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 
 namespace swish::sim {
 
@@ -171,11 +170,9 @@ class Simulator {
     heap_.reserve(kInitialQueueCapacity);
     slots_.reserve(kInitialQueueCapacity);
     free_slots_.reserve(kInitialQueueCapacity);
-    tracer_.set_clock(&now_);
+    records_.set_clock(&now_);
     spans_.set_clock(&now_);
     observatory_.set_clock(&now_);
-    drops_.set_clock(&now_);
-    int_log_.set_clock(&now_);
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -183,14 +180,14 @@ class Simulator {
   [[nodiscard]] TimeNs now() const noexcept { return now_; }
 
   /// Per-simulation telemetry. Every component already holds a Simulator&,
-  /// so the registry and flight recorder are reachable from any layer
+  /// so the registry and record log are reachable from any layer
   /// without threading them through constructors; one instance per
   /// simulation keeps concurrent experiments in one process isolated (and
   /// runs deterministic).
   [[nodiscard]] telemetry::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] telemetry::Tracer& tracer() noexcept { return tracer_; }
-  [[nodiscard]] const telemetry::Tracer& tracer() const noexcept { return tracer_; }
+  [[nodiscard]] telemetry::RecordLog& records() noexcept { return records_; }
+  [[nodiscard]] const telemetry::RecordLog& records() const noexcept { return records_; }
   [[nodiscard]] telemetry::SpanRecorder& spans() noexcept { return spans_; }
   [[nodiscard]] const telemetry::SpanRecorder& spans() const noexcept { return spans_; }
   [[nodiscard]] telemetry::ConsistencyObservatory& observatory() noexcept {
@@ -199,10 +196,6 @@ class Simulator {
   [[nodiscard]] const telemetry::ConsistencyObservatory& observatory() const noexcept {
     return observatory_;
   }
-  [[nodiscard]] telemetry::DropRing& drops() noexcept { return drops_; }
-  [[nodiscard]] const telemetry::DropRing& drops() const noexcept { return drops_; }
-  [[nodiscard]] telemetry::IntReportLog& int_log() noexcept { return int_log_; }
-  [[nodiscard]] const telemetry::IntReportLog& int_log() const noexcept { return int_log_; }
 
   /// Fire-and-forget: runs `fn` at absolute virtual time `t` (>= now). No
   /// cancellation flag is allocated; use this on hot paths that never cancel.
@@ -308,11 +301,9 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   telemetry::MetricsRegistry metrics_;
-  telemetry::Tracer tracer_;
+  telemetry::RecordLog records_;
   telemetry::SpanRecorder spans_;
   telemetry::ConsistencyObservatory observatory_;
-  telemetry::DropRing drops_;
-  telemetry::IntReportLog int_log_;
 };
 
 }  // namespace swish::sim

@@ -139,7 +139,7 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
     throw std::invalid_argument(std::string("migrate_space: ") + to_string(entry.config.cls) +
                                 " spaces span every switch");
   }
-  sim_.tracer().record(telemetry::kTraceMigration, id(), "migrate_space_start", space,
+  sim_.records().trace(telemetry::kTraceMigration, id(), "migrate_space_start", space,
                        new_replicas.size());
 
   // New members need storage before the stream arrives.
@@ -160,7 +160,7 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
     e.replicas = new_replicas;
     e.placement.members = live(new_replicas);
     push(/*immediate=*/false, space, joiners);
-    sim_.tracer().record(telemetry::kTraceMigration, id(), "migrate_space_done", space,
+    sim_.records().trace(telemetry::kTraceMigration, id(), "migrate_space_done", space,
                          e.placement.epoch);
     if (done) {
       sim_.post_after(config_.mgmt_latency, [this, done]() { done(sim_.now()); });
@@ -199,7 +199,7 @@ void Controller::declare_failed(SwitchId id) { membership_->force_fail(id); }
 
 void Controller::handle_failure(SwitchId failed, TimeNs detection_ns) {
   SWISH_LOG_INFO("controller: switch ", failed, " declared failed at ", sim_.now());
-  sim_.tracer().record(telemetry::kTraceFailover, id(), "switch_failed", failed);
+  sim_.records().trace(telemetry::kTraceFailover, id(), "switch_failed", failed);
   ++failures_detected_;
   detection_ns_.add(static_cast<std::uint64_t>(detection_ns));
   if (on_failure_detected) on_failure_detected(failed, sim_.now());
@@ -210,7 +210,7 @@ void Controller::handle_failure(SwitchId failed, TimeNs detection_ns) {
 
   const TimeNs detected_at = sim_.now();
   sim_.post_after(config_.mgmt_latency, [this, failed, detected_at]() {
-    sim_.tracer().record(telemetry::kTraceFailover, id(), "failover_complete", failed);
+    sim_.records().trace(telemetry::kTraceFailover, id(), "failover_complete", failed);
     repair_ns_.add(static_cast<std::uint64_t>(sim_.now() - detected_at));
     if (on_failover_complete) on_failover_complete(failed, sim_.now());
   });
@@ -218,8 +218,11 @@ void Controller::handle_failure(SwitchId failed, TimeNs detection_ns) {
 
 void Controller::readmit_switch(SwitchId id) {
   const MemberStatus* status = membership_->view().find(id);
-  if (status == nullptr || status->state != MemberState::kFaulty) return;
-  sim_.tracer().record(telemetry::kTraceFailover, this->id(), "readmit_switch", id);
+  if (status == nullptr) return;
+  // A revive wipes the switch's state even when it beats failure detection:
+  // fail it first, so it leaves every placement, then readmit it as usual.
+  if (status->state != MemberState::kFaulty) declare_failed(id);
+  sim_.records().trace(telemetry::kTraceFailover, this->id(), "readmit_switch", id);
   membership_->readmit(id);
 
   // The rejoiner is appended last to each space declaring it: at once for

@@ -68,7 +68,8 @@ class Controller : public net::Node {
   /// Re-admits a recovered/replacement switch, appended last to every space
   /// declaring it: EWO/OWN/kCON placements take it at once (sync, backup
   /// flushes and repair restore its state, §6.3); an SRO/ERO placement takes
-  /// it only after a snapshot stream from that space's live tail.
+  /// it only after a snapshot stream from that space's live tail. A switch
+  /// not yet declared failed is failed first.
   void readmit_switch(SwitchId id);
 
   // -- Directory service (§9) ---------------------------------------------------

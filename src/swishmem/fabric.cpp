@@ -1,7 +1,6 @@
 #include "swishmem/fabric.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "net/partition.hpp"
@@ -229,37 +228,14 @@ void Fabric::enable_spans(std::uint64_t sample_every, std::size_t max_spans) {
   }
 }
 
-std::vector<telemetry::DropRecord> Fabric::all_drop_records() const {
-  std::vector<telemetry::DropRecord> out;
-  for (std::size_t k = 0; k < shards_.count(); ++k) {
-    std::vector<telemetry::DropRecord> part = shards_.sim(k).drops().records();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  telemetry::sort_canonical(out);
-  return out;
+void Fabric::enable_trace(std::uint32_t mask) {
+  for (std::size_t k = 0; k < shards_.count(); ++k) shards_.sim(k).records().enable_trace(mask);
 }
 
-std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>>
-Fabric::all_drop_counts() const {
-  std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>> out;
-  for (std::size_t k = 0; k < shards_.count(); ++k) {
-    for (const auto& [node, counts] : shards_.sim(k).drops().counts()) {
-      auto& dst = out[node];
-      for (std::size_t r = 0; r < telemetry::kNumDropReasons; ++r) dst[r] += counts[r];
-    }
-  }
-  return out;
-}
-
-std::vector<telemetry::IntSinkReport> Fabric::all_int_reports() const {
-  std::vector<telemetry::IntSinkReport> out;
-  for (std::size_t k = 0; k < shards_.count(); ++k) {
-    std::vector<telemetry::IntSinkReport> part = shards_.sim(k).int_log().reports();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  telemetry::sort_canonical(out);
+telemetry::Records Fabric::all_records() const {
+  telemetry::Records out;
+  for (std::size_t k = 0; k < shards_.count(); ++k) shards_.sim(k).records().collect(out);
+  out.sort_canonical();
   return out;
 }
 

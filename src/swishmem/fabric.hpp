@@ -136,17 +136,13 @@ class Fabric {
   /// All recorded causal spans, concatenated in shard order.
   [[nodiscard]] std::vector<telemetry::Span> all_spans() const { return shards_.all_spans(); }
 
-  /// All drop records across shards in canonical (time, node, seq) order —
-  /// identical at every shard count (per-node rings, per-node seq).
-  [[nodiscard]] std::vector<telemetry::DropRecord> all_drop_records() const;
+  /// Every shard's record log gathered: trace events, drop records and INT
+  /// sink reports in canonical (time, node, seq) order, and drop tallies
+  /// summed. Deterministic at every shard count (per-node logs and seqs).
+  [[nodiscard]] telemetry::Records all_records() const;
 
-  /// Per-(node, reason) drop totals summed across shards (never evicted,
-  /// unlike the bounded record rings).
-  [[nodiscard]] std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>>
-  all_drop_counts() const;
-
-  /// All INT sink reports across shards in canonical (time, sink, seq) order.
-  [[nodiscard]] std::vector<telemetry::IntSinkReport> all_int_reports() const;
+  /// Traces the categories in `mask` on every shard's record log.
+  void enable_trace(std::uint32_t mask);
 
   /// Enables span sampling on every shard's recorder.
   void enable_spans(std::uint64_t sample_every,

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "swishmem/runtime.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/records.hpp"
 
 namespace swish::shm {
 
@@ -482,7 +482,7 @@ void SwimAgent::send_msg(SwitchId dst, const pkt::SwishMessage& msg) {
 }
 
 void SwimAgent::trace(const char* what, std::uint64_t a, std::uint64_t b) {
-  host_.sw().simulator().tracer().record(telemetry::kTraceMembership, host_.self(), what, a, b);
+  host_.sw().simulator().records().trace(telemetry::kTraceMembership, host_.self(), what, a, b);
 }
 
 }  // namespace swish::shm

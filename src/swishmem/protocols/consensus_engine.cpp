@@ -211,7 +211,7 @@ void ConsensusEngine::on_promise(const pkt::ConPromise& msg) {
 void ConsensusEngine::finish_election() {
   electing_ = false;
   ++stats_.elections_completed;
-  host_.sw().simulator().tracer().record(telemetry::kTraceFailover, host_.self(),
+  host_.sw().simulator().records().trace(telemetry::kTraceFailover, host_.self(),
                                          "con_coordinator_elected", epoch());
   // Adopt the recovered log: the writer/req_id of every known slot is
   // sequenced (forward dedup across coordinator changes), and the proposal

@@ -25,9 +25,9 @@
 #include "packet/swish_wire.hpp"
 #include "swishmem/config.hpp"
 #include "swishmem/store/ordered_index.hpp"
-#include "telemetry/drop.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
+#include "telemetry/records.hpp"
 #include "telemetry/span.hpp"
 
 namespace swish::pisa {
@@ -125,8 +125,8 @@ class EngineHost {
                             const std::vector<SeqNum>& seqs) = 0;
 
   /// Mirror-on-drop: reports a protocol-level reject/abandon (queue
-  /// overflow, retry exhaustion, quorum loss) into the simulation's typed
-  /// drop ring. `detail` is site-specific (usually the key or peer involved).
+  /// overflow, retry exhaustion, quorum loss) into the simulation's record
+  /// log. `detail` is site-specific (usually the key or peer involved).
   /// Defaulted to a no-op: external hosts need no forensics.
   virtual void report_drop(telemetry::DropReason reason, std::uint64_t detail) {
     (void)reason;

@@ -284,7 +284,7 @@ void OwnerEngine::install_grant(const pkt::OwnGrant& msg) {
   if (msg.version >= st.version(msg.key)) st.store(msg.key, msg.value, msg.version);
   st.set_owned(msg.key, true);
   ++stats_.acquisitions_completed;
-  host_.sw().simulator().tracer().record(telemetry::kTraceMigration, host_.self(),
+  host_.sw().simulator().records().trace(telemetry::kTraceMigration, host_.self(),
                                          "own_acquired", msg.space, msg.key);
   trace_point("own_acquired", msg.space, msg.key);
   pit->second.retry_timer.cancel();
@@ -318,7 +318,7 @@ void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
     if (st.owned(msg.key)) {
       st.set_owned(msg.key, false);
       ++stats_.revokes_served;
-      host_.sw().simulator().tracer().record(telemetry::kTraceMigration, host_.self(),
+      host_.sw().simulator().records().trace(telemetry::kTraceMigration, host_.self(),
                                              "own_revoked", msg.space, msg.key);
       trace_point("own_revoke", msg.space, msg.key);
     }

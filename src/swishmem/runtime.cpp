@@ -316,9 +316,9 @@ std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
   // Per-class protocol-message tracing: every protocol byte leaves through
   // here, so one probe covers all four engines. The mask pre-check keeps the
   // category/name switches off the path when tracing is disabled.
-  telemetry::Tracer& tracer = sw_.simulator().tracer();
-  if (tracer.mask() != 0) {
-    tracer.record(msg_trace_category(msg), sw_.id(), msg_trace_name(msg), dst, n);
+  telemetry::RecordLog& records = sw_.simulator().records();
+  if (records.trace_mask() != 0) {
+    records.trace(msg_trace_category(msg), sw_.id(), msg_trace_name(msg), dst, n);
   }
   sw_.send_to_node(dst, std::move(packet), rng_.next());
   return n - int_overhead;

@@ -91,9 +91,8 @@ void HealthCollector::ingest_reports(const std::vector<IntSinkReport>& reports) 
   }
 }
 
-void HealthCollector::ingest_drops(
-    const std::vector<DropRecord>& records,
-    const std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>>& counts) {
+void HealthCollector::ingest_drops(const std::vector<DropRecord>& records,
+                                   const std::map<NodeId, DropTally>& counts) {
   for (const DropRecord& rec : records) {
     drop_times_[rec.node].push_back(rec.time);
     observe(rec.time, observed_min_, observed_max_, observed_any_);
@@ -270,7 +269,7 @@ void HealthCollector::publish(MetricsRegistry& reg) const {
   reg.counter("health.drop.total") += drops_total_;
   reg.counter("health.drop.attributed") += drops_attributed();
 
-  std::array<std::uint64_t, kNumDropReasons> fleet{};
+  DropTally fleet{};
   for (const auto& [node, arr] : drop_counts_) {
     for (std::size_t r = 0; r < kNumDropReasons; ++r) fleet[r] += arr[r];
   }

@@ -1,5 +1,5 @@
 // Streaming fleet-health collector: turns the raw INT telemetry streams
-// (sink reports from IntReportLog, mirror-on-drop records from DropRing,
+// (INT sink reports and mirror-on-drop records from the record log,
 // consistency-lag histograms from the observatory) into a health scorecard:
 //
 //  - per-directed-link hop latency distributions (p50/p99), derived from
@@ -13,11 +13,11 @@
 //    drop-rate spikes.
 //
 // The collector is shard-merge-aware by construction: its inputs are the
-// canonically sorted fabric-wide gathers (Fabric::all_int_reports /
-// all_drop_records / all_drop_counts, merged metrics snapshot), which are
-// identical at every shard count, and every derived computation iterates
-// sorted containers — so publish(), to_json(), and the report are
-// byte-deterministic and shard-count-invariant.
+// canonically sorted fabric-wide gathers (Fabric::all_records() and the
+// merged metrics snapshot), which are identical at every shard count for
+// shard-local traffic, and every derived computation iterates sorted
+// containers — so publish(), to_json(), and the report are byte-deterministic
+// and shard-count-invariant.
 //
 // Results publish into a `health.*` metrics subtree, export as line-
 // structured JSON (`swish_sim --health-json`, re-readable by
@@ -25,7 +25,6 @@
 // (queue-depth per switch) that ride in the same trace file as spans.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -34,9 +33,9 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "telemetry/drop.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/records.hpp"
 
 namespace swish::telemetry {
 
@@ -129,9 +128,8 @@ class HealthCollector {
 
   /// Mirror-on-drop forensics: retained records (canonical order) for the
   /// spike detector, exact per-(node, reason) tallies for attribution.
-  void ingest_drops(
-      const std::vector<DropRecord>& records,
-      const std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>>& counts);
+  void ingest_drops(const std::vector<DropRecord>& records,
+                    const std::map<NodeId, DropTally>& counts);
 
   /// Scans a merged metrics snapshot for `lag.class.<CLS>.propagation_ns`
   /// histograms (the consistency observatory's per-class aggregate) to feed
@@ -148,8 +146,7 @@ class HealthCollector {
   [[nodiscard]] const std::vector<SwitchHealth>& switches() const noexcept { return switches_; }
   [[nodiscard]] const std::vector<SloBurn>& slo_burns() const noexcept { return burns_; }
   [[nodiscard]] const std::vector<AnomalyFlag>& anomalies() const noexcept { return anomalies_; }
-  [[nodiscard]] const std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>>& drop_counts()
-      const noexcept {
+  [[nodiscard]] const std::map<NodeId, DropTally>& drop_counts() const noexcept {
     return drop_counts_;
   }
 
@@ -189,7 +186,7 @@ class HealthCollector {
   std::map<std::pair<NodeId, NodeId>, Histogram> link_ns_;
   std::map<NodeId, std::vector<std::pair<TimeNs, std::uint32_t>>> queue_series_;
   std::map<NodeId, std::vector<TimeNs>> drop_times_;
-  std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>> drop_counts_;
+  std::map<NodeId, DropTally> drop_counts_;
   std::map<std::string, Histogram> lag_;
   std::map<std::string, TimeNs> slo_;
   std::uint64_t int_reports_ = 0;

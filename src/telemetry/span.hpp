@@ -9,7 +9,7 @@
 // parent_span is the wire context it continued; post-run stitching
 // (telemetry/export.hpp) rebuilds the cross-switch causal DAG from these
 // parent edges. The recorder is owned by sim::Simulator next to the
-// MetricsRegistry/Tracer, so identical seeded runs record identical spans.
+// MetricsRegistry and RecordLog, so identical seeded runs record identical spans.
 #pragma once
 
 #include <cstddef>
@@ -104,7 +104,7 @@ class SpanRecorder {
   }
 
   /// The simulator stamps spans with virtual time via this hook (same
-  /// pattern as Tracer::set_clock).
+  /// pattern as RecordLog::set_clock).
   void set_clock(const TimeNs* now) noexcept { now_ = now; }
   [[nodiscard]] TimeNs now() const noexcept { return now_ ? *now_ : 0; }
 

@@ -3,13 +3,16 @@
 #   1. Malformed arguments exit with status 2 and a usage message on stderr —
 #      never an uncaught exception (which would abort with SIGABRT/134).
 #   2. Two same-seed runs export byte-identical --metrics-json documents.
-#   3. --trace writes a parseable flight-recorder dump.
+#   3. --trace writes a parseable flight-recorder dump, at any shard count.
 #   4. Causal tracing: --perfetto emits a trace-event JSON the analyze
-#      subcommand accepts, --timeseries emits CSV, --metrics-json - writes
-#      pure JSON to stdout, and --trace-mask errors enumerate valid names.
+#      subcommand accepts, --timeseries emits CSV, an output given as "-"
+#      (--metrics-json, --drops-json, --health-json) writes pure JSON to
+#      stdout and at most one may, and --trace-mask errors enumerate valid
+#      names.
 #   5. Sharding: impossible --shards values exit 2 with a diagnostic,
 #      --shards 1 is byte-identical to the flagless run, and same-seed
-#      multi-shard runs are byte-identical to each other.
+#      multi-shard runs (trace dumps included) are byte-identical to each
+#      other.
 set -u
 
 BIN="${1:?usage: cli_swish_sim_test.sh <path-to-swish_sim>}"
@@ -166,8 +169,26 @@ expect_error2 "exceeds the fabric"       --switches 3 --shards 9
 expect_error2 "expects a count"          --switches 3 --shards banana
 expect_error2 "expects a count"          --switches 3 --shards 2x
 expect_error2 "multi-switch fabric"      --switches 1 --shards auto
-expect_error2 "require --shards 1"       --switches 3 --shards 3 --trace "$TMP/t.txt"
 expect_error2 "require --shards 1"       --switches 3 --shards 3 --timeseries "$TMP/t.csv"
+
+# --trace dumps every shard's record log: a sharded kill run traces the
+# failover, and two same-seed runs dump byte-identical traces.
+for i in 1 2; do
+  if ! "$BIN" --switches 3 --shards 3 --duration-ms 60 --kill 1:20 --seed 11 --quiet \
+       --trace "$TMP/trace_s3_$i.txt" --trace-mask drop,failover >/dev/null 2>&1; then
+    echo "FAIL: --shards 3 --trace run $i exited nonzero"
+    fail=1
+  fi
+done
+grep -q "switch_failed" "$TMP/trace_s3_1.txt" || {
+  echo "FAIL: --shards 3 trace dump has no switch_failed event"
+  fail=1
+}
+cmp -s "$TMP/trace_s3_1.txt" "$TMP/trace_s3_2.txt" || {
+  echo "FAIL: same-seed --shards 3 runs produced different trace dumps"
+  diff "$TMP/trace_s3_1.txt" "$TMP/trace_s3_2.txt" | head -20
+  fail=1
+}
 
 # --shards 1 must reproduce the flagless (legacy single-threaded) run
 # byte-for-byte: m1.json above was exported without the flag.
@@ -366,6 +387,26 @@ cmp -s "$TMP/health_s2_1.json" "$TMP/health_s2_2.json" || {
   diff "$TMP/health_s2_1.json" "$TMP/health_s2_2.json" | head -20
   fail=1
 }
+
+# Any output given as "-" owns stdout (the report moves to stderr), so the
+# --drops-json - and --health-json - documents equal their file exports, and
+# two "-" outputs are refused.
+if ! "$BIN" "${int_args[@]}" --drops-json "$TMP/drops_f.json" \
+     --health-json "$TMP/health_f.json" >/dev/null 2>&1; then
+  echo "FAIL: --drops-json/--health-json file run exited nonzero"
+  fail=1
+fi
+for out in drops health; do
+  if ! "$BIN" "${int_args[@]}" --$out-json - >"$TMP/${out}_stdout.json" 2>/dev/null; then
+    echo "FAIL: --$out-json - run exited nonzero"
+    fail=1
+  fi
+  cmp -s "$TMP/${out}_stdout.json" "$TMP/${out}_f.json" || {
+    echo "FAIL: --$out-json - stdout differs from file export"
+    fail=1
+  }
+done
+expect_error2 "only one output" --duration-ms 20 --metrics-json - --drops-json -
 
 # An unsampled run is byte-identical with and without --int-hop-cap (the cap
 # alone must not perturb anything; a warning on stderr is the only effect).

@@ -418,5 +418,62 @@ TEST(Failover, ReadmissionPlacementPolicy) {
   }
 }
 
+TEST(Failover, ReviveBeforeDetectionRejoins) {
+  // A revive wipes the switch's state even when it lands before the failure
+  // is detected, or on the detection's own nanosecond (the revive runs
+  // first). Either way the switch must end up back in every placement it
+  // declares, with its SRO writes committing.
+  constexpr std::size_t kVictim = 2;
+  constexpr TimeNs kKillAt = 40 * kMs;
+  for (MembershipProtocol membership :
+       {MembershipProtocol::kHeartbeat, MembershipProtocol::kSwim}) {
+    for (std::size_t shards : {1, 2}) {
+      FabricConfig cfg = cfg4();
+      cfg.controller.membership = membership;
+      cfg.shards = shards;
+      TimeNs detected_at = 0;
+      {
+        Rig probe(cfg);
+        probe.fabric.controller().on_failure_detected = [&](SwitchId, TimeNs t) {
+          detected_at = t;
+        };
+        probe.fabric.schedule_kill(kVictim, kKillAt);
+        probe.fabric.run_for(300 * kMs);
+      }
+      ASSERT_GT(detected_at, kKillAt + 5 * kMs) << to_string(membership);
+
+      for (TimeNs revive_at : {kKillAt + 5 * kMs, detected_at}) {
+        SCOPED_TRACE(std::string(to_string(membership)) + ", " + std::to_string(shards) +
+                     " shard(s), revive at " + std::to_string(revive_at) + " ns");
+        Rig rig(cfg);
+        rig.fabric.schedule_kill(kVictim, kKillAt);
+        rig.fabric.schedule_revive(kVictim, revive_at);
+        rig.fabric.run_for(revive_at + 500 * kMs);
+        const SwitchId id = rig.fabric.sw(kVictim).id();
+        for (std::uint32_t space : {kSpace, kCtr}) {
+          EXPECT_EQ(std::ranges::count(rig.fabric.controller().placement(space)->members, id), 1)
+              << "space " << space;
+        }
+
+        int committed = 0;
+        Fabric* f = &rig.fabric;
+        sim::Simulator& sim = rig.fabric.simulator_for(kVictim);
+        sim.schedule_at(sim.now() + 1 * kMs, [f, &committed]() {
+          for (std::uint64_t k = 0; k < 8; ++k) {
+            f->runtime(kVictim).write({{kSpace, k, 500 + k}}, pkt::Packet{},
+                                      [&committed](pkt::Packet&&) { ++committed; });
+          }
+        });
+        rig.fabric.run_for(200 * kMs);
+        EXPECT_EQ(committed, 8);
+        EXPECT_EQ(rig.fabric.metrics_snapshot()
+                      .values.at("shm.sw" + std::to_string(id) + ".sro.writes_failed")
+                      .count,
+                  0u);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace swish::shm

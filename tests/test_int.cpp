@@ -1,22 +1,26 @@
 // In-band network telemetry (INT) tests: the INT-MD wire codec (trailer
 // round-trip, hop-cap truncation), mirror-on-drop forensics (every network
 // loss carries a typed reason attributed to an exact switch, including under
-// a kill schedule), INT sink reports (per-hop path extraction), and the
-// fleet-health collector (SLO burn math, anomaly detectors on synthetic
-// series, JSON round-trip, and byte-identical output across --shards
-// {1, 2, 4} under loss).
+// a kill schedule), INT sink reports (per-hop path extraction), the record
+// log's trace view (drop lines match the tallies; sharded dumps are
+// deterministic), and the fleet-health collector (SLO burn math, anomaly
+// detectors on synthetic series, JSON round-trip, and byte-identical output
+// across --shards {1, 2, 4} under loss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "packet/int_md.hpp"
 #include "packet/packet.hpp"
 #include "swishmem/fabric.hpp"
 #include "telemetry/collector.hpp"
-#include "telemetry/drop.hpp"
+#include "telemetry/records.hpp"
 
 // ---------------------------------------------------------------------------
 // Wire codec
@@ -178,7 +182,7 @@ struct IntRig {
 
   std::map<telemetry::DropReason, std::uint64_t> fleet_drops() {
     std::map<telemetry::DropReason, std::uint64_t> out;
-    for (const auto& [node, counts] : fabric.all_drop_counts()) {
+    for (const auto& [node, counts] : fabric.all_records().drop_counts) {
       for (std::size_t r = 0; r < telemetry::kNumDropReasons; ++r) {
         if (counts[r] != 0) out[static_cast<telemetry::DropReason>(r)] += counts[r];
       }
@@ -204,7 +208,7 @@ TEST(MirrorOnDrop, EveryNetworkLossHasTypedReasonAndLocation) {
   // Every retained record names a switch and a reason inside the enum, and
   // per-node seqs are dense recording order.
   std::map<NodeId, std::uint64_t> last_seq;
-  for (const auto& rec : rig.fabric.all_drop_records()) {
+  for (const auto& rec : rig.fabric.all_records().drops) {
     EXPECT_NE(rec.node, kInvalidNode);
     EXPECT_LT(static_cast<std::size_t>(rec.reason), telemetry::kNumDropReasons);
     EXPECT_EQ(rec.seq, last_seq[rec.node] + 1) << "node " << rec.node;
@@ -220,7 +224,7 @@ TEST(MirrorOnDrop, KillScheduleAttributesDeadNodeBlackholes) {
   const auto net = rig.fabric.network().total_stats();
   ASSERT_GT(net.packets_dropped_dead, 0u);
 
-  const auto counts = rig.fabric.all_drop_counts();
+  const auto counts = rig.fabric.all_records().drop_counts;
   const auto it = counts.find(rig.fabric.switch_ids().at(1));
   ASSERT_NE(it, counts.end());
   const std::uint64_t at_dead_switch =
@@ -233,12 +237,12 @@ TEST(IntSink, ReportsCarryTheFullPerHopPath) {
   IntRig rig;
   rig.drive_writes();
 
-  const auto reports = rig.fabric.all_int_reports();
+  const auto reports = rig.fabric.all_records().int_reports;
   ASSERT_FALSE(reports.empty());
   for (const auto& rep : reports) {
     ASSERT_FALSE(rep.hops.empty());
     // The sink switch appends itself as the final decoded hop.
-    EXPECT_EQ(rep.hops.back().switch_id, rep.sink);
+    EXPECT_EQ(rep.hops.back().switch_id, rep.node);
     EXPECT_GT(rep.packet_bytes, 0u);
     if (!rep.truncated) {
       EXPECT_LE(rep.hops.size(), static_cast<std::size_t>(rep.hop_cap) + 1);
@@ -254,7 +258,68 @@ TEST(IntSink, ReportsCarryTheFullPerHopPath) {
 TEST(IntSink, UnsampledRunRecordsNothing) {
   IntRig rig(/*shards=*/1, /*loss=*/0.0, /*sample=*/0);
   rig.drive_writes();
-  EXPECT_TRUE(rig.fabric.all_int_reports().empty());
+  EXPECT_TRUE(rig.fabric.all_records().int_reports.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The record log's trace view, full-fabric
+// ---------------------------------------------------------------------------
+
+TEST(RecordLog, DropTraceMatchesTallies) {
+  // Every drop, protocol-level ones included, emits its own `drop` trace event
+  // named by its reason, so the trace's per-(node, reason) counts equal the
+  // exact tallies at every shard count.
+  for (std::size_t shards : {1, 2}) {
+    IntRig rig(shards, /*loss=*/0.3, /*sample=*/0);
+    rig.fabric.enable_trace(telemetry::kTraceDrop);
+    rig.drive_writes();
+    const telemetry::Records records = rig.fabric.all_records();
+    ASSERT_EQ(records.events_recorded, records.events.size()) << "nothing may be evicted";
+
+    std::map<std::pair<NodeId, std::string>, std::uint64_t> traced;
+    std::map<std::pair<NodeId, std::string>, std::uint64_t> tallied;
+    for (const telemetry::TraceEvent& ev : records.events) {
+      EXPECT_EQ(ev.category, telemetry::kTraceDrop);
+      ++traced[{ev.node, ev.what}];
+    }
+    for (const auto& [node, tally] : records.drop_counts) {
+      for (std::size_t r = 0; r < telemetry::kNumDropReasons; ++r) {
+        const char* reason = telemetry::to_string(static_cast<telemetry::DropReason>(r));
+        if (tally[r] != 0) tallied[{node, reason}] = tally[r];
+      }
+    }
+    EXPECT_EQ(traced, tallied) << shards << " shard(s)";
+    EXPECT_TRUE(std::ranges::any_of(tallied, [](const auto& cell) {
+      return cell.first.second == "write_retries_exhausted";
+    })) << "the run must drop at the protocol level, not only on links";
+  }
+}
+
+TEST(RecordLog, ShardedTraceDumpIsDeterministic) {
+  // Tracing a sharded run gathers every shard's per-node logs into one
+  // canonical (time, node, seq) stream; two same-seed runs dump identical
+  // text.
+  const auto dump = [](std::size_t shards) {
+    IntRig rig(shards, /*loss=*/0.05);
+    rig.fabric.enable_trace(telemetry::kTraceAll);
+    rig.fabric.schedule_kill(1, 20 * kMs);
+    rig.drive_writes();
+    const telemetry::Records records = rig.fabric.all_records();
+    std::set<NodeId> nodes;
+    for (const telemetry::TraceEvent& ev : records.events) nodes.insert(ev.node);
+    for (SwitchId id : rig.fabric.switch_ids()) EXPECT_TRUE(nodes.count(id)) << "switch " << id;
+    EXPECT_TRUE(std::ranges::is_sorted(records.events, {}, [](const telemetry::TraceEvent& e) {
+      return std::tuple{e.time, e.node, e.seq};
+    }));
+    std::ostringstream os;
+    telemetry::write_trace(os, records.events);
+    return os.str();
+  };
+  for (std::size_t shards : {2, 4}) {
+    const std::string first = dump(shards);
+    EXPECT_NE(first.find("switch_failed"), std::string::npos);
+    EXPECT_EQ(dump(shards), first) << shards << " shards";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +338,7 @@ telemetry::IntHop mk_hop(std::uint32_t sw, TimeNs in, TimeNs out, std::uint32_t 
 telemetry::IntSinkReport mk_report(TimeNs t, std::vector<telemetry::IntHop> hops) {
   telemetry::IntSinkReport r;
   r.time = t;
-  r.sink = hops.back().switch_id;
+  r.node = hops.back().switch_id;
   r.hop_cap = 8;
   r.packet_bytes = 100;
   r.hops = std::move(hops);
@@ -318,7 +383,7 @@ TEST(HealthCollector, DropSpikeAgainstWholeRunBaseline) {
   reports.push_back(mk_report(0, {mk_hop(1, 0, 40, 0)}));
   reports.push_back(mk_report(400 * kMs, {mk_hop(1, 400 * kMs, 400 * kMs + 40, 0)}));
   std::vector<telemetry::DropRecord> records;
-  std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>> counts;
+  std::map<NodeId, telemetry::DropTally> counts;
   for (int i = 0; i < 64; ++i) {
     telemetry::DropRecord rec;
     rec.time = 200 * kMs + i * 10 * kUs;
@@ -368,8 +433,9 @@ TEST(HealthCollector, PublishesHealthSubtreeAndJsonRoundTrips) {
   rig.drive_writes();
 
   telemetry::HealthCollector coll;
-  coll.ingest_reports(rig.fabric.all_int_reports());
-  coll.ingest_drops(rig.fabric.all_drop_records(), rig.fabric.all_drop_counts());
+  const telemetry::Records records = rig.fabric.all_records();
+  coll.ingest_reports(records.int_reports);
+  coll.ingest_drops(records.drops, records.drop_counts);
   coll.ingest_lag(rig.fabric.metrics_snapshot());
   coll.finalize();
   ASSERT_GT(coll.int_reports(), 0u);
@@ -405,8 +471,9 @@ TEST(HealthCollector, ByteIdenticalAcrossShardCounts) {
     IntRig rig(shards, /*loss=*/0.05, /*sample=*/2, /*seed=*/13, /*observatory=*/true);
     rig.drive_writes();
     telemetry::HealthCollector coll;
-    coll.ingest_reports(rig.fabric.all_int_reports());
-    coll.ingest_drops(rig.fabric.all_drop_records(), rig.fabric.all_drop_counts());
+    const telemetry::Records records = rig.fabric.all_records();
+    coll.ingest_reports(records.int_reports);
+    coll.ingest_drops(records.drops, records.drop_counts);
     coll.ingest_lag(rig.fabric.metrics_snapshot());
     coll.finalize();
     return coll.to_json();

@@ -118,7 +118,7 @@ TEST(RuntimeMisc, InBandConfigFramesIgnored) {
   fabric.run_for(1 * kMs);
   EXPECT_EQ(rt.placement(kSpace), chain);
   EXPECT_EQ(rt.placement(kSpace + 1), group);
-  const auto drops = fabric.all_drop_counts();
+  const auto drops = fabric.all_records().drop_counts;
   EXPECT_EQ(drops.at(1)[static_cast<std::size_t>(telemetry::DropReason::kParseError)], 2u);
 
   bool committed = false;

@@ -1,8 +1,9 @@
 // Telemetry layer tests (the unified metrics/trace substrate): registry
 // handle semantics and hierarchy rules, byte-deterministic export, snapshot
-// diff/merge, tracer ring behavior and its zero-cost-when-disabled claim, and
-// the per-class-bytes == bytes_total reconciliation re-proved from registry
-// snapshots instead of the legacy stats structs.
+// diff/merge, the record log's per-node trace rings and their
+// zero-cost-when-disabled claim, and the per-class-bytes == bytes_total
+// reconciliation re-proved from registry snapshots instead of the legacy
+// stats structs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -11,7 +12,7 @@
 #include "sim/simulator.hpp"
 #include "swishmem/fabric.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/records.hpp"
 
 namespace swish::telemetry {
 namespace {
@@ -102,43 +103,59 @@ TEST(MetricsSnapshot, DiffSubtractsAndMergeAdds) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer
+// Tracer: the record log's trace events
 // ---------------------------------------------------------------------------
 
+Records gather(const RecordLog& log) {
+  Records out;
+  log.collect(out);
+  out.sort_canonical();
+  return out;
+}
+
 TEST(Tracer, DisabledTracerAllocatesAndRecordsNothing) {
-  Tracer t;
-  for (int i = 0; i < 1000; ++i) t.record(kTracePacket, 1, "noop", i);
-  EXPECT_FALSE(t.allocated());
-  EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_EQ(t.size(), 0u);
-  // A fresh simulator's tracer is disabled and unallocated too.
+  RecordLog log;
+  for (int i = 0; i < 1000; ++i) log.trace(kTracePacket, 1, "noop", i);
+  EXPECT_FALSE(log.events().allocated());
+  EXPECT_EQ(log.events().recorded(), 0u);
+  EXPECT_TRUE(gather(log).events.empty());
+  // A fresh simulator's log traces nothing and holds no ring either.
   sim::Simulator sim;
-  EXPECT_FALSE(sim.tracer().allocated());
+  EXPECT_EQ(sim.records().trace_mask(), 0u);
+  EXPECT_FALSE(sim.records().events().allocated());
 }
 
 TEST(Tracer, RingWrapsKeepingNewestEvents) {
-  Tracer t;
-  t.enable(kTraceAll, /*capacity=*/4);
-  for (std::uint64_t i = 0; i < 10; ++i) t.record(kTracePacket, 1, "ev", i);
-  EXPECT_EQ(t.recorded(), 10u);
-  EXPECT_EQ(t.size(), 4u);
-  const auto events = t.events();
-  ASSERT_EQ(events.size(), 4u);
+  RecordLog log;
+  log.enable_trace(kTraceAll, /*events_per_node=*/4);
+  for (std::uint64_t i = 0; i < 10; ++i) log.trace(kTracePacket, 1, "ev", i);
+  log.trace(kTracePacket, 2, "other");  // another node's ring is its own
+  EXPECT_EQ(log.events().recorded(), 11u);
+  std::vector<TraceEvent> events = gather(log).events;
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events.back().node, 2u);
+  EXPECT_EQ(events.back().seq, 1u);
+  events.pop_back();
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(events[i].a, 6u + i);  // oldest retained first
+    EXPECT_EQ(events[i].seq, 7u + i);
   }
 }
 
 TEST(Tracer, MaskFiltersCategories) {
-  Tracer t;
-  t.enable(kTraceDrop | kTraceFailover);
-  t.record(kTracePacket, 1, "masked-off");
-  t.record(kTraceDrop, 2, "kept");
-  EXPECT_EQ(t.recorded(), 1u);
-  EXPECT_STREQ(t.events().at(0).what, "kept");
-  t.enable(0);  // disable again
-  t.record(kTraceDrop, 2, "after-disable");
-  EXPECT_EQ(t.recorded(), 1u);  // nothing recorded while disabled
+  RecordLog log;
+  log.enable_trace(kTraceDrop | kTraceFailover);
+  log.trace(kTracePacket, 1, "masked-off");
+  log.trace(kTraceDrop, 2, "kept");
+  EXPECT_EQ(log.events().recorded(), 1u);
+  EXPECT_STREQ(gather(log).events.at(0).what, "kept");
+  log.enable_trace(0);  // disable again
+  log.trace(kTraceDrop, 2, "after-disable");
+  log.drop(2, DropReason::kLinkLoss, 64, 3);  // recorded and tallied, not traced
+  const Records recs = gather(log);
+  EXPECT_EQ(recs.events_recorded, 1u);  // nothing traced while disabled
+  EXPECT_EQ(recs.drops.size(), 1u);
+  EXPECT_EQ(recs.drop_counts.at(2)[static_cast<std::size_t>(DropReason::kLinkLoss)], 1u);
 }
 
 TEST(Tracer, ParseTraceMaskRoundTrips) {
@@ -286,7 +303,7 @@ TEST(TelemetryFullStack, PerClassBytesReconcileWithIntSampling) {
   auto fabric = make_mixed_fabric(/*int_sample_every=*/4);
   drive(*fabric);
   expect_per_class_bytes_reconcile(*fabric, /*int_on=*/true);
-  EXPECT_GT(fabric->all_int_reports().size(), 0u);
+  EXPECT_GT(fabric->all_records().int_reports.size(), 0u);
 }
 
 TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
@@ -301,7 +318,7 @@ TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
   fabric.add_space(sp, {1, 2});
   fabric.install(nullptr);
   fabric.start();
-  fabric.simulator().tracer().enable(telemetry::kTraceMigration | telemetry::kTraceFailover);
+  fabric.enable_trace(telemetry::kTraceMigration | telemetry::kTraceFailover);
 
   fabric.runtime(0).write({{kSro, 3, 33}}, pkt::Packet{}, nullptr);
   fabric.run_for(100 * kMs);
@@ -313,7 +330,7 @@ TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
   ASSERT_GT(migrated_at, 0);
 
   bool saw_start = false, saw_done = false, saw_fail = false;
-  for (const auto& ev : fabric.simulator().tracer().events()) {
+  for (const auto& ev : fabric.all_records().events) {
     const std::string what = ev.what;
     saw_start |= what == "migrate_space_start";
     saw_done |= what == "migrate_space_done";

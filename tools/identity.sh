@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity check between two build trees: runs the same deterministic
-# scenarios — swish_sim runs across NFs, class overrides, faults and shard
-# counts, the experiment benches, and the examples — from each tree and
-# compares their stdout and every file they write, byte for byte. A change
-# meant to leave behaviour alone (a refactor) reports every scenario
-# identical against a build of its parent commit.
+# scenarios — swish_sim runs across NFs, class overrides, faults, shard
+# counts and the INT, drop and trace exports, the experiment benches, and the
+# examples — from each tree and compares their stdout and every file they
+# write, byte for byte. A change meant to leave behaviour alone (a refactor)
+# reports every scenario identical against a build of its parent commit.
 #
 #   tools/identity.sh OLD_BUILD NEW_BUILD
 #
@@ -47,6 +47,11 @@ LB_CON="--nf lb --space lb.conn_to_dip=con --space lb.dip_refcount=con"
 add sim.lb.con "$SIM" "$LB_CON --switches 4 $JSON"
 add sim.lb.con.leafspine "$SIM" \
   "$LB_CON --topology leafspine --switches 8 --spines 2 --shards 2 $JSON"
+INT="--nf nat --switches 4 --loss 0.02 --int-sample 4 --health-json health.json"
+add sim.nat.int "$SIM" "$INT --drops-json drops.json $JSON"
+add sim.nat.int.shards2 "$SIM" "$INT --drops-json drops.json --shards 2 $JSON"
+add sim.nat.trace "$SIM" \
+  "--nf nat --loss 0.02 --kill 2:40 --trace trace.txt --trace-mask drop,failover $JSON"
 
 for n in 2 3 4 5 6 7 8 9 10 11 12 13; do
   for bin in "$OLD"/bench/bench_c"${n}"_*; do

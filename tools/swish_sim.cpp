@@ -19,13 +19,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/table.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/records.hpp"
 #include "nf/ddos.hpp"
 #include "nf/firewall.hpp"
 #include "nf/ips.hpp"
@@ -82,6 +83,7 @@ struct Options {
   TimeNs timeseries_period = 10 * kMs;
   std::size_t top_slowest = 10;
   bool quiet = false;
+  bool json_to_stdout = false;  ///< an output is "-": the report goes to stderr
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -280,6 +282,20 @@ Options parse(int argc, char** argv) {
     else if (a == "--quiet") opt.quiet = true;
     else usage(argv[0]);
   }
+  // An output given as "-" owns stdout, so only one output may be "-".
+  std::vector<std::string_view> to_stdout;
+  for (const auto& [flag, file] : {std::pair{"--health-json", &opt.health_json},
+                                   std::pair{"--drops-json", &opt.drops_json},
+                                   std::pair{"--metrics-json", &opt.metrics_json}}) {
+    if (*file == "-") to_stdout.push_back(flag);
+  }
+  if (to_stdout.size() > 1) {
+    std::cerr << "error: only one output can be '-' (stdout), got";
+    for (std::string_view flag : to_stdout) std::cerr << ' ' << flag << " -";
+    std::cerr << "\n";
+    std::exit(2);
+  }
+  opt.json_to_stdout = !to_stdout.empty();
   if (trace_mask_given && opt.trace.empty()) {
     std::cerr << "warning: --trace-mask has no effect without --trace FILE\n";
   }
@@ -394,9 +410,9 @@ std::size_t resolve_shards(const Options& opt) {
       std::exit(2);
     }
   }
-  if (shards > 1 && (!opt.pcap.empty() || !opt.trace.empty() || !opt.timeseries.empty())) {
-    std::cerr << "error: --pcap, --trace and --timeseries observe a single global event "
-                 "loop and require --shards 1\n";
+  if (shards > 1 && (!opt.pcap.empty() || !opt.timeseries.empty())) {
+    std::cerr << "error: --pcap and --timeseries observe a single global event loop and "
+                 "require --shards 1\n";
     std::exit(2);
   }
   return shards;
@@ -484,7 +500,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   shm::Fabric& fabric = *fabric_storage;
-  if (!opt.trace.empty()) fabric.simulator().tracer().enable(opt.trace_mask);
+  if (!opt.trace.empty()) fabric.enable_trace(opt.trace_mask);
   // Causal tracing + consistency-lag observatory. The observatory also runs
   // for --timeseries (the CSV picks up the lag.* series) and for --int-sample
   // (the health collector derives per-class SLO burn from the lag.class.*
@@ -684,15 +700,22 @@ int main(int argc, char** argv) {
 
   fabric.run_for(opt.duration + 500 * kMs);  // traffic + settling
 
-  // Fleet-health collector: gathers the canonical INT sink reports, drop
-  // forensics, and the observatory's per-class lag histograms, then publishes
-  // the scorecard into shard 0's registry BEFORE the single snapshot below so
-  // --metrics-json carries the health.* subtree too.
+  // One gather of every shard's record log feeds the health collector,
+  // --drops-json and --trace.
+  const bool health_on = opt.int_sample > 0 || !opt.health_json.empty();
+  const telemetry::Records records = health_on || !opt.drops_json.empty() || !opt.trace.empty()
+                                         ? fabric.all_records()
+                                         : telemetry::Records{};
+
+  // Fleet-health collector: the canonical INT sink reports, drop forensics,
+  // and the observatory's per-class lag histograms, published into shard 0's
+  // registry BEFORE the single snapshot below so --metrics-json carries the
+  // health.* subtree too.
   std::unique_ptr<telemetry::HealthCollector> health;
-  if (opt.int_sample > 0 || !opt.health_json.empty()) {
+  if (health_on) {
     health = std::make_unique<telemetry::HealthCollector>();
-    health->ingest_reports(fabric.all_int_reports());
-    health->ingest_drops(fabric.all_drop_records(), fabric.all_drop_counts());
+    health->ingest_reports(records.int_reports);
+    health->ingest_drops(records.drops, records.drop_counts);
     health->ingest_lag(fabric.metrics_snapshot());
     health->finalize();
     health->publish(fabric.simulator().metrics());
@@ -710,9 +733,9 @@ int main(int argc, char** argv) {
     delivery_latency.merge(s->latency());
   }
 
-  // With `--metrics-json -` the JSON owns stdout: the human report moves to
-  // stderr so piped consumers parse pure JSON.
-  std::ostream& rep = opt.metrics_json == "-" ? std::cerr : std::cout;
+  // An output given as "-" owns stdout: the human report moves to stderr so
+  // piped consumers parse pure JSON.
+  std::ostream& rep = opt.json_to_stdout ? std::cerr : std::cout;
 
   // ---- Report ---------------------------------------------------------------
   rep << "scenario: nf=" << opt.nf << " switches=" << opt.switches << " topology="
@@ -937,17 +960,16 @@ int main(int argc, char** argv) {
     }
   }
   if (!opt.drops_json.empty()) {
-    const std::vector<telemetry::DropRecord> records = fabric.all_drop_records();
     if (opt.drops_json == "-") {
-      telemetry::write_drop_forensics(std::cout, records);
+      telemetry::write_drop_forensics(std::cout, records.drops);
     } else {
       std::ofstream out(opt.drops_json);
       if (!out) {
         std::cerr << "error: cannot open " << opt.drops_json << " for writing\n";
         return 1;
       }
-      telemetry::write_drop_forensics(out, records);
-      rep << "drops: wrote " << records.size() << " forensic records to " << opt.drops_json
+      telemetry::write_drop_forensics(out, records.drops);
+      rep << "drops: wrote " << records.drops.size() << " forensic records to " << opt.drops_json
           << "\n";
     }
   }
@@ -971,11 +993,10 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot open " << opt.trace << " for writing\n";
       return 1;
     }
-    const telemetry::Tracer& tracer = fabric.simulator().tracer();
-    tracer.dump(out);
-    rep << "trace: wrote " << tracer.size() << " events (" << tracer.recorded()
-              << " recorded, mask " << telemetry::trace_mask_to_string(tracer.mask())
-              << ") to " << opt.trace << "\n";
+    telemetry::write_trace(out, records.events);
+    rep << "trace: wrote " << records.events.size() << " events (" << records.events_recorded
+        << " recorded, mask " << telemetry::trace_mask_to_string(opt.trace_mask) << ") to "
+        << opt.trace << "\n";
   }
   return 0;
 }
