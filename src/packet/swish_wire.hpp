@@ -4,10 +4,15 @@
 // the simulated fabric, so they are subject to the same loss/reordering as
 // application traffic — exactly the environment the protocols are designed
 // for. Messages are deliberately small (the paper notes ~100-byte objects
-// suit in-switch replication); a WriteRequest with one op is 51 bytes of
-// payload.
+// suit in-switch replication): a one-op WriteRequest is 45 bytes of payload
+// (53 once the chain head adds its seq), a one-entry EwoUpdate 36.
+//
+// Each message's layout is declared once, as a field list in swish_wire.cpp
+// that both the encoder and the decoder walk, and its identity (wire type
+// byte, trace name, trace category) is one row of kMessages below.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -17,6 +22,7 @@
 
 #include "common/buffer.hpp"
 #include "common/types.hpp"
+#include "telemetry/records.hpp"
 #include "telemetry/span.hpp"
 
 namespace swish::pkt {
@@ -52,9 +58,6 @@ enum class MsgType : std::uint8_t {
   kConAccepted = 19,
   kConLearn = 20,
 };
-
-/// Highest assigned type byte (registry sizing).
-inline constexpr std::size_t kNumMsgTypes = 20;
 
 /// One register mutation inside a write request.
 struct WriteOp {
@@ -335,18 +338,50 @@ using SwishMessage = std::variant<WriteRequest, WriteAck, EwoUpdate, Heartbeat, 
                                   MembershipUpdate, ConForward, ConPrepare, ConPromise, ConAccept,
                                   ConAccepted, ConLearn>;
 
-/// Wire type byte of each SwishMessage alternative, in variant order.
-inline constexpr std::array<MsgType, std::variant_size_v<SwishMessage>> kMsgTypeOf{
-    MsgType::kWriteRequest, MsgType::kWriteAck,         MsgType::kEwoUpdate,
-    MsgType::kHeartbeat,    MsgType::kReadRedirect,     MsgType::kOwnRequest,
-    MsgType::kOwnGrant,     MsgType::kOwnUpdate,        MsgType::kSwimPing,
-    MsgType::kSwimAck,      MsgType::kSwimPingReq,      MsgType::kMembershipUpdate,
-    MsgType::kConForward,   MsgType::kConPrepare,       MsgType::kConPromise,
-    MsgType::kConAccept,    MsgType::kConAccepted,      MsgType::kConLearn};
+/// Identity of one SwishMessage alternative.
+struct MsgInfo {
+  MsgType type;                       ///< wire type byte
+  const char* name;                   ///< name of its send spans and trace records
+  telemetry::TraceCategory category;  ///< trace category of its sends
+};
+
+/// One row per SwishMessage alternative, in variant order.
+inline constexpr std::array<MsgInfo, std::variant_size_v<SwishMessage>> kMessages{{
+    {MsgType::kWriteRequest, "WriteRequest", telemetry::kTraceProtoChain},
+    {MsgType::kWriteAck, "WriteAck", telemetry::kTraceProtoChain},
+    {MsgType::kEwoUpdate, "EwoUpdate", telemetry::kTraceProtoEwo},
+    {MsgType::kHeartbeat, "Heartbeat", telemetry::kTraceProtoControl},
+    {MsgType::kReadRedirect, "ReadRedirect", telemetry::kTraceProtoControl},
+    {MsgType::kOwnRequest, "OwnRequest", telemetry::kTraceProtoOwn},
+    {MsgType::kOwnGrant, "OwnGrant", telemetry::kTraceProtoOwn},
+    {MsgType::kOwnUpdate, "OwnUpdate", telemetry::kTraceProtoOwn},
+    {MsgType::kSwimPing, "SwimPing", telemetry::kTraceMembership},
+    {MsgType::kSwimAck, "SwimAck", telemetry::kTraceMembership},
+    {MsgType::kSwimPingReq, "SwimPingReq", telemetry::kTraceMembership},
+    {MsgType::kMembershipUpdate, "MembershipUpdate", telemetry::kTraceMembership},
+    {MsgType::kConForward, "ConForward", telemetry::kTraceProtoCon},
+    {MsgType::kConPrepare, "ConPrepare", telemetry::kTraceProtoCon},
+    {MsgType::kConPromise, "ConPromise", telemetry::kTraceProtoCon},
+    {MsgType::kConAccept, "ConAccept", telemetry::kTraceProtoCon},
+    {MsgType::kConAccepted, "ConAccepted", telemetry::kTraceProtoCon},
+    {MsgType::kConLearn, "ConLearn", telemetry::kTraceProtoCon},
+}};
+
+/// Highest assigned type byte (registry sizing).
+inline constexpr std::size_t kNumMsgTypes = [] {
+  std::size_t top = 0;
+  for (const MsgInfo& info : kMessages) top = std::max(top, static_cast<std::size_t>(info.type));
+  return top;
+}();
+
+/// The message's row of kMessages.
+[[nodiscard]] constexpr const MsgInfo& info_of(const SwishMessage& msg) noexcept {
+  return kMessages[msg.index()];
+}
 
 /// The message's wire type byte.
 [[nodiscard]] constexpr MsgType type_of(const SwishMessage& msg) noexcept {
-  return kMsgTypeOf[msg.index()];
+  return info_of(msg).type;
 }
 
 /// Serializes a protocol message (type byte + body) into a UDP payload.
@@ -366,9 +401,5 @@ std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload
 /// carried trace context (left unsampled otherwise). `ctx` must be non-null.
 std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload,
                                            telemetry::SpanContext* ctx);
-
-/// Payload size in bytes of the encoded message (used by benches computing
-/// replication bandwidth without materializing packets).
-std::size_t encoded_size(const SwishMessage& msg);
 
 }  // namespace swish::pkt

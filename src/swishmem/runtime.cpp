@@ -21,76 +21,6 @@ constexpr std::uint32_t kRecoveryEpoch = 0xffffffffu;
 /// Register-backed ops per recovery chunk (keeps chunks under typical MTUs).
 constexpr std::size_t kRecoveryChunkOps = 32;
 
-telemetry::TraceCategory msg_trace_category(const pkt::SwishMessage& msg) noexcept {
-  switch (pkt::type_of(msg)) {
-    case pkt::MsgType::kWriteRequest:
-    case pkt::MsgType::kWriteAck:
-      return telemetry::kTraceProtoChain;
-    case pkt::MsgType::kEwoUpdate:
-      return telemetry::kTraceProtoEwo;
-    case pkt::MsgType::kOwnRequest:
-    case pkt::MsgType::kOwnGrant:
-    case pkt::MsgType::kOwnUpdate:
-      return telemetry::kTraceProtoOwn;
-    case pkt::MsgType::kSwimPing:
-    case pkt::MsgType::kSwimAck:
-    case pkt::MsgType::kSwimPingReq:
-    case pkt::MsgType::kMembershipUpdate:
-      return telemetry::kTraceMembership;
-    case pkt::MsgType::kConForward:
-    case pkt::MsgType::kConPrepare:
-    case pkt::MsgType::kConPromise:
-    case pkt::MsgType::kConAccept:
-    case pkt::MsgType::kConAccepted:
-    case pkt::MsgType::kConLearn:
-      return telemetry::kTraceProtoCon;
-    default:
-      return telemetry::kTraceProtoControl;
-  }
-}
-
-const char* msg_trace_name(const pkt::SwishMessage& msg) noexcept {
-  switch (pkt::type_of(msg)) {
-    case pkt::MsgType::kWriteRequest:
-      return "WriteRequest";
-    case pkt::MsgType::kWriteAck:
-      return "WriteAck";
-    case pkt::MsgType::kEwoUpdate:
-      return "EwoUpdate";
-    case pkt::MsgType::kHeartbeat:
-      return "Heartbeat";
-    case pkt::MsgType::kReadRedirect:
-      return "ReadRedirect";
-    case pkt::MsgType::kOwnRequest:
-      return "OwnRequest";
-    case pkt::MsgType::kOwnGrant:
-      return "OwnGrant";
-    case pkt::MsgType::kOwnUpdate:
-      return "OwnUpdate";
-    case pkt::MsgType::kSwimPing:
-      return "SwimPing";
-    case pkt::MsgType::kSwimAck:
-      return "SwimAck";
-    case pkt::MsgType::kSwimPingReq:
-      return "SwimPingReq";
-    case pkt::MsgType::kMembershipUpdate:
-      return "MembershipUpdate";
-    case pkt::MsgType::kConForward:
-      return "ConForward";
-    case pkt::MsgType::kConPrepare:
-      return "ConPrepare";
-    case pkt::MsgType::kConPromise:
-      return "ConPromise";
-    case pkt::MsgType::kConAccept:
-      return "ConAccept";
-    case pkt::MsgType::kConAccepted:
-      return "ConAccepted";
-    case pkt::MsgType::kConLearn:
-      return "ConLearn";
-  }
-  return "?";
-}
-
 /// Cap on the retry-reuse span cache; blunt-cleared beyond this (a cleared
 /// entry only means a late retransmission starts a fresh span).
 constexpr std::size_t kMaxSendSpans = 65536;
@@ -283,7 +213,7 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   }
   if (!active_trace_.sampled()) return {};
   const telemetry::SpanContext ctx =
-      spans_->record_instant(active_trace_, sw_.id(), msg_trace_name(msg));
+      spans_->record_instant(active_trace_, sw_.id(), pkt::info_of(msg).name);
   if (identity && ctx.sampled()) {
     if (send_spans_.size() >= kMaxSendSpans) send_spans_.clear();
     send_spans_.emplace(*identity, ctx);
@@ -314,12 +244,9 @@ std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
   const std::size_t n = packet.size();
   total_bytes_ += n;
   // Per-class protocol-message tracing: every protocol byte leaves through
-  // here, so one probe covers all four engines. The mask pre-check keeps the
-  // category/name switches off the path when tracing is disabled.
-  telemetry::RecordLog& records = sw_.simulator().records();
-  if (records.trace_mask() != 0) {
-    records.trace(msg_trace_category(msg), sw_.id(), msg_trace_name(msg), dst, n);
-  }
+  // here, so one probe covers all four engines.
+  const pkt::MsgInfo& info = pkt::info_of(msg);
+  sw_.simulator().records().trace(info.category, sw_.id(), info.name, dst, n);
   sw_.send_to_node(dst, std::move(packet), rng_.next());
   return n - int_overhead;
 }

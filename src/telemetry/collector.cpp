@@ -525,32 +525,7 @@ void print_rows(std::ostream& os, HealthRows rows) {
   }
 }
 
-/// Minimal line-oriented JSON field extraction (same contract as the
-/// read_perfetto parser: one object per line, flat fields).
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  if (end < line.size() && line[end] == '"') {  // string value
-    ++start;
-    end = line.find('"', start);
-    if (end == std::string_view::npos) return {};
-    return line.substr(start, end - start);
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
-}
-
-std::uint64_t u64_field(std::string_view line, std::string_view key) {
-  const std::string_view raw = raw_field(line, key);
-  if (raw.empty()) return 0;
-  return std::strtoull(std::string(raw).c_str(), nullptr, 10);
-}
-
+/// Health-document readers on top of raw_field (export.hpp).
 double dbl_field(std::string_view line, std::string_view key) {
   const std::string_view raw = raw_field(line, key);
   if (raw.empty()) return 0.0;

@@ -1,6 +1,12 @@
-// Unit tests: SwiShmem protocol message serialization (round-trips, edge
-// cases, malformed input) including parameterized sweeps over payload sizes.
+// Unit tests: SwiShmem protocol message serialization (golden bytes for every
+// message type, round-trips, edge cases, malformed input) including
+// parameterized sweeps over payload sizes.
 #include <gtest/gtest.h>
+
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "packet/swish_wire.hpp"
 
@@ -15,6 +21,141 @@ T roundtrip(const T& msg) {
   const T* out = std::get_if<T>(&*decoded);
   EXPECT_NE(out, nullptr);
   return *out;
+}
+
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  const auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+/// One filled instance of a SwishMessage alternative and its committed
+/// encoding. Multi-byte fields hold distinct multi-byte values, so a swapped
+/// field, a changed width or a flipped byte order all change the hex.
+struct Golden {
+  SwishMessage msg;
+  std::string_view hex;
+};
+
+/// One golden instance per SwishMessage alternative, in variant order.
+const std::vector<Golden>& golden_messages() {
+  static const std::vector<Golden> kGolden{
+      {WriteRequest{0x0A0B0C0D, 7, 0x0102030405060708, true, 0x00040002,
+                    {{0x11, 0x2122232425262728, 0x3132333435363738}}, {0x4142434445464748}},
+       "010a0b0c0d000000070102030405060708010004000200010100000011212223"
+       "242526272831323334353637384142434445464748"},
+      {WriteAck{0x0A0B0C0D, 7, 0x0102030405060708, {{1, 0x1112, 0x2122}, {2, 0x3132, 0x4142}},
+                {0x5152, 0x6162}},
+       "020a0b0c0d000000070102030405060708000201000000010000000000001112"
+       "0000000000002122000000000000515200000002000000000000313200000000"
+       "000041420000000000006162"},
+      {EwoUpdate{0x01020304, true, {{5, 0x1112131415161718, 0x2122, 0x3132333435363738}}},
+       "0301020304010001000000051112131415161718000000000000212231323334"
+       "35363738"},
+      {Heartbeat{0x01020304, 0x1112131415161718},
+       "04010203041112131415161718"},
+      {ReadRedirect{0x01020304, {0xDE, 0xAD, 0xBE, 0xEF}},
+       "07010203040004deadbeef"},
+      {OwnRequest{0x01020304, 0x1112131415161718, 0x21222324, 0x3132333435363738, true},
+       "0801020304111213141516171821222324313233343536373801"},
+      {OwnGrant{0x01020304, 0x1112131415161718, 0x21222324, 0x3132, 0x4142434445464748,
+                0x5152535455565758},
+       "0901020304111213141516171821222324000000000000313241424344454647"
+       "485152535455565758"},
+      {OwnUpdate{0x01020304, false,
+                 {{9, 0x1112, 0x2122, 0x3132}, {9, 0x4142, 0x5152, 0x6162}}},
+       "0a01020304000002000000090000000000001112000000000000212200000000"
+       "0000313200000009000000000000414200000000000051520000000000006162"},
+      {SwimPing{0x01020304, 0x11121314, 0x2122232425262728, 0x31323334,
+                {{0x41424344, 2, 0x51525354, 0x6162636465666768}}},
+       "0b01020304111213142122232425262728313233340001414243440251525354"
+       "6162636465666768"},
+      {SwimAck{0x01020304, 0x1112131415161718, 0x21222324, {{0x31, 1, 0x41, 0x5152}}},
+       "0c01020304111213141516171821222324000100000031010000004100000000"
+       "00005152"},
+      {SwimPingReq{0x01020304, 0x11121314, 0x2122232425262728, {{0x31, 0, 0x41, 0}}},
+       "0d01020304111213142122232425262728000100000031000000004100000000"
+       "00000000"},
+      {MembershipUpdate{0x01020304, {{0x11, 2, 0x21, 0x3132}, {0x41, 0, 0x51, 0}}},
+       "0e01020304000200000011020000002100000000000031320000004100000000"
+       "510000000000000000"},
+      {ConForward{0x01020304, 0x11121314, 0x2122232425262728, {{3, 0x3132, 0x4142}}},
+       "0f01020304111213142122232425262728000100000000030000000000003132"
+       "0000000000004142"},
+      {ConPrepare{0x01020304, 0x1112131415161718, 0x21222324},
+       "1001020304111213141516171821222324"},
+      {ConPromise{0x01020304,
+                  0x1112131415161718,
+                  0x21222324,
+                  0x3132,
+                  {{0x4142, 0x5152, 6, 0x6162, {{7, 0x7172, 0x8182}}}, {0x91, 0xA1, 8, 0xB1, {}}}},
+       "1101020304111213141516171821222324000000000000313200020000000000"
+       "0041420000000000005152000000060000000000006162000100000000070000"
+       "0000000071720000000000008182000000000000009100000000000000a10000"
+       "000800000000000000b1000000"},
+      {ConAccept{0x01020304, 0x1112131415161718, 0x2122, 0x3132, 0x41424344, 0x5152,
+                 {{6, 0x6162, 0x7172}}},
+       "1201020304111213141516171800000000000021220000000000003132414243"
+       "4400000000000051520001000000000600000000000061620000000000007172"},
+      {ConAccepted{0x01020304, 0x1112131415161718, 0x2122, 0x31323334, 0x4142},
+       "1301020304111213141516171800000000000021223132333400000000000041"
+       "42"},
+      {ConLearn{0x01020304, 0x1112131415161718, 0x2122, 0x3132, 0x41424344, 0x5152,
+                {{6, 0x6162, 0x7172}, {7, 0x8182, 0x9192}}},
+       "1401020304111213141516171800000000000021220000000000003132414243"
+       "4400000000000051520002000000000600000000000061620000000000007172"
+       "0000000700000000000081820000000000009192"},
+  };
+  return kGolden;
+}
+
+/// A sampled in-band trace context, and the golden WriteRequest framed with it.
+constexpr telemetry::SpanContext kGoldenContext{0x0102030405060708, 0x1112131415161718, 3};
+constexpr std::string_view kGoldenTracedHex =
+    "8101020304050607081112131415161718030a0b0c0d00000007010203040506"
+    "0708010004000200010100000011212223242526272831323334353637384142"
+    "434445464748";
+
+TEST(Wire, GoldenBytes) {
+  const auto& golden = golden_messages();
+  ASSERT_EQ(golden.size(), std::variant_size_v<SwishMessage>);
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const Golden& g = golden[i];
+    ASSERT_EQ(g.msg.index(), i) << "golden instances follow variant order";
+    EXPECT_EQ(to_hex(encode_message(g.msg)), g.hex) << "alternative " << i;
+    const auto decoded = decode_message(from_hex(g.hex));
+    ASSERT_TRUE(decoded.has_value()) << "alternative " << i;
+    EXPECT_EQ(*decoded, g.msg) << "alternative " << i;
+  }
+
+  const SwishMessage& traced = golden.front().msg;
+  EXPECT_EQ(to_hex(encode_message(traced, kGoldenContext)), kGoldenTracedHex);
+  telemetry::SpanContext ctx;
+  const auto decoded = decode_message(from_hex(kGoldenTracedHex), &ctx);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, traced);
+  EXPECT_EQ(ctx, kGoldenContext);
+
+  // Payload sizes of the smallest chain and EWO messages.
+  WriteRequest one_op;
+  one_op.ops = {{1, 2, 3}};
+  EXPECT_EQ(encode_message(one_op).size(), 45u);
+  one_op.seqs = {4};
+  EXPECT_EQ(encode_message(one_op).size(), 53u);
+  EXPECT_EQ(encode_message(EwoUpdate{1, false, {{1, 2, 3, 4}}}).size(), 36u);
 }
 
 TEST(Wire, WriteRequestRoundTripUnsequenced) {
@@ -308,15 +449,17 @@ TEST(Wire, TruncationRejectedEverywhere) {
     }
   }
   EXPECT_TRUE(decode_message(bytes).has_value());
-}
 
-TEST(Wire, EncodedSizeMatchesEncoding) {
-  EwoUpdate m;
-  m.origin = 1;
-  for (int i = 0; i < 10; ++i) {
-    m.entries.push_back({1, static_cast<std::uint64_t>(i), 1, 2});
+  // Every message type, plain and traced: a frame is exactly the bytes its
+  // decoder reads, so every strict prefix fails.
+  for (const Golden& g : golden_messages()) {
+    for (const auto& frame : {encode_message(g.msg), encode_message(g.msg, kGoldenContext)}) {
+      for (std::size_t len = 0; len < frame.size(); ++len) {
+        EXPECT_FALSE(decode_message(std::span(frame.data(), len)).has_value())
+            << "alternative " << g.msg.index() << " cut at " << len;
+      }
+    }
   }
-  EXPECT_EQ(encoded_size(m), encode_message(m).size());
 }
 
 TEST(Wire, SmallMessagesStaySmall) {
@@ -339,7 +482,7 @@ TEST_P(WireSweep, EwoUpdateRoundTripAtSize) {
   }
   EXPECT_EQ(roundtrip(m), m);
   // 28 bytes per entry + 8 header.
-  EXPECT_EQ(encoded_size(m), 8 + GetParam() * 28);
+  EXPECT_EQ(encode_message(m).size(), 8 + GetParam() * 28);
 }
 
 TEST_P(WireSweep, WriteRequestRoundTripAtSize) {
@@ -434,6 +577,7 @@ TEST(WireTrace, EveryMessageTypeCarriesContext) {
   check(SwimAck{1, 2, 3, {{4, 2, 5, 6}}});
   check(SwimPingReq{1, 2, 3, {{4, 0, 5, 6}}});
   check(MembershipUpdate{1, {{2, 2, 3, 4}}});
+  for (const Golden& g : golden_messages()) check(g.msg);
 }
 
 }  // namespace
