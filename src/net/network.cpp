@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/log.hpp"
 #include "packet/int_md.hpp"
 
 namespace swish::net {

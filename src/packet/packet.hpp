@@ -33,8 +33,6 @@ struct ParsedPacket {
   std::optional<UdpHeader> udp;
   std::size_t l4_payload_offset = 0;
 
-  [[nodiscard]] bool is_tcp() const noexcept { return tcp.has_value(); }
-  [[nodiscard]] bool is_udp() const noexcept { return udp.has_value(); }
   [[nodiscard]] std::uint16_t src_port() const noexcept {
     return tcp ? tcp->src_port : (udp ? udp->src_port : 0);
   }

@@ -1,36 +1,6 @@
 #include "pisa/objects.hpp"
 
-#include <algorithm>
-
 namespace swish::pisa {
-
-MeterColor MeterArray::update(RegisterIndex i, std::size_t bytes, TimeNs now) {
-  if (i >= state_.size()) throw std::out_of_range("MeterArray index");
-  BucketState& s = state_[i];
-  if (!s.initialized) {
-    s.tokens = config_.excess_burst;
-    s.last_update = now;
-    s.initialized = true;
-  }
-  // Refill.
-  if (now > s.last_update) {
-    const auto elapsed = static_cast<std::uint64_t>(now - s.last_update);
-    const std::uint64_t refill = (elapsed * config_.rate_bytes_per_sec) / kSec;
-    if (refill > 0) {
-      s.tokens = std::min(s.tokens + refill, config_.excess_burst);
-      s.last_update = now;
-    }
-  }
-  if (s.tokens >= bytes) {
-    s.tokens -= bytes;
-    // Above the committed watermark we are conforming; between committed and
-    // empty we are borrowing from the excess burst.
-    return (s.tokens >= config_.excess_burst - config_.committed_burst) ? MeterColor::kGreen
-                                                                        : MeterColor::kYellow;
-  }
-  s.tokens = 0;
-  return MeterColor::kRed;
-}
 
 bool ExactTable::insert(CpToken, std::uint64_t key, std::uint64_t value) {
   auto it = entries_.find(key);
@@ -41,50 +11,6 @@ bool ExactTable::insert(CpToken, std::uint64_t key, std::uint64_t value) {
   if (entries_.size() >= capacity_) return false;
   entries_.emplace(key, value);
   return true;
-}
-
-bool LpmTable::insert(CpToken, pkt::Ipv4Addr prefix, unsigned prefix_len, std::uint64_t value) {
-  if (prefix_len > 32) return false;
-  if (entries_.size() >= capacity_) return false;
-  const std::uint32_t mask = prefix_len == 0 ? 0 : ~0u << (32 - prefix_len);
-  entries_[{prefix_len, prefix.value() & mask}] = value;
-  return true;
-}
-
-bool LpmTable::erase(CpToken, pkt::Ipv4Addr prefix, unsigned prefix_len) {
-  if (prefix_len > 32) return false;
-  const std::uint32_t mask = prefix_len == 0 ? 0 : ~0u << (32 - prefix_len);
-  return entries_.erase({prefix_len, prefix.value() & mask}) > 0;
-}
-
-std::optional<std::uint64_t> LpmTable::lookup(pkt::Ipv4Addr addr) const noexcept {
-  for (int len = 32; len >= 0; --len) {
-    const std::uint32_t mask = len == 0 ? 0 : ~0u << (32 - len);
-    auto it = entries_.find({static_cast<unsigned>(len), addr.value() & mask});
-    if (it != entries_.end()) return it->second;
-  }
-  return std::nullopt;
-}
-
-bool TernaryTable::insert(CpToken, Entry entry) {
-  if (entries_.size() >= capacity_) return false;
-  auto pos = std::lower_bound(entries_.begin(), entries_.end(), entry,
-                              [](const Entry& a, const Entry& b) { return a.priority > b.priority; });
-  entries_.insert(pos, entry);
-  return true;
-}
-
-std::size_t TernaryTable::erase(CpToken, std::uint64_t value, std::uint64_t mask) {
-  const auto before = entries_.size();
-  std::erase_if(entries_, [&](const Entry& e) { return e.value == value && e.mask == mask; });
-  return before - entries_.size();
-}
-
-std::optional<std::uint64_t> TernaryTable::lookup(std::uint64_t key) const noexcept {
-  for (const Entry& e : entries_) {
-    if ((key & e.mask) == (e.value & e.mask)) return e.action;
-  }
-  return std::nullopt;
 }
 
 }  // namespace swish::pisa

@@ -1,8 +1,8 @@
 // P4 stateful objects as exposed by a PISA pipeline (§2 of the paper):
-// register arrays, counters, and meters are data-plane writable; match-action
-// tables can only be mutated through the control plane. We enforce the latter
-// in the type system: table mutators require a CpToken, which only a
-// ControlPlane can mint.
+// register arrays are data-plane writable; exact-match tables can only be
+// mutated through the control plane. We enforce the latter in the type
+// system: table mutators require a CpToken, which only a ControlPlane can
+// mint.
 //
 // Every object reports its memory footprint; the Switch sums footprints
 // against the ~10 MB SRAM budget the paper emphasizes.
@@ -11,7 +11,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "packet/addr.hpp"
 
 namespace swish::pisa {
 
@@ -174,67 +172,6 @@ class RegisterArray : public StatefulObject {
   std::vector<unsigned char> bytes_;
 };
 
-/// Packet/byte counter array (data-plane writable, control-plane readable).
-class CounterArray : public StatefulObject {
- public:
-  CounterArray(std::string name, std::size_t size)
-      : StatefulObject(std::move(name)), packets_(size, 0), bytes_(size, 0) {}
-
-  void count(RegisterIndex i, std::size_t packet_bytes) {
-    if (i >= packets_.size()) throw std::out_of_range("CounterArray index");
-    ++packets_[i];
-    bytes_[i] += packet_bytes;
-  }
-
-  [[nodiscard]] std::uint64_t packets(RegisterIndex i) const { return packets_.at(i); }
-  [[nodiscard]] std::uint64_t bytes(RegisterIndex i) const { return bytes_.at(i); }
-  [[nodiscard]] std::size_t size() const noexcept { return packets_.size(); }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return packets_.size() * (8 + 8);
-  }
-
- private:
-  std::vector<std::uint64_t> packets_;
-  std::vector<std::uint64_t> bytes_;
-};
-
-enum class MeterColor : std::uint8_t { kGreen, kYellow, kRed };
-
-/// Single-rate token-bucket meter array (srTCM simplified to two thresholds:
-/// within committed burst = green, within excess burst = yellow, else red).
-class MeterArray : public StatefulObject {
- public:
-  struct Config {
-    std::uint64_t rate_bytes_per_sec = 1'000'000;
-    std::uint64_t committed_burst = 16 * 1024;
-    std::uint64_t excess_burst = 64 * 1024;
-  };
-
-  MeterArray(std::string name, std::size_t size, Config config)
-      : StatefulObject(std::move(name)), config_(config), state_(size) {}
-
-  /// Charges `bytes` at virtual time `now`; returns the color.
-  MeterColor update(RegisterIndex i, std::size_t bytes, TimeNs now);
-
-  [[nodiscard]] std::size_t size() const noexcept { return state_.size(); }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return state_.size() * 16;  // tokens + last-update timestamp
-  }
-
- private:
-  struct BucketState {
-    std::uint64_t tokens = 0;
-    TimeNs last_update = 0;
-    bool initialized = false;
-  };
-
-  Config config_;
-  std::vector<BucketState> state_;
-};
-
 /// Exact-match table: 64-bit key -> 64-bit action data. Mutation requires a
 /// CpToken (control-plane only), matching PISA semantics.
 class ExactTable : public StatefulObject {
@@ -271,53 +208,6 @@ class ExactTable : public StatefulObject {
   unsigned key_bits_;
   unsigned value_bits_;
   std::unordered_map<std::uint64_t, std::uint64_t> entries_;
-};
-
-/// Longest-prefix-match table over IPv4 destinations.
-class LpmTable : public StatefulObject {
- public:
-  LpmTable(std::string name, std::size_t capacity)
-      : StatefulObject(std::move(name)), capacity_(capacity) {}
-
-  bool insert(CpToken, pkt::Ipv4Addr prefix, unsigned prefix_len, std::uint64_t value);
-  bool erase(CpToken, pkt::Ipv4Addr prefix, unsigned prefix_len);
-
-  [[nodiscard]] std::optional<std::uint64_t> lookup(pkt::Ipv4Addr addr) const noexcept;
-  [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override { return capacity_ * 9; }
-
- private:
-  // Keyed by (prefix_len, masked prefix); lookup scans lengths /32 down to /0.
-  std::map<std::pair<unsigned, std::uint32_t>, std::uint64_t> entries_;
-  std::size_t capacity_;
-};
-
-/// Ternary (value/mask + priority) table, e.g. IPS signature matching.
-class TernaryTable : public StatefulObject {
- public:
-  struct Entry {
-    std::uint64_t value = 0;
-    std::uint64_t mask = ~0ULL;
-    std::uint32_t priority = 0;  // higher wins
-    std::uint64_t action = 0;
-  };
-
-  TernaryTable(std::string name, std::size_t capacity)
-      : StatefulObject(std::move(name)), capacity_(capacity) {}
-
-  bool insert(CpToken, Entry entry);
-  /// Removes all entries matching (value, mask).
-  std::size_t erase(CpToken, std::uint64_t value, std::uint64_t mask);
-
-  [[nodiscard]] std::optional<std::uint64_t> lookup(std::uint64_t key) const noexcept;
-  [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override { return capacity_ * 20; }
-
- private:
-  std::vector<Entry> entries_;  // kept sorted by descending priority
-  std::size_t capacity_;
 };
 
 }  // namespace swish::pisa

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/log.hpp"
 #include "packet/int_md.hpp"
 
 namespace swish::pisa {
@@ -44,31 +43,10 @@ RegisterArray& Switch::add_register_array(std::string name, std::size_t size,
   return static_cast<RegisterArray&>(*objects_.back());
 }
 
-CounterArray& Switch::add_counter_array(std::string name, std::size_t size) {
-  objects_.push_back(std::make_unique<CounterArray>(std::move(name), size));
-  return static_cast<CounterArray&>(*objects_.back());
-}
-
-MeterArray& Switch::add_meter_array(std::string name, std::size_t size,
-                                    MeterArray::Config config) {
-  objects_.push_back(std::make_unique<MeterArray>(std::move(name), size, config));
-  return static_cast<MeterArray&>(*objects_.back());
-}
-
 ExactTable& Switch::add_exact_table(std::string name, std::size_t capacity, unsigned key_bits,
                                     unsigned value_bits) {
   objects_.push_back(std::make_unique<ExactTable>(std::move(name), capacity, key_bits, value_bits));
   return static_cast<ExactTable&>(*objects_.back());
-}
-
-LpmTable& Switch::add_lpm_table(std::string name, std::size_t capacity) {
-  objects_.push_back(std::make_unique<LpmTable>(std::move(name), capacity));
-  return static_cast<LpmTable&>(*objects_.back());
-}
-
-TernaryTable& Switch::add_ternary_table(std::string name, std::size_t capacity) {
-  objects_.push_back(std::make_unique<TernaryTable>(std::move(name), capacity));
-  return static_cast<TernaryTable&>(*objects_.back());
 }
 
 std::size_t Switch::memory_bytes() const noexcept {
@@ -131,7 +109,6 @@ void Switch::send_to_node(NodeId dst, pkt::Packet packet, std::uint64_t flow_has
   }
   const net::PortId port = routing_.pick(dst, flow_hash);
   if (port == net::kInvalidPort) {
-    SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
     ++stats_.dropped_noroute;
     report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
     return;
@@ -193,7 +170,6 @@ void Switch::multicast_nodes(std::span<const SwitchId> nodes, const pkt::Packet&
     if (dst == id()) continue;
     const net::PortId port = routing_.pick(dst, /*flow_hash=*/dst);
     if (port == net::kInvalidPort) {
-      SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
       ++stats_.dropped_noroute;
       report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
       continue;

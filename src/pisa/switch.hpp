@@ -81,12 +81,8 @@ class Switch : public net::Node {
   // -- Program / object setup (done once, before traffic) -------------------
 
   RegisterArray& add_register_array(std::string name, std::size_t size, unsigned entry_bits = 64);
-  CounterArray& add_counter_array(std::string name, std::size_t size);
-  MeterArray& add_meter_array(std::string name, std::size_t size, MeterArray::Config config);
   ExactTable& add_exact_table(std::string name, std::size_t capacity, unsigned key_bits = 64,
                               unsigned value_bits = 64);
-  LpmTable& add_lpm_table(std::string name, std::size_t capacity);
-  TernaryTable& add_ternary_table(std::string name, std::size_t capacity);
 
   /// Registers an externally-constructed stateful object (e.g. the sparse
   /// ordered store) so it participates in SRAM accounting like the typed

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/log.hpp"
 #include "net/routing.hpp"
 #include "packet/swish_wire.hpp"
 #include "swishmem/membership/heartbeat_membership.hpp"
@@ -198,7 +197,6 @@ void Controller::handle_packet(pkt::Packet packet, net::PortId) {
 void Controller::declare_failed(SwitchId id) { membership_->force_fail(id); }
 
 void Controller::handle_failure(SwitchId failed, TimeNs detection_ns) {
-  SWISH_LOG_INFO("controller: switch ", failed, " declared failed at ", sim_.now());
   sim_.records().trace(telemetry::kTraceFailover, id(), "switch_failed", failed);
   ++failures_detected_;
   detection_ns_.add(static_cast<std::uint64_t>(detection_ns));

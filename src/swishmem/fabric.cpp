@@ -36,6 +36,9 @@ std::size_t validated_shards(const FabricConfig& c) {
 Fabric::Fabric(FabricConfig config)
     : config_(config), shards_(validated_shards(config_)), net_(shards_, config.seed) {
   if (config_.num_switches == 0) throw std::invalid_argument("Fabric: need >= 1 switch");
+  if (config_.topology == FabricConfig::Topology::kLeafSpine && config_.spine_count == 0) {
+    throw std::invalid_argument("Fabric: a leaf-spine fabric needs >= 1 spine");
+  }
 
   // The fabric-level INT knob fans out to both sampling points: the switch
   // config (edge tagging, hop append, sink extraction — spines included) and

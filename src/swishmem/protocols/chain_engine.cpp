@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-
 namespace swish::shm {
 
 ChainEngine::ChainEngine(EngineHost& host, const char* proto_name) : ProtocolEngine(host) {
@@ -412,47 +410,6 @@ std::optional<std::uint64_t> ChainEngine::read_lpm(std::uint32_t space, std::uin
 // ---------------------------------------------------------------------------
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
-
-std::vector<std::uint32_t> ChainEngine::snapshot_space_ids(
-    std::optional<std::uint32_t> space_filter) const {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-void ChainEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                   std::vector<SnapshotOp>& out) const {
-  for (const std::uint32_t id : snapshot_space_ids(space_filter)) {
-    const SroSpaceState& sp = *spaces_.at(id);
-    for (const auto& entry : sp.snapshot()) out.push_back({entry.op, entry.seq});
-  }
-}
-
-std::unique_ptr<SnapshotSource> ChainEngine::snapshot_source(
-    std::optional<std::uint32_t> space_filter) {
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : snapshot_space_ids(space_filter)) {
-    SroSpaceState& sp = *spaces_.at(id);
-    if (sp.sparse_store() != nullptr) {
-      // CoW pin taken now: writes after this call never enter the stream's
-      // snapshot portion (the runtime's live tap carries them instead).
-      parts.push_back(make_pinned_source(
-          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
-            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
-            return true;  // tombstones stream too — they carry deletions
-          }));
-    } else {
-      std::vector<SnapshotOp> ops;
-      for (const auto& entry : sp.snapshot()) ops.push_back({entry.op, entry.seq});
-      parts.push_back(make_vector_source(std::move(ops)));
-    }
-  }
-  return make_chained_source(std::move(parts));
-}
 
 void ChainEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   auto it = spaces_.find(op.space);

@@ -37,10 +37,10 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
 
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter) override;
+      std::optional<std::uint32_t> space_filter) override {
+    return sro_snapshot_source(spaces_, space_filter);
+  }
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
   // -- Introspection used by the runtime's accessors ----------------------------
@@ -106,11 +106,6 @@ class ChainEngine : public ProtocolEngine {
 
   [[nodiscard]] SwitchId chain_successor(const Placement& chain) const noexcept;
   [[nodiscard]] static bool chain_contains(const Placement& chain, SwitchId sw) noexcept;
-
-  /// Hosted space ids matching `space_filter`, ascending — snapshot order
-  /// must not depend on unordered_map iteration (determinism across runs).
-  [[nodiscard]] std::vector<std::uint32_t> snapshot_space_ids(
-      std::optional<std::uint32_t> space_filter) const;
 
   std::unordered_map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
   std::unordered_map<std::uint32_t, SpaceConfig> remote_spaces_;

@@ -653,46 +653,6 @@ std::optional<std::uint64_t> ConsensusEngine::read_lpm(std::uint32_t space, std:
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-void ConsensusEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                       std::vector<SnapshotOp>& out) const {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t id : ids) {
-    const SroSpaceState& sp = *spaces_.at(id);
-    for (const auto& entry : sp.snapshot()) out.push_back({entry.op, entry.seq});
-  }
-}
-
-std::unique_ptr<SnapshotSource> ConsensusEngine::snapshot_source(
-    std::optional<std::uint32_t> space_filter) {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : ids) {
-    SroSpaceState& sp = *spaces_.at(id);
-    if (sp.sparse_store() != nullptr) {
-      parts.push_back(make_pinned_source(
-          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
-            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
-            return true;  // tombstones stream too — they carry deletions
-          }));
-    } else {
-      std::vector<SnapshotOp> ops;
-      for (const auto& entry : sp.snapshot()) ops.push_back({entry.op, entry.seq});
-      parts.push_back(make_vector_source(std::move(ops)));
-    }
-  }
-  return make_chained_source(std::move(parts));
-}
-
 void ConsensusEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   auto sit = spaces_.find(op.space);
   if (sit == spaces_.end()) return;

@@ -63,9 +63,9 @@ class ConsensusEngine final : public ProtocolEngine {
   bool handle_message(const pkt::SwishMessage& msg) override;
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter) override;
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
+      std::optional<std::uint32_t> space_filter) override {
+    return sro_snapshot_source(spaces_, space_filter);
+  }
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
   // -- Introspection (tests, tools) ---------------------------------------------

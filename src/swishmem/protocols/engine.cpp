@@ -123,12 +123,6 @@ std::optional<std::uint64_t> ProtocolEngine::update(std::uint32_t space, std::ui
   return std::nullopt;
 }
 
-void ProtocolEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                      std::vector<SnapshotOp>& out) const {
-  (void)space_filter;
-  (void)out;
-}
-
 void ProtocolEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   (void)op;
   (void)seq;
@@ -142,9 +136,8 @@ std::optional<std::uint64_t> ProtocolEngine::read_lpm(std::uint32_t space, std::
 
 std::unique_ptr<SnapshotSource> ProtocolEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<SnapshotOp> ops;
-  collect_snapshot(space_filter, ops);
-  return make_vector_source(std::move(ops));
+  (void)space_filter;
+  return make_vector_source({});
 }
 
 }  // namespace swish::shm

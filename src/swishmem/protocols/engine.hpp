@@ -12,6 +12,7 @@
 // a case to make_engine() in registry.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "packet/packet.hpp"
 #include "packet/swish_wire.hpp"
 #include "swishmem/config.hpp"
+#include "swishmem/spaces.hpp"
 #include "swishmem/store/ordered_index.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
@@ -50,13 +52,6 @@ using WriteRelease = std::function<void(pkt::Packet&&)>;
 
 /// Completion of a read-modify-write; receives the new value when it applies.
 using UpdateDone = std::function<void(std::uint64_t)>;
-
-/// One entry of a recovery snapshot: the op replaying the value plus the
-/// guard/version sequence at snapshot time.
-struct SnapshotOp {
-  pkt::WriteOp op;
-  SeqNum seq = 0;
-};
 
 /// Pull-based donor snapshot stream (§6.3). The source is created — and its
 /// state frozen — synchronously at start_recovery_stream time; the runtime
@@ -88,6 +83,43 @@ std::unique_ptr<SnapshotSource> make_pinned_source(
 /// Concatenates sub-sources in order (multi-space donors).
 std::unique_ptr<SnapshotSource> make_chained_source(
     std::vector<std::unique_ptr<SnapshotSource>> sources);
+
+/// Ids of `spaces` (a map keyed by space id) matching `space_filter`,
+/// ascending: snapshot and sync order must not depend on unordered_map
+/// iteration (determinism across runs and shard counts).
+template <typename SpaceMap>
+[[nodiscard]] std::vector<std::uint32_t> sorted_space_ids(
+    const SpaceMap& spaces, std::optional<std::uint32_t> space_filter = std::nullopt) {
+  std::vector<std::uint32_t> ids;
+  for (const auto& [id, sp] : spaces) {
+    if (!space_filter || id == *space_filter) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Donor stream of the engines that store SroSpaceState spaces (chain and
+/// kCON): a sparse space streams a CoW pin taken at this call, a dense one
+/// its snapshot() collected now — either way, writes after this call reach
+/// the target only through the runtime's live tap.
+template <typename SpaceMap>
+[[nodiscard]] std::unique_ptr<SnapshotSource> sro_snapshot_source(
+    const SpaceMap& spaces, std::optional<std::uint32_t> space_filter) {
+  std::vector<std::unique_ptr<SnapshotSource>> parts;
+  for (const std::uint32_t id : sorted_space_ids(spaces, space_filter)) {
+    const SroSpaceState& sp = *spaces.at(id);
+    if (sp.sparse_store() != nullptr) {
+      parts.push_back(make_pinned_source(
+          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
+            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
+            return true;  // tombstones stream too — they carry deletions
+          }));
+    } else {
+      parts.push_back(make_vector_source(sp.snapshot()));
+    }
+  }
+  return make_chained_source(std::move(parts));
+}
 
 /// Services the runtime provides to its engines: transport with byte
 /// accounting, placements pushed by the controller, timers, and hooks back
@@ -247,12 +279,9 @@ class ProtocolEngine {
   virtual bool handle_message(const pkt::SwishMessage& msg) = 0;
 
   // -- Recovery (§6.3) ----------------------------------------------------------
-  /// Donor side: appends this engine's replayable state to a snapshot.
-  virtual void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                std::vector<SnapshotOp>& out) const;
-  /// Donor side, streaming: a source whose content is frozen at this call.
-  /// The default eagerly collects (exact for dense spaces); engines hosting
-  /// sparse spaces override to pin CoW snapshots instead.
+  /// Donor side: a stream of this engine's replayable state, frozen at this
+  /// call. The default streams nothing (EWO replicas converge through
+  /// anti-entropy sync instead).
   [[nodiscard]] virtual std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter);
   /// Target side: applies one replayed snapshot/live-tap op in stream order.

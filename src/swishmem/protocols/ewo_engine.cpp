@@ -234,12 +234,10 @@ void EwoEngine::periodic_sync() {
   ++stats_.sync_rounds;
   // Sync spaces in ascending id order: sync packets (and therefore the whole
   // simulation) must not depend on unordered_map iteration order.
-  std::vector<std::uint32_t> ids;
-  ids.reserve(spaces_.size());
-  for (const auto& [id, sp] : spaces_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
   std::vector<pkt::EwoEntry> all;
-  for (const std::uint32_t id : ids) spaces_.at(id)->collect_sync_entries(all);
+  for (const std::uint32_t id : sorted_space_ids(spaces_)) {
+    spaces_.at(id)->collect_sync_entries(all);
+  }
   if (all.empty()) return;
 
   std::vector<SwitchId> targets;

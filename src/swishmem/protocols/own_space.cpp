@@ -153,13 +153,6 @@ std::vector<std::uint64_t> OwnSpaceState::take_dirty() {
 
 std::vector<std::uint64_t> OwnSpaceState::live_slots() const {
   std::vector<std::uint64_t> out;
-  if (store_) {
-    store_->for_each([&](const store::Entry& e) {
-      if (e.version != 0) out.push_back(e.key);
-      return true;
-    });
-    return out;
-  }
   for (std::size_t s = 0; s < cfg_.size; ++s) {
     if (versions_->read(static_cast<RegisterIndex>(s)) != 0) out.push_back(s);
   }

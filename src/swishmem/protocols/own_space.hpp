@@ -13,9 +13,9 @@
 //
 // SpaceKind::kSparse folds all four arrays into one ordered CoW index entry
 // per live key: value/version in the entry, the owned bit in flags, the
-// directory owner (+1) in aux. slot(key) == key there, and the scans
-// (live_slots / owned_slots / dir_slots_owned_outside) walk live entries in
-// key order instead of the full array.
+// directory owner (+1) in aux. slot(key) == key there, the scans
+// (owned_slots / dir_slots_owned_outside) walk live entries in key order
+// instead of the full array, and a donor streams pin_snapshot().
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,7 @@ class OwnSpaceState {
   /// Drains the dirty-key set accumulated by owner_write.
   [[nodiscard]] std::vector<std::uint64_t> take_dirty();
 
-  /// All slots with a nonzero version (donor snapshot, §6.3).
+  /// Dense spaces: all slots with a nonzero version (donor snapshot, §6.3).
   [[nodiscard]] std::vector<std::uint64_t> live_slots() const;
 
   /// All slots this switch currently owns.

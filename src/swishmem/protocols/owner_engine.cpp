@@ -459,34 +459,10 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-void OwnerEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                   std::vector<SnapshotOp>& out) const {
-  // Ascending space id, ascending slot/key: snapshot order must not depend
-  // on unordered_map iteration (determinism across runs and shard counts).
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t id : ids) {
-    const OwnSpaceState& sp = *spaces_.at(id);
-    for (std::uint64_t slot : sp.live_slots()) {
-      out.push_back({pkt::WriteOp{id, slot, sp.value(slot)}, sp.version(slot)});
-    }
-  }
-}
-
 std::unique_ptr<SnapshotSource> OwnerEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
   std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : ids) {
+  for (const std::uint32_t id : sorted_space_ids(spaces_, space_filter)) {
     OwnSpaceState& sp = *spaces_.at(id);
     if (sp.sparse_store() != nullptr) {
       parts.push_back(make_pinned_source(

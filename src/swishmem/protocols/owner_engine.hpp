@@ -51,8 +51,6 @@ class OwnerEngine final : public ProtocolEngine {
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override;
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
   // -- Introspection (tests, tools) ---------------------------------------------

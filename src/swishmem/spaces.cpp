@@ -243,16 +243,8 @@ void SroSpaceState::clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq)
   clear_pending_up_to(slot(key), acked_seq);
 }
 
-std::vector<SroSpaceState::SnapshotEntry> SroSpaceState::snapshot() const {
-  std::vector<SnapshotEntry> out;
-  if (store_) {
-    out.reserve(store_->live_keys());
-    store_->for_each([&](const store::Entry& e) {
-      out.push_back({pkt::WriteOp{cfg_.id, e.key, e.value}, static_cast<SeqNum>(e.aux)});
-      return true;
-    });
-    return out;  // already key-ordered: the index iterates in key order
-  }
+std::vector<SnapshotOp> SroSpaceState::snapshot() const {
+  std::vector<SnapshotOp> out;
   if (table_) {
     out.reserve(table_->entry_count() + erased_.size());
     for (const auto& [key, value] : table_->entries()) {
@@ -261,7 +253,7 @@ std::vector<SroSpaceState::SnapshotEntry> SroSpaceState::snapshot() const {
     // entries() iterates in hash order; sort so snapshots (and therefore
     // recovery streams) are deterministic across runs and shard counts.
     std::sort(out.begin(), out.end(),
-              [](const SnapshotEntry& a, const SnapshotEntry& b) { return a.op.key < b.op.key; });
+              [](const SnapshotOp& a, const SnapshotOp& b) { return a.op.key < b.op.key; });
     // Erased keys left no table entry; emit tombstones so a recovered
     // replica that held stale state does not resurrect closed connections.
     for (const std::uint64_t key : erased_) {
@@ -310,6 +302,12 @@ EwoSpaceState::EwoSpaceState(pisa::Switch& sw, const SpaceConfig& config,
     }
     store_ = &make_store(sw, cfg_);
     return;
+  }
+  if (cfg_.table_backed) {
+    // Dense EWO indexes register arrays by raw key; table-backed spaces key
+    // by 64-bit flow hashes, which only the ordered store can address.
+    throw std::invalid_argument("dense EWO space '" + cfg_.name +
+                                "' cannot be table-backed; use ewo:sparse");
   }
 
   if (cfg_.merge == MergePolicy::kLww) {

@@ -32,6 +32,13 @@ namespace swish::shm {
 /// teardown in NAT / firewall / LB tables).
 inline constexpr std::uint64_t kTombstone = ~0ULL;
 
+/// One entry of a recovery snapshot: the op replaying the value plus the
+/// guard/version sequence at snapshot time.
+struct SnapshotOp {
+  pkt::WriteOp op;
+  SeqNum seq = 0;
+};
+
 class SroSpaceState {
  public:
   SroSpaceState(pisa::Switch& sw, const SpaceConfig& config);
@@ -83,16 +90,13 @@ class SroSpaceState {
 
   // -- Recovery ----------------------------------------------------------------
 
-  /// Snapshot of all live values with the guard seq at snapshot time, used by
-  /// the donor's control plane to rebuild a recovering replica (§6.3).
-  /// Deterministically key-ordered. Includes tombstones (op.value ==
-  /// kTombstone) for erased keys so a recovered replica that kept stale
-  /// state does not resurrect closed connections.
-  struct SnapshotEntry {
-    pkt::WriteOp op;
-    SeqNum seq;
-  };
-  [[nodiscard]] std::vector<SnapshotEntry> snapshot() const;
+  /// Dense spaces: snapshot of all live values with the guard seq at
+  /// snapshot time, used by the donor's control plane to rebuild a
+  /// recovering replica (§6.3). Deterministically key-ordered. Includes
+  /// tombstones (op.value == kTombstone) for erased keys so a recovered
+  /// replica that kept stale state does not resurrect closed connections.
+  /// Sparse spaces stream pin_snapshot() instead.
+  [[nodiscard]] std::vector<SnapshotOp> snapshot() const;
 
   /// Sparse spaces: O(1) CoW pin of the current state — the donor streams
   /// from the frozen view while writes continue. Dense spaces cannot pin;

@@ -43,7 +43,6 @@ class StoreSpace final : public pisa::StatefulObject {
   [[nodiscard]] OrderedIndex::Snapshot pin_snapshot();
 
   // -- Introspection -------------------------------------------------------------
-  [[nodiscard]] std::size_t live_keys() const noexcept { return index_.size(); }
   [[nodiscard]] const OrderedIndex& index() const noexcept { return index_; }
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
     return index_.memory_bytes();

@@ -52,10 +52,6 @@ HealthCollector::HealthCollector(CollectorConfig config) : config_(config) {
   slo_["CON"] = 5 * kMs;
 }
 
-void HealthCollector::set_slo(const std::string& cls, TimeNs target_ns) {
-  slo_[cls] = target_ns;
-}
-
 namespace {
 
 void observe(TimeNs t, TimeNs& lo, TimeNs& hi, bool& any) {

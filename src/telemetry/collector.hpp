@@ -118,10 +118,6 @@ class HealthCollector {
  public:
   explicit HealthCollector(CollectorConfig config = {});
 
-  /// Overrides the propagation SLO target for one consistency class (the
-  /// constructor installs defaults for SRO/ERO/EWO/OWN/CON).
-  void set_slo(const std::string& cls, TimeNs target_ns);
-
   /// INT sink reports (canonical order). Builds link latency histograms and
   /// per-switch queue-depth series.
   void ingest_reports(const std::vector<IntSinkReport>& reports);

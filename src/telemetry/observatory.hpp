@@ -97,8 +97,6 @@ class ConsistencyObservatory {
   /// committed write to the key has not yet been applied there.
   void on_read(std::uint32_t space, std::uint64_t key, NodeId reader);
 
-  [[nodiscard]] std::size_t inflight_total() const noexcept { return inflight_.size(); }
-
  private:
   struct SpaceMetrics {
     std::string name;

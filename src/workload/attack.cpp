@@ -29,9 +29,12 @@ void AttackGenerator::send_one(TimeNs deadline) {
   fabric_.inject(next_ingress_, pkt::build_packet(spec));
   ++stats_.packets_sent;
 
-  const auto gap = static_cast<TimeNs>(
-      rng_.exponential(static_cast<double>(kSec) / config_.packets_per_sec));
-  fabric_.simulator().post_after(gap + 1, [this, deadline]() { send_one(deadline); });
+  const double gap_ns = rng_.exponential(static_cast<double>(kSec) / config_.packets_per_sec);
+  // Compared as a double: a zero or tiny rate draws a gap (up to +inf) that
+  // no TimeNs holds. A send past the deadline would do nothing.
+  if (gap_ns >= static_cast<double>(deadline - fabric_.simulator().now() - 1)) return;
+  fabric_.simulator().post_after(static_cast<TimeNs>(gap_ns) + 1,
+                                 [this, deadline]() { send_one(deadline); });
 }
 
 }  // namespace swish::workload

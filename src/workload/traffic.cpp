@@ -16,10 +16,12 @@ void TrafficGenerator::start(TimeNs duration) {
 
 void TrafficGenerator::schedule_next_arrival(TimeNs deadline) {
   const double gap_ns = rng_.exponential(static_cast<double>(kSec) / config_.flows_per_sec);
-  const TimeNs at = fabric_.simulator().now() + static_cast<TimeNs>(gap_ns) + 1;
-  if (at >= deadline) return;
+  const TimeNs now = fabric_.simulator().now();
+  // Compared as a double: a zero or tiny rate draws a gap (up to +inf) that
+  // no TimeNs holds.
+  if (gap_ns >= static_cast<double>(deadline - now - 1)) return;
   // Fire-and-forget: arrival events are never cancelled.
-  fabric_.simulator().post_at(at, [this, deadline]() {
+  fabric_.simulator().post_at(now + static_cast<TimeNs>(gap_ns) + 1, [this, deadline]() {
     start_flow(deadline);
     schedule_next_arrival(deadline);
   });

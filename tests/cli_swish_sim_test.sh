@@ -56,6 +56,11 @@ expect_usage --nf quantum
 expect_usage --trace-mask not-a-category
 # Flag missing its value.
 expect_usage --switches
+# Probabilities lie in [0, 1]; periods drive timers, so they are positive.
+expect_usage --loss 1.5
+expect_usage --reroute 2
+expect_usage --sync-period-us 0
+expect_usage --timeseries-period-us 0 --timeseries "$TMP/zero_period.csv"
 
 # Determinism: same seed, byte-identical metrics export.
 run_args=(--nf nat --switches 3 --duration-ms 40 --seed 11 --quiet)
@@ -170,6 +175,32 @@ expect_error2 "expects a count"          --switches 3 --shards banana
 expect_error2 "expects a count"          --switches 3 --shards 2x
 expect_error2 "multi-switch fabric"      --switches 1 --shards auto
 expect_error2 "require --shards 1"       --switches 3 --shards 3 --timeseries "$TMP/t.csv"
+
+# Impossible fabrics and spaces exit 2 with a diagnostic, not a throw (134)
+# or a silent run: a switch index past the fabric, a leaf-spine without
+# spines (no leaf could reach another), and a table-backed space overridden
+# to dense EWO (its raw-key register arrays cannot hold flow-hash keys).
+expect_error2 "names switch index" --switches 4 --kill 4:20
+expect_error2 "names switch index" --switches 4 --revive 99:20
+expect_error2 "needs >= 1 spine"   --topology leafspine --spines 0 --duration-ms 20
+expect_error2 "ewo:sparse" --nf nat --duration-ms 20 --space nat.translation=ewo
+expect_error2 "ewo:sparse" --nf firewall --duration-ms 20 --space fw.connections=ewo
+expect_error2 "ewo:sparse" --nf lb --duration-ms 20 --space lb.conn_to_dip=ewo
+# ...while the sparse layout holds them.
+if ! "$BIN" --nf nat --duration-ms 20 --quiet --space nat.translation=ewo:sparse \
+     >/dev/null 2>&1; then
+  echo "FAIL: --space nat.translation=ewo:sparse run exited nonzero"
+  fail=1
+fi
+# A zero rate generates nothing and exits 0: no flows, and a flood of one
+# packet.
+for zero in "--flows-per-sec 0" "--nf ddos --attack 0:5:10"; do
+  # shellcheck disable=SC2086  # $zero is a word list
+  if ! "$BIN" $zero --duration-ms 20 --quiet >/dev/null 2>&1; then
+    echo "FAIL: swish_sim $zero exited nonzero"
+    fail=1
+  fi
+done
 
 # --trace dumps every shard's record log: a sharded kill run traces the
 # failover, and two same-seed runs dump byte-identical traces.

@@ -113,7 +113,9 @@ using StateVec = std::vector<std::array<std::uint64_t, 4>>;
 
 StateVec collect(ShmRuntime& rt) {
   std::vector<SnapshotOp> snap;
-  rt.engine_for_space(kPart)->collect_snapshot(kPart, snap);
+  const auto source = rt.engine_for_space(kPart)->snapshot_source(kPart);
+  while (source->next(64, snap)) {
+  }
   StateVec v;
   v.reserve(snap.size());
   for (const auto& s : snap) v.push_back({s.op.space, s.op.key, s.op.value, s.seq});

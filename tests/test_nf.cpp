@@ -143,8 +143,9 @@ struct FwRig {
   std::vector<FirewallApp*> apps;
   std::uint64_t delivered = 0;
 
-  FwRig() : fabric(cfg3()) {
+  explicit FwRig(bool blocklist = false) : fabric(cfg3()) {
     fabric.add_space(FirewallApp::space());
+    if (blocklist) fabric.add_space(FirewallApp::prefix_space());
     fabric.install([this]() {
       auto app = std::make_unique<FirewallApp>(FirewallApp::Config{});
       apps.push_back(app.get());
@@ -184,6 +185,29 @@ TEST(Firewall, FinClosesPinholeEverywhere) {
   rig.fabric.sw(2).inject(tcp(kServer, kClient, 80, 1234, pkt::TcpFlags::kAck));
   rig.fabric.run_for(100 * kMs);
   EXPECT_EQ(rig.apps[2]->stats().blocked_in, 1u);
+}
+
+TEST(Firewall, PrefixBlockLongestMatchWinsAtEverySwitch) {
+  FwRig rig(/*blocklist=*/true);
+  const pkt::Ipv4Addr attacker{203, 0, 113, 7};
+  const pkt::Ipv4Addr neighbor{203, 0, 5, 5};  // same /16, outside the /24
+  FirewallApp::block_prefix(rig.fabric.runtime(0), pkt::Ipv4Addr(203, 0, 0, 0), 16);
+  rig.fabric.run_for(10 * kMs);  // the EWO blocklist entry reaches every switch
+  rig.fabric.sw(2).inject(tcp(attacker, kClient, 80, 1234, pkt::TcpFlags::kAck));
+  rig.fabric.run_for(10 * kMs);
+  EXPECT_EQ(rig.apps[2]->stats().blocked_prefix, 1u);
+  EXPECT_EQ(rig.apps[2]->stats().blocked_in, 0u);
+
+  // A verdict-0 /24 inside the /16 lifts the block for that /24 only: the
+  // attacker's packet falls through to the connection table (no pinhole).
+  FirewallApp::block_prefix(rig.fabric.runtime(0), pkt::Ipv4Addr(203, 0, 113, 0), 24, 0);
+  rig.fabric.run_for(10 * kMs);
+  rig.fabric.sw(2).inject(tcp(attacker, kClient, 80, 1234, pkt::TcpFlags::kAck));
+  rig.fabric.sw(2).inject(tcp(neighbor, kClient, 80, 1234, pkt::TcpFlags::kAck));
+  rig.fabric.run_for(10 * kMs);
+  EXPECT_EQ(rig.apps[2]->stats().blocked_prefix, 2u);
+  EXPECT_EQ(rig.apps[2]->stats().blocked_in, 1u);
+  EXPECT_EQ(rig.delivered, 0u);
 }
 
 TEST(Firewall, OutboundNonSynFlowsFreely) {
@@ -459,6 +483,35 @@ TEST(RateLimiter, UnderLimitUserUnaffected) {
   fabric.run_for(50 * kMs);
   EXPECT_EQ(delivered, 10u);
   for (auto* app : apps) EXPECT_EQ(app->stats().dropped_limited, 0u);
+}
+
+TEST(RateLimiter, SubnetBudgetSetAtOneSwitchLimitsAnother) {
+  shm::Fabric fabric(cfg3());
+  fabric.add_space(RateLimiterApp::space());
+  fabric.add_space(RateLimiterApp::subnet_space());
+  std::vector<RateLimiterApp*> apps;
+  fabric.install([&]() {
+    auto app = std::make_unique<RateLimiterApp>(RateLimiterApp::Config{});
+    apps.push_back(app.get());
+    return app;
+  });
+  fabric.start();
+  // A zero budget on 77.0.1.0/24, installed at switch 0, inside the default
+  // 64 KB per-window budget that still covers 77.0.2.0/24.
+  RateLimiterApp::set_subnet_limit(fabric.runtime(0), pkt::Ipv4Addr(77, 0, 1, 0), 24, 0);
+  fabric.run_for(2 * kMs);
+  const pkt::Ipv4Addr limited{77, 0, 1, 5};
+  const pkt::Ipv4Addr unlimited{77, 0, 2, 5};
+  for (int i = 0; i < 2; ++i) {
+    fabric.sw(2).inject(udp(limited, kServer, 1, 2));
+    fabric.sw(2).inject(udp(unlimited, kServer, 1, 2));
+  }
+  fabric.run_for(2 * kMs);  // well inside the first 10 ms window
+  // The first packet from the /24 exceeds its zero budget and flags the
+  // user; the second is dropped. The other subnet is untouched.
+  EXPECT_EQ(apps[2]->stats().users_limited, 1u);
+  EXPECT_EQ(apps[2]->stats().dropped_limited, 1u);
+  EXPECT_EQ(apps[2]->stats().passed, 3u);
 }
 
 TEST(RateLimiter, WindowResetUnblocks) {

@@ -93,37 +93,6 @@ TEST(RegisterArray, BadBitsThrow) {
   EXPECT_THROW(RegisterArray("x", 4, 65), std::invalid_argument);
 }
 
-TEST(CounterArray, CountsPacketsAndBytes) {
-  CounterArray c("c", 4);
-  c.count(1, 100);
-  c.count(1, 50);
-  EXPECT_EQ(c.packets(1), 2u);
-  EXPECT_EQ(c.bytes(1), 150u);
-  EXPECT_EQ(c.packets(0), 0u);
-}
-
-TEST(MeterArray, GreenWithinRate) {
-  MeterArray m("m", 1, {.rate_bytes_per_sec = 1'000'000, .committed_burst = 1000,
-                        .excess_burst = 2000});
-  EXPECT_EQ(m.update(0, 100, 0), MeterColor::kGreen);
-}
-
-TEST(MeterArray, RedWhenExhausted) {
-  MeterArray m("m", 1, {.rate_bytes_per_sec = 1000, .committed_burst = 100,
-                        .excess_burst = 200});
-  EXPECT_NE(m.update(0, 200, 0), MeterColor::kRed);  // burst available
-  EXPECT_EQ(m.update(0, 200, 0), MeterColor::kRed);  // bucket drained
-}
-
-TEST(MeterArray, RefillsOverTime) {
-  MeterArray m("m", 1, {.rate_bytes_per_sec = 1'000'000, .committed_burst = 500,
-                        .excess_burst = 1000});
-  EXPECT_NE(m.update(0, 1000, 0), MeterColor::kRed);
-  EXPECT_EQ(m.update(0, 1000, 0), MeterColor::kRed);
-  // 1 ms at 1 MB/s refills 1000 bytes.
-  EXPECT_NE(m.update(0, 1000, 1 * kMs), MeterColor::kRed);
-}
-
 TEST(ExactTable, InsertLookupEraseCapacity) {
   ExactTable t("t", 2);
   const CpToken token = [] {
@@ -141,33 +110,6 @@ TEST(ExactTable, InsertLookupEraseCapacity) {
   EXPECT_EQ(t.entry_count(), 1u);
   t.clear(token);
   EXPECT_EQ(t.entry_count(), 0u);
-}
-
-TEST(LpmTable, LongestPrefixWins) {
-  sim::Simulator sim;
-  ControlPlane cp(sim, {});
-  LpmTable t("t", 16);
-  ASSERT_TRUE(t.insert(cp.token(), pkt::Ipv4Addr(10, 0, 0, 0), 8, 1));
-  ASSERT_TRUE(t.insert(cp.token(), pkt::Ipv4Addr(10, 1, 0, 0), 16, 2));
-  ASSERT_TRUE(t.insert(cp.token(), pkt::Ipv4Addr(0, 0, 0, 0), 0, 99));
-  EXPECT_EQ(t.lookup(pkt::Ipv4Addr(10, 1, 2, 3)).value(), 2u);
-  EXPECT_EQ(t.lookup(pkt::Ipv4Addr(10, 9, 9, 9)).value(), 1u);
-  EXPECT_EQ(t.lookup(pkt::Ipv4Addr(8, 8, 8, 8)).value(), 99u);  // default route
-  EXPECT_TRUE(t.erase(cp.token(), pkt::Ipv4Addr(10, 1, 0, 0), 16));
-  EXPECT_EQ(t.lookup(pkt::Ipv4Addr(10, 1, 2, 3)).value(), 1u);
-}
-
-TEST(TernaryTable, PriorityAndMask) {
-  sim::Simulator sim;
-  ControlPlane cp(sim, {});
-  TernaryTable t("t", 8);
-  ASSERT_TRUE(t.insert(cp.token(), {.value = 0xAA00, .mask = 0xFF00, .priority = 1, .action = 1}));
-  ASSERT_TRUE(t.insert(cp.token(), {.value = 0xAABB, .mask = 0xFFFF, .priority = 9, .action = 2}));
-  EXPECT_EQ(t.lookup(0xAABB).value(), 2u);  // higher priority exact
-  EXPECT_EQ(t.lookup(0xAACC).value(), 1u);  // falls to masked entry
-  EXPECT_FALSE(t.lookup(0xBB00).has_value());
-  EXPECT_EQ(t.erase(cp.token(), 0xAA00, 0xFF00), 1u);
-  EXPECT_FALSE(t.lookup(0xAACC).has_value());
 }
 
 TEST(ControlPlane, ServiceRatePacesJobs) {

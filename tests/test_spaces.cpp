@@ -270,6 +270,24 @@ TEST(EwoSpace, PnCounterSupportsDecrement) {
   EXPECT_EQ(sp.read(0), 5u);
 }
 
+TEST(EwoSpace, TableBackedNeedsSparse) {
+  // Dense EWO indexes register arrays by raw key; a table-backed space keys
+  // by 64-bit flow hashes, so only the sparse layout can hold it.
+  Rig rig;
+  SpaceConfig cfg = ewo_cfg(MergePolicy::kLww);
+  cfg.table_backed = true;
+  try {
+    EwoSpaceState sp(rig.sw, cfg, kReplicas, 1);
+    ADD_FAILURE() << "dense table-backed EWO space was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ewo:sparse"), std::string::npos) << e.what();
+  }
+  cfg.kind = SpaceKind::kSparse;
+  EwoSpaceState sparse(rig.sw, cfg, kReplicas, 1);
+  sparse.write_local(0xDEADBEEFCAFEull, 7, Version::pack(10, 1));
+  EXPECT_EQ(sparse.read(0xDEADBEEFCAFEull), 7u);
+}
+
 TEST(EwoSpace, WrongApiThrows) {
   Rig rig;
   EwoSpaceState lww(rig.sw, ewo_cfg(MergePolicy::kLww), kReplicas, 1);

@@ -66,6 +66,19 @@ TEST(Traffic, GeneratesApproximatelyConfiguredRate) {
   EXPECT_GT(gen.stats().packets_sent, gen.stats().flows_started);  // >= 2 pkts/flow
 }
 
+TEST(Traffic, ZeroRateStartsNoFlows) {
+  // A zero rate draws an infinite gap, which no TimeNs holds: the generator
+  // must stop, not cast it.
+  Rig rig;
+  TrafficConfig cfg;
+  cfg.flows_per_sec = 0;
+  TrafficGenerator gen(rig.fabric, cfg);
+  EXPECT_NO_THROW(gen.start(200 * kMs));
+  EXPECT_NO_THROW(rig.fabric.run_for(400 * kMs));
+  EXPECT_EQ(gen.stats().flows_started, 0u);
+  EXPECT_EQ(gen.stats().packets_sent, 0u);
+}
+
 TEST(Traffic, DeterministicAcrossRuns) {
   auto run = [](std::uint64_t seed) {
     Rig rig;
@@ -185,6 +198,18 @@ TEST(Attack, FloodsVictimAtConfiguredRate) {
   gen.start();
   rig.fabric.run_for(200 * kMs);
   EXPECT_NEAR(static_cast<double>(gen.stats().packets_sent), 5000.0, 500.0);
+}
+
+TEST(Attack, ZeroRateSendsOnlyTheFirstPacket) {
+  Rig rig;
+  AttackConfig cfg;
+  cfg.packets_per_sec = 0;
+  cfg.start = 10 * kMs;
+  cfg.duration = 50 * kMs;
+  AttackGenerator gen(rig.fabric, cfg);
+  gen.start();
+  EXPECT_NO_THROW(rig.fabric.run_for(200 * kMs));
+  EXPECT_EQ(gen.stats().packets_sent, 1u);
 }
 
 TEST(Attack, SpreadsAcrossAllSwitches) {

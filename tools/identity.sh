@@ -52,6 +52,28 @@ add sim.nat.int "$SIM" "$INT --drops-json drops.json $JSON"
 add sim.nat.int.shards2 "$SIM" "$INT --drops-json drops.json --shards 2 $JSON"
 add sim.nat.trace "$SIM" \
   "--nf nat --loss 0.02 --kill 2:40 --trace trace.txt --trace-mask drop,failover $JSON"
+# Sparse spaces under kill/revive stream CoW-pinned snapshots to the rejoiner.
+FAULTS="--kill 2:40 --revive 2:70"
+add sim.nat.sparse.faults "$SIM" \
+  "--nf nat --space nat.translation=sro:sparse --loss 0.02 $FAULTS $JSON"
+add sim.lb.con.sparse.faults "$SIM" \
+  "--nf lb --space lb.conn_to_dip=con:sparse --space lb.dip_refcount=con $FAULTS $JSON"
+add sim.rl.own.sparse.faults "$SIM" "--nf ratelimiter --space rl.user_bytes=own:sparse $FAULTS $JSON"
+# Every other swish_sim flag, at least once. `--shards auto` picks the shard
+# count from the host, so compare both builds on one host.
+add sim.flags.workload "$SIM" \
+  "--nf ddos --topology chain --switches 5 --link-delay-us 3 --dataplane-pps 2000000 \
+--flows-per-sec 3000 --packets-per-flow 12 --reroute 0.1 --duration-ms 120 \
+--sync-period-us 500 --attack 40000:20:50 --seed 7 --quiet $JSON"
+add sim.flags.heartbeat "$SIM" \
+  "--nf firewall --hb-timeout-ms 20 --check-period-ms 4 --kill 1:30 --revive 1:80 \
+--duration-ms 150 --seed 3 $JSON"
+add sim.flags.swim "$SIM" "--nf nat --membership swim --switches 5 --kill 3:30 --duration-ms 120 $JSON"
+add sim.flags.observe "$SIM" \
+  "--nf nat --switches 3 --duration-ms 60 --span-sample 8 --top-slowest 3 --perfetto spans.json \
+--timeseries ts.csv --timeseries-period-us 5000 --pcap fabric.pcap --int-sample 4 \
+--int-hop-cap 3 $JSON"
+add sim.flags.auto "$SIM" "--nf lb --switches 2 --shards auto $JSON"
 
 for n in 2 3 4 5 6 7 8 9 10 11 12 13; do
   for bin in "$OLD"/bench/bench_c"${n}"_*; do

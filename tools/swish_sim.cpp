@@ -102,14 +102,14 @@ struct Options {
       << "  --check-period-ms N     controller liveness scan period (default 5)\n"
       << "  --topology mesh|chain|leafspine\n"
       << "  --spines N              spine count for leafspine (default 2)\n"
-      << "  --loss P                per-link loss probability (default 0)\n"
+      << "  --loss P                per-link loss probability, 0..1 (default 0)\n"
       << "  --link-delay-us N       one-way link latency (default 1)\n"
       << "  --dataplane-pps N       per-switch pipeline capacity in packets/s\n"
       << "                          (default 100000000; lower it to study queue\n"
       << "                          buildup and capacity drops under floods)\n"
       << "  --flows-per-sec N       workload connection rate (default 2000)\n"
       << "  --packets-per-flow N    mean flow length (default 8)\n"
-      << "  --reroute P             per-packet ingress re-route probability\n"
+      << "  --reroute P             per-packet ingress re-route probability, 0..1\n"
       << "  --duration-ms N         traffic duration (default 500)\n"
       << "  --sync-period-us N      EWO periodic sync period (default 1000)\n"
       << "  --kill IDX:MS           fail switch IDX at MS (repeatable)\n"
@@ -178,7 +178,7 @@ TimeNs parse_time(const std::string& s, const char* argv0, TimeNs unit) {
   return v * unit;
 }
 
-double parse_prob_or_rate(const std::string& s, const char* argv0) {
+double parse_rate(const std::string& s, const char* argv0) {
   try {
     if (s.empty() || s[0] == '-') usage(argv0);
     std::size_t pos = 0;
@@ -188,6 +188,19 @@ double parse_prob_or_rate(const std::string& s, const char* argv0) {
   } catch (const std::logic_error&) {
     usage(argv0);
   }
+}
+
+double parse_prob(const std::string& s, const char* argv0) {
+  const double p = parse_rate(s, argv0);
+  if (p > 1.0) usage(argv0);
+  return p;
+}
+
+/// A period drives a periodic timer, so it must be positive.
+TimeNs parse_period(const std::string& s, const char* argv0, TimeNs unit) {
+  const TimeNs t = parse_time(s, argv0, unit);
+  if (t == 0) usage(argv0);
+  return t;
 }
 
 std::pair<std::size_t, TimeNs> parse_idx_ms(const std::string& s, const char* argv0) {
@@ -213,18 +226,17 @@ Options parse(int argc, char** argv) {
     else if (a == "--check-period-ms") opt.check_period = parse_time(need(i), argv[0], kMs);
     else if (a == "--topology") opt.topology = need(i);
     else if (a == "--spines") opt.spines = parse_u64(need(i), argv[0]);
-    else if (a == "--loss") opt.loss = parse_prob_or_rate(need(i), argv[0]);
+    else if (a == "--loss") opt.loss = parse_prob(need(i), argv[0]);
     else if (a == "--link-delay-us") opt.link_delay = parse_time(need(i), argv[0], kUs);
     else if (a == "--dataplane-pps") {
       opt.dataplane_pps = static_cast<double>(parse_u64(need(i), argv[0]));
       if (opt.dataplane_pps <= 0) usage(argv[0]);
     }
-    else if (a == "--flows-per-sec") opt.flows_per_sec = parse_prob_or_rate(need(i), argv[0]);
-    else if (a == "--packets-per-flow")
-      opt.packets_per_flow = parse_prob_or_rate(need(i), argv[0]);
-    else if (a == "--reroute") opt.reroute = parse_prob_or_rate(need(i), argv[0]);
+    else if (a == "--flows-per-sec") opt.flows_per_sec = parse_rate(need(i), argv[0]);
+    else if (a == "--packets-per-flow") opt.packets_per_flow = parse_rate(need(i), argv[0]);
+    else if (a == "--reroute") opt.reroute = parse_prob(need(i), argv[0]);
     else if (a == "--duration-ms") opt.duration = parse_time(need(i), argv[0], kMs);
-    else if (a == "--sync-period-us") opt.sync_period = parse_time(need(i), argv[0], kUs);
+    else if (a == "--sync-period-us") opt.sync_period = parse_period(need(i), argv[0], kUs);
     else if (a == "--kill") opt.kills.push_back(parse_idx_ms(need(i), argv[0]));
     else if (a == "--revive") opt.revives.push_back(parse_idx_ms(need(i), argv[0]));
     else if (a == "--attack") {
@@ -276,7 +288,7 @@ Options parse(int argc, char** argv) {
     else if (a == "--perfetto") opt.perfetto = need(i);
     else if (a == "--timeseries") opt.timeseries = need(i);
     else if (a == "--timeseries-period-us")
-      opt.timeseries_period = parse_time(need(i), argv[0], kUs);
+      opt.timeseries_period = parse_period(need(i), argv[0], kUs);
     else if (a == "--top-slowest") opt.top_slowest = parse_u64(need(i), argv[0]);
     else if (a == "--seed") opt.seed = parse_u64(need(i), argv[0]);
     else if (a == "--quiet") opt.quiet = true;
@@ -448,6 +460,20 @@ void check_con_quorum(const Options& opt) {
   }
 }
 
+/// --kill and --revive name switches by index into the fabric; an index past
+/// the last switch is a usage error with exit code 2, not a throw.
+void check_switch_indices(const Options& opt) {
+  for (const auto& [flag, events] : {std::pair{"--kill", &opt.kills},
+                                     std::pair{"--revive", &opt.revives}}) {
+    for (const auto& [idx, at] : *events) {
+      if (idx < opt.switches) continue;
+      std::cerr << "error: " << flag << " " << idx << ":" << at / kMs << " names switch index "
+                << idx << ", but the fabric has " << opt.switches << " switches (indices from 0)\n";
+      std::exit(2);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -455,6 +481,7 @@ int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
 
   const std::size_t num_shards = resolve_shards(opt);
+  check_switch_indices(opt);
   check_con_quorum(opt);
 
   shm::MembershipProtocol membership;
