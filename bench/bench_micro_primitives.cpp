@@ -5,6 +5,9 @@
 // data structures the protocols rely on.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "net/network.hpp"
 #include "packet/flow.hpp"
 #include "packet/swish_wire.hpp"
@@ -106,10 +109,71 @@ void BM_ExactTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactTableLookup);
 
-// Sparse-store primitives: the ordered CoW index under sparse spaces. Keys
-// use a golden-ratio stride so the tree sees the spread a hashed workload
-// produces.
+// The exact-match table as table-backed SRO spaces use it. Each chain hop
+// inserts a committed key into its own replica's table, and tables start
+// empty, so nat_churn's shape is 16 tables filled round-robin, growth
+// included. Keys step by a golden-ratio stride, which spreads them the way
+// the hashed keys NFs write are spread.
 constexpr std::uint64_t kStride = 0x9e3779b97f4a7c15ULL;
+
+void BM_ExactTableInsertFromEmpty(benchmark::State& state) {
+  sim::Simulator sim;
+  pisa::ControlPlane cp(sim, {});
+  const auto keys = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::size_t kTables = 16;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<pisa::ExactTable>> tables;
+    for (std::size_t t = 0; t < kTables; ++t) {
+      tables.push_back(std::make_unique<pisa::ExactTable>("t", 65536));
+    }
+    std::uint64_t key = kStride;
+    for (std::uint64_t i = 0; i < keys; ++i, key += kStride) {
+      for (const auto& table : tables) {
+        benchmark::DoNotOptimize(table->insert(cp.token(), key, i));
+      }
+    }
+    benchmark::DoNotOptimize(tables.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(keys * kTables));
+}
+BENCHMARK(BM_ExactTableInsertFromEmpty)->Arg(16000)->Unit(benchmark::kMillisecond);
+
+void BM_ExactTableLookupMiss(benchmark::State& state) {
+  sim::Simulator sim;
+  pisa::ControlPlane cp(sim, {});
+  pisa::ExactTable table("t", 65536);
+  for (std::uint64_t k = 0; k < 65536; ++k) table.insert(cp.token(), k * 2654435761u, k);
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.lookup(k * 2654435761u + 1));  // never inserted
+    k = (k + 1) & 0xFFFF;
+  }
+}
+BENCHMARK(BM_ExactTableLookupMiss);
+
+/// One erase of the oldest key plus one insert of a new key per iteration,
+/// at a steady occupancy of range(0) entries (the firewall's connection teardown).
+void BM_ExactTableChurn(benchmark::State& state) {
+  sim::Simulator sim;
+  pisa::ControlPlane cp(sim, {});
+  const auto live = static_cast<std::uint64_t>(state.range(0));
+  pisa::ExactTable table("t", 65536);
+  std::uint64_t oldest = kStride;
+  std::uint64_t next = kStride;
+  for (std::uint64_t i = 0; i < live; ++i, next += kStride) table.insert(cp.token(), next, i);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.erase(cp.token(), oldest));
+    benchmark::DoNotOptimize(table.insert(cp.token(), next, oldest));
+    oldest += kStride;
+    next += kStride;
+  }
+}
+BENCHMARK(BM_ExactTableChurn)->Arg(16000);
+
+// Sparse-store primitives: the ordered CoW index under sparse spaces. Keys
+// use the golden-ratio stride so the tree sees the spread a hashed workload
+// produces.
 
 void fill_index(shm::store::OrderedIndex& idx, std::uint64_t n) {
   std::uint64_t key = kStride;

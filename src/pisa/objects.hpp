@@ -14,7 +14,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -174,6 +173,14 @@ class RegisterArray : public StatefulObject {
 
 /// Exact-match table: 64-bit key -> 64-bit action data. Mutation requires a
 /// CpToken (control-plane only), matching PISA semantics.
+///
+/// Host storage is one open-addressing array of {key, value} slots: a power
+/// of two in size, probed linearly from a multiplicative hash of the key. It
+/// starts at kMinSlots and doubles before an insert would pass 3/4 load, so
+/// host memory follows the live entries, never `capacity`. Erase shifts the
+/// rest of the probe run back (no tombstones), so churn never lengthens a
+/// run. Key 0 marks an empty slot; a live key 0 is kept in `zero_` instead.
+/// memory_bytes() reports the modeled SRAM, which is sized at `capacity`.
 class ExactTable : public StatefulObject {
  public:
   ExactTable(std::string name, std::size_t capacity, unsigned key_bits = 64,
@@ -181,22 +188,34 @@ class ExactTable : public StatefulObject {
       : StatefulObject(std::move(name)),
         capacity_(capacity),
         key_bits_(key_bits),
-        value_bits_(value_bits) {}
+        value_bits_(value_bits),
+        slots_(kMinSlots) {}
 
   [[nodiscard]] std::optional<std::uint64_t> lookup(std::uint64_t key) const noexcept {
-    auto it = entries_.find(key);
-    return it == entries_.end() ? std::nullopt : std::optional{it->second};
+    if (key == kEmptyKey) return zero_;
+    const Slot& s = slots_[find(key)];
+    return s.key == key ? std::optional{s.value} : std::nullopt;
   }
 
-  /// Returns false when the table is full (caller decides the policy).
+  /// Returns false when a new key meets a full table (caller decides the
+  /// policy); updating a present key always succeeds.
   bool insert(CpToken, std::uint64_t key, std::uint64_t value);
-  bool erase(CpToken, std::uint64_t key) { return entries_.erase(key) > 0; }
-  void clear(CpToken) { entries_.clear(); }
+  bool erase(CpToken, std::uint64_t key);
+  /// Drops every entry and returns the array to kMinSlots.
+  void clear(CpToken);
 
-  [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t entry_count() const noexcept {
+    return used_ + (zero_ ? 1 : 0);
+  }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] const std::unordered_map<std::uint64_t, std::uint64_t>& entries() const noexcept {
-    return entries_;
+
+  /// Calls fn(key, value) once per entry, in no particular order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (zero_) fn(kEmptyKey, *zero_);
+    for (const Slot& s : slots_) {
+      if (s.key != kEmptyKey) fn(s.key, s.value);
+    }
   }
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
@@ -204,10 +223,38 @@ class ExactTable : public StatefulObject {
   }
 
  private:
+  struct Slot {
+    std::uint64_t key = kEmptyKey;
+    std::uint64_t value = 0;
+  };
+  static constexpr std::uint64_t kEmptyKey = 0;
+  static constexpr std::size_t kMinSlots = 8;
+  static constexpr unsigned kMinShift = 64 - static_cast<unsigned>(std::countr_zero(kMinSlots));
+
+  /// Home slot: the top bits of the key times the 64-bit golden ratio
+  /// (Fibonacci hashing). The high half is first folded into the low half:
+  /// keys that are themselves multiples of the golden ratio otherwise land
+  /// in clusters (7.4 probes per insert instead of 1.5 at 1/2 load).
+  [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(((key ^ (key >> 32)) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  /// The slot holding `key` (non-zero), or the empty slot that ends its run.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(key);
+    while (slots_[i].key != key && slots_[i].key != kEmptyKey) i = (i + 1) & mask;
+    return i;
+  }
+  /// Doubles the array and reinserts every slot.
+  void grow();
+
   std::size_t capacity_;
   unsigned key_bits_;
   unsigned value_bits_;
-  std::unordered_map<std::uint64_t, std::uint64_t> entries_;
+  std::vector<Slot> slots_;
+  unsigned shift_ = kMinShift;         ///< 64 - log2(slots_.size())
+  std::size_t used_ = 0;               ///< live slots in slots_
+  std::optional<std::uint64_t> zero_;  ///< key 0's value, when present
 };
 
 }  // namespace swish::pisa

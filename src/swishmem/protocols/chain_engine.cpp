@@ -215,7 +215,7 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
         if (it == spaces_.end()) continue;
         SroSpaceState& sp = *it->second;
         const SeqNum seq = sp.key_guard_seq(op.key) + 1;
-        sp.apply(op.key, op.value, host_.sw().control_plane().token());
+        apply_committed(host_, sp, op);
         sp.set_key_guard_seq(op.key, seq);
         sp.set_key_pending(op.key);
         msg.seqs[i] = seq;
@@ -267,7 +267,7 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
       if (it == spaces_.end()) continue;
       SroSpaceState& sp = *it->second;
       if (msg.seqs[i] == sp.key_guard_seq(msg.ops[i].key) + 1) {
-        sp.apply(msg.ops[i].key, msg.ops[i].value, host_.sw().control_plane().token());
+        apply_committed(host_, sp, msg.ops[i]);
         sp.set_key_guard_seq(msg.ops[i].key, msg.seqs[i]);
         sp.set_key_pending(msg.ops[i].key);
         applied_any = true;
@@ -417,7 +417,7 @@ void ChainEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   SroSpaceState& sp = *it->second;
   // Stream order replays the donor's apply order, so application is
   // unconditional; guards advance monotonically.
-  sp.apply(op.key, op.value, host_.sw().control_plane().token());
+  apply_committed(host_, sp, op);
   if (seq > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, seq);
 }
 

@@ -599,7 +599,7 @@ void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
     auto sit = spaces_.find(op.space);
     if (sit == spaces_.end()) continue;
     SroSpaceState& sp = *sit->second;
-    sp.apply(op.key, op.value, host_.sw().control_plane().token());
+    apply_committed(host_, sp, op);
     // Guard seq = slot: snapshots carry the log position, so a recovery
     // stream replays into the same ordering domain.
     if (slot > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, slot);
@@ -657,7 +657,7 @@ void ConsensusEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   auto sit = spaces_.find(op.space);
   if (sit == spaces_.end()) return;
   SroSpaceState& sp = *sit->second;
-  sp.apply(op.key, op.value, host_.sw().control_plane().token());
+  apply_committed(host_, sp, op);
   if (seq > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, seq);
   // The snapshot is a consistent cut of the donor's applied prefix; adopting
   // the highest replayed slot as our own applied prefix keeps the

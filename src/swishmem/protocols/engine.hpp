@@ -189,6 +189,15 @@ class EngineHost {
   }
 };
 
+/// Applies one committed op to a chain or kCON replica through the host's
+/// control plane. A full table that refuses a new key still lets the write
+/// commit, so the loss is reported as a kTableFull drop (detail = space id).
+inline void apply_committed(EngineHost& host, SroSpaceState& sp, const pkt::WriteOp& op) {
+  if (!sp.apply(op.key, op.value, host.sw().control_plane().token())) {
+    host.report_drop(telemetry::DropReason::kTableFull, op.space);
+  }
+}
+
 /// RAII guard installing `ctx` as the host's active trace context for the
 /// current scope; restores the previous context on exit. Used by engines to
 /// re-enter a causal chain from deferred work (control-plane submissions,

@@ -137,25 +137,28 @@ void SroSpaceState::read_range(
   });
 }
 
-void SroSpaceState::apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token) {
+bool SroSpaceState::apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token) {
   if (store_) {
     // Tombstones stay as entries: the guard sequence must survive erasure
     // and snapshots must carry the deletion.
     store_->upsert(key).value = value;
-    return;
+    return true;
   }
   if (table_) {
     if (value == kTombstone) {
       table_->erase(token, key);
       erased_.insert(key);
-    } else {
-      table_->insert(token, key, value);
-      erased_.erase(key);
+      return true;
     }
-    return;
+    // A refused key stays in erased_: it is still absent here, so
+    // snapshots keep carrying its tombstone.
+    if (!table_->insert(token, key, value)) return false;
+    erased_.erase(key);
+    return true;
   }
-  if (key >= values_->size()) return;  // malformed op: ignore
+  if (key >= values_->size()) return true;  // malformed op: ignore
   values_->write(static_cast<RegisterIndex>(key), value);
+  return true;
 }
 
 SeqNum SroSpaceState::guard_seq(std::size_t slot) const {
@@ -247,10 +250,10 @@ std::vector<SnapshotOp> SroSpaceState::snapshot() const {
   std::vector<SnapshotOp> out;
   if (table_) {
     out.reserve(table_->entry_count() + erased_.size());
-    for (const auto& [key, value] : table_->entries()) {
+    table_->for_each([&](std::uint64_t key, std::uint64_t value) {
       out.push_back({pkt::WriteOp{cfg_.id, key, value}, guard_seq(slot(key))});
-    }
-    // entries() iterates in hash order; sort so snapshots (and therefore
+    });
+    // for_each visits in slot order; sort so snapshots (and therefore
     // recovery streams) are deterministic across runs and shard counts.
     std::sort(out.begin(), out.end(),
               [](const SnapshotOp& a, const SnapshotOp& b) { return a.op.key < b.op.key; });

@@ -63,7 +63,8 @@ class SroSpaceState {
   /// (chain hops route table updates through their control planes, §6.1).
   /// kTombstone erases: dense tables drop the entry (and record the key so
   /// snapshots carry the deletion); sparse spaces keep a tombstone entry.
-  void apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token);
+  /// Returns false when a full table refused a new key (nothing stored).
+  bool apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token);
 
   // -- Guard table (slot-addressed; dense layout) -----------------------------
 

@@ -98,6 +98,7 @@ const char* to_string(DropReason reason) noexcept {
     case DropReason::kWriteRetriesExhausted: return "write_retries_exhausted";
     case DropReason::kQuorumUnreachable: return "quorum_unreachable";
     case DropReason::kRecoveryAbandoned: return "recovery_abandoned";
+    case DropReason::kTableFull: return "table_full";
   }
   return "unknown";
 }

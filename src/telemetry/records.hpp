@@ -112,8 +112,9 @@ enum class DropReason : std::uint8_t {
   kWriteRetriesExhausted,   ///< retransmit budget spent, write abandoned
   kQuorumUnreachable,       ///< CON write could not reach a majority
   kRecoveryAbandoned,       ///< recovery stream target unreachable
+  kTableFull,               ///< full exact-match table refused a committed key
 };
-inline constexpr std::size_t kNumDropReasons = 13;
+inline constexpr std::size_t kNumDropReasons = 14;
 
 /// The reason's name, also the `what` of its trace event.
 const char* to_string(DropReason reason) noexcept;

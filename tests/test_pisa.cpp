@@ -3,6 +3,11 @@
 // capacity, memory budget).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <unordered_map>
+#include <vector>
+
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "pisa/switch.hpp"
@@ -110,6 +115,162 @@ TEST(ExactTable, InsertLookupEraseCapacity) {
   EXPECT_EQ(t.entry_count(), 1u);
   t.clear(token);
   EXPECT_EQ(t.entry_count(), 0u);
+}
+
+CpToken cp_token() {
+  sim::Simulator sim;
+  return ControlPlane(sim, {}).token();
+}
+
+/// Drives an ExactTable and a std::unordered_map reference model with the
+/// same operations and checks every result against the model.
+struct TableVsModel {
+  ExactTable table;
+  std::unordered_map<std::uint64_t, std::uint64_t> model;
+  CpToken token = cp_token();
+
+  explicit TableVsModel(std::size_t capacity) : table("t", capacity) {}
+
+  void insert(std::uint64_t key, std::uint64_t value) {
+    const bool fits = model.contains(key) || model.size() < table.capacity();
+    EXPECT_EQ(table.insert(token, key, value), fits) << "key " << key;
+    if (fits) model[key] = value;
+    EXPECT_EQ(table.entry_count(), model.size());
+  }
+  void erase(std::uint64_t key) {
+    EXPECT_EQ(table.erase(token, key), model.erase(key) == 1) << "key " << key;
+    EXPECT_EQ(table.entry_count(), model.size());
+  }
+  void clear() {
+    table.clear(token);
+    model.clear();
+    EXPECT_EQ(table.entry_count(), 0u);
+  }
+  void lookup(std::uint64_t key) const {
+    const auto it = model.find(key);
+    const std::optional<std::uint64_t> want =
+        it == model.end() ? std::nullopt : std::optional{it->second};
+    EXPECT_EQ(table.lookup(key), want) << "key " << key;
+  }
+  /// Every model key is found, and for_each visits exactly the model once.
+  void check_all() const {
+    for (const auto& [key, value] : model) lookup(key);
+    std::unordered_map<std::uint64_t, std::uint64_t> seen;
+    table.for_each([&seen](std::uint64_t key, std::uint64_t value) {
+      EXPECT_TRUE(seen.emplace(key, value).second) << "visited twice: " << key;
+    });
+    EXPECT_EQ(seen, model);
+  }
+};
+
+// The table homes a key on the top bits of (key ^ key >> 32) times the
+// golden ratio. Both steps invert: the fold is its own inverse, and the
+// ratio's inverse mod 2^64 undoes the product. So a key can be built from
+// the product it should have, and with it its home slot: a product with
+// all-ones top bits homes on the last slot at every array size (such keys
+// share it and their run wraps past the end), and a small product homes on
+// slot 0, right behind that wrapped run.
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t golden_inverse() {
+  std::uint64_t x = kGolden;  // Newton's iteration doubles the valid low bits
+  for (int i = 0; i < 6; ++i) x *= 2 - kGolden * x;
+  return x;
+}
+static_assert(kGolden * golden_inverse() == 1);
+constexpr std::uint64_t key_with_product(std::uint64_t product) {
+  const std::uint64_t folded = golden_inverse() * product;
+  return folded ^ (folded >> 32);
+}
+constexpr std::uint64_t home_last(std::uint64_t i) { return key_with_product(~0ULL - i); }
+constexpr std::uint64_t home_first(std::uint64_t i) { return key_with_product(i + 1); }
+
+TEST(ExactTable, ProbeEdgeCasesMatchReference) {
+  TableVsModel t(64);
+  // Keys 0 and ~0 are ordinary keys.
+  for (const std::uint64_t key : {0ULL, ~0ULL}) {
+    t.lookup(key);
+    t.insert(key, 5);
+    t.insert(key, 6);
+    t.lookup(key);
+  }
+  t.check_all();
+  t.erase(0);
+  t.lookup(0);
+  t.lookup(~0ULL);
+  t.erase(~0ULL);
+  t.check_all();
+
+  // Four keys share the last slot and wrap to slots 0-2; two keys homed on
+  // slot 0 follow them. Erasing from the middle of that run must shift the
+  // later keys back so each is still found from its home.
+  for (std::uint64_t i = 0; i < 4; ++i) t.insert(home_last(i), 100 + i);
+  for (std::uint64_t i = 0; i < 2; ++i) t.insert(home_first(i), 200 + i);
+  t.check_all();
+  t.erase(home_last(1));
+  t.check_all();
+  t.erase(home_first(0));
+  t.check_all();
+  t.erase(home_last(0));
+  t.check_all();
+  t.insert(home_last(1), 101);
+  t.insert(home_first(0), 200);
+  t.check_all();
+
+  // Growth through several doublings (8 slots to 128) with long shared runs.
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    t.insert(home_last(i), 300 + i);
+    t.insert(home_first(i), 400 + i);
+    t.check_all();
+  }
+  // Full: a new key is refused, a present one still updates.
+  ASSERT_EQ(t.table.entry_count(), 60u);
+  for (std::uint64_t i = 0; t.model.size() < 64; ++i) t.insert(1000 + i, i);
+  t.insert(0, 1);
+  t.insert(~0ULL, 2);
+  t.insert(home_last(2), 7);
+  t.lookup(0);
+  t.check_all();
+  t.erase(home_last(2));
+  t.insert(0, 1);
+  t.check_all();
+
+  // Reuse after clear.
+  t.clear();
+  t.check_all();
+  t.lookup(home_last(3));
+  for (std::uint64_t i = 0; i < 10; ++i) t.insert(home_last(i), i);
+  t.insert(0, 9);
+  t.check_all();
+}
+
+TEST(ExactTable, RandomOpsMatchReference) {
+  // A pool larger than the capacity, so inserts meet a full table often.
+  std::vector<std::uint64_t> pool{0, ~0ULL};
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    pool.push_back(home_last(i));
+    pool.push_back(home_first(i));
+    pool.push_back(i + 1);
+  }
+  std::mt19937_64 rng(20);
+  for (int i = 0; i < 100; ++i) pool.push_back(rng());
+
+  TableVsModel t(100);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = pool[rng() % pool.size()];
+    const unsigned op = static_cast<unsigned>(rng() % 100);
+    if (op < 45) {
+      t.insert(key, rng());
+    } else if (op < 65) {
+      t.erase(key);
+    } else if (op < 99) {
+      t.lookup(key);
+    } else if (step % 8 == 0) {
+      t.clear();  // about one in 800 steps, so the table refills and regrows
+    }
+    if (step % 97 == 0) t.check_all();
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+  }
+  t.check_all();
 }
 
 TEST(ControlPlane, ServiceRatePacesJobs) {

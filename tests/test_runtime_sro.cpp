@@ -2,6 +2,8 @@
 // pending bits, loss recovery via retries, epochs, guard sharing ablation.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "swishmem/fabric.hpp"
 
 namespace swish::shm {
@@ -12,15 +14,18 @@ constexpr std::uint32_t kSpace = 20;
 /// Driver NF: UDP dst port selects an action.
 ///  port 1000+k : SRO write value=src_port to key k, deliver output on commit
 ///  port 2000+k : SRO read key k; deliver packet if read Ok (records value)
+///  port 3000+k : SRO write kTombstone to key k (erases it from a table)
 class Driver : public NfApp {
  public:
   void process(pisa::PacketContext& ctx, ShmRuntime& rt) override {
     if (!ctx.parsed || !ctx.parsed->udp) return;
     const std::uint16_t port = ctx.parsed->udp->dst_port;
     pisa::Switch* sw = &ctx.sw;
-    if (port >= 1000 && port < 2000) {
+    if ((port >= 1000 && port < 2000) || port >= 3000) {
+      const bool erase = port >= 3000;
       std::vector<pkt::WriteOp> ops{
-          {kSpace, static_cast<std::uint64_t>(port - 1000), ctx.parsed->udp->src_port}};
+          {kSpace, static_cast<std::uint64_t>(port - (erase ? 3000 : 1000)),
+           erase ? kTombstone : ctx.parsed->udp->src_port}};
       rt.write(std::move(ops), std::move(ctx.packet),
                [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 2000 && port < 3000) {
@@ -56,13 +61,15 @@ struct Rig {
   std::vector<Driver*> drivers;
   std::uint64_t delivered = 0;
 
+  /// A non-zero `table_size` makes the space table-backed with that capacity.
   explicit Rig(FabricConfig cfg, ConsistencyClass cls = ConsistencyClass::kSRO,
-               std::size_t guard_slots = 0) : fabric(cfg) {
+               std::size_t guard_slots = 0, std::size_t table_size = 0) : fabric(cfg) {
     SpaceConfig sp;
     sp.id = kSpace;
     sp.name = "drv";
     sp.cls = cls;
-    sp.size = 256;
+    sp.size = table_size != 0 ? table_size : 256;
+    sp.table_backed = table_size != 0;
     sp.guard_slots = guard_slots;
     fabric.add_space(sp);
     fabric.install([this]() {
@@ -280,6 +287,80 @@ TEST_P(ChainLengthSweep, CommitsAcrossAllLengths) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ChainLengthSweep, ::testing::Values(1, 2, 3, 5, 8));
+
+// A write whose new key a full table refuses still commits and releases its
+// output (the protocol acks it), so every replica reports the loss as one
+// table_full drop naming the space, and the keys already stored stay readable.
+class TableFull : public ::testing::TestWithParam<ConsistencyClass> {};
+
+TEST_P(TableFull, RefusedKeyIsReportedOnEveryReplica) {
+  Rig rig(cfg4(), GetParam(), /*guard_slots=*/0, /*table_size=*/4);
+  for (std::uint16_t k = 0; k < 5; ++k) {
+    rig.fabric.sw(1).inject(udp(static_cast<std::uint16_t>(100 + k),
+                                static_cast<std::uint16_t>(1000 + k)));
+    rig.fabric.run_for(50 * kMs);
+  }
+  EXPECT_EQ(rig.delivered, 5u);
+
+  std::map<NodeId, int> table_full;
+  for (const telemetry::DropRecord& rec : rig.fabric.all_records().drops) {
+    if (rec.reason != telemetry::DropReason::kTableFull) continue;
+    EXPECT_EQ(rec.detail, kSpace);
+    ++table_full[rec.node];
+  }
+  EXPECT_EQ(table_full.size(), 4u);
+  for (const auto& [node, records] : table_full) EXPECT_EQ(records, 1) << "node " << node;
+
+  for (std::size_t i = 0; i < 4; ++i) {
+    ShmRuntime& rt = rig.fabric.runtime(i);
+    const SroSpaceState* sp =
+        GetParam() == ConsistencyClass::kCON ? rt.con_space(kSpace) : rt.sro_space(kSpace);
+    ASSERT_NE(sp, nullptr);
+    for (std::uint64_t k = 0; k < 4; ++k) EXPECT_EQ(sp->read(k), 100 + k) << "switch " << i;
+    EXPECT_FALSE(sp->read(4).has_value()) << "switch " << i;
+  }
+}
+
+// A refused write of a key this replica erased earlier stores nothing, so
+// the key is still absent here and every snapshot keeps streaming its
+// tombstone (a recovered replica must not keep a stale copy of it).
+TEST_P(TableFull, RefusedReinsertKeepsTombstoneInSnapshot) {
+  Rig rig(cfg4(), GetParam(), /*guard_slots=*/0, /*table_size=*/4);
+  const auto inject = [&rig](std::uint16_t src_port, std::uint16_t dst_port) {
+    rig.fabric.sw(1).inject(udp(src_port, dst_port));
+    rig.fabric.run_for(50 * kMs);
+  };
+  for (std::uint16_t k = 0; k < 4; ++k) {
+    inject(static_cast<std::uint16_t>(100 + k), static_cast<std::uint16_t>(1000 + k));
+  }
+  inject(0, 3000);    // erase key 0
+  inject(104, 1004);  // key 4 fills the table again
+  inject(200, 1000);  // re-insert key 0: refused
+  EXPECT_EQ(rig.delivered, 7u);
+
+  std::map<NodeId, int> table_full;
+  for (const telemetry::DropRecord& rec : rig.fabric.all_records().drops) {
+    if (rec.reason == telemetry::DropReason::kTableFull) ++table_full[rec.node];
+  }
+  EXPECT_EQ(table_full.size(), 4u);
+  for (const auto& [node, records] : table_full) EXPECT_EQ(records, 1) << "node " << node;
+
+  for (std::size_t i = 0; i < 4; ++i) {
+    ShmRuntime& rt = rig.fabric.runtime(i);
+    const SroSpaceState* sp =
+        GetParam() == ConsistencyClass::kCON ? rt.con_space(kSpace) : rt.sro_space(kSpace);
+    ASSERT_NE(sp, nullptr);
+    EXPECT_FALSE(sp->read(0).has_value()) << "switch " << i;
+    std::map<std::uint64_t, std::uint64_t> snap;
+    for (const SnapshotOp& e : sp->snapshot()) snap[e.op.key] = e.op.value;
+    const std::map<std::uint64_t, std::uint64_t> want{
+        {0, kTombstone}, {1, 101}, {2, 102}, {3, 103}, {4, 104}};
+    EXPECT_EQ(snap, want) << "switch " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Classes, TableFull,
+                         ::testing::Values(ConsistencyClass::kSRO, ConsistencyClass::kCON));
 
 }  // namespace
 }  // namespace swish::shm

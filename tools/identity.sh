@@ -59,6 +59,9 @@ add sim.nat.sparse.faults "$SIM" \
 add sim.lb.con.sparse.faults "$SIM" \
   "--nf lb --space lb.conn_to_dip=con:sparse --space lb.dip_refcount=con $FAULTS $JSON"
 add sim.rl.own.sparse.faults "$SIM" "--nf ratelimiter --space rl.user_bytes=own:sparse $FAULTS $JSON"
+# Firewall churn: ~4,000 flows whose FIN tombstones erase exact-match table
+# entries; the revive streams fw.connections' snapshot with its tombstones.
+add sim.firewall.churn "$SIM" "--nf firewall --flows-per-sec 20000 --duration-ms 200 $FAULTS $JSON"
 # Every other swish_sim flag, at least once. `--shards auto` picks the shard
 # count from the host, so compare both builds on one host.
 add sim.flags.workload "$SIM" \
