@@ -74,6 +74,20 @@ void BM_WireEncodeWriteRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeWriteRequest)->Arg(1)->Arg(8)->Arg(64);
 
+// A mirror flush's message: 16 entries is ewo_flood's mirror_batch.
+void BM_WireEncodeEwoUpdate(benchmark::State& state) {
+  pkt::EwoUpdate m;
+  m.origin = 3;
+  for (int i = 0; i < state.range(0); ++i) {
+    m.entries.push_back({1, static_cast<std::uint64_t>(i), 7, 9});
+  }
+  const pkt::SwishMessage msg = m;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pkt::encode_message(msg));
+  }
+}
+BENCHMARK(BM_WireEncodeEwoUpdate)->Arg(1)->Arg(16);
+
 void BM_WireDecodeEwoUpdate(benchmark::State& state) {
   pkt::EwoUpdate m;
   for (int i = 0; i < state.range(0); ++i) {

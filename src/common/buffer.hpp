@@ -6,8 +6,10 @@
 // are the sizes a switch would see.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,50 @@ class BufferError : public std::runtime_error {
   explicit BufferError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Stores `v` big-endian in the `sizeof(T)` bytes at `p`.
+template <typename T>
+void store_be(std::uint8_t* p, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+}
+
+/// Writes big-endian integers and raw bytes through a cursor into a region
+/// the caller sized beforehand — a frame whose length the wire codec's size
+/// walker computed. No growth, no zero-fill: each field is one store and one
+/// pointer bump. Writing past the region is a sizing bug (asserted).
+class ByteCursor {
+ public:
+  explicit ByteCursor(std::span<std::uint8_t> out) noexcept
+      : at_(out.data()), end_(out.data() + out.size()) {}
+
+  void u8(std::uint8_t v) { *take(1).data() = v; }
+  void u16(std::uint16_t v) { store_be(take(2).data(), v); }
+  void u32(std::uint32_t v) { store_be(take(4).data(), v); }
+  void u64(std::uint64_t v) { store_be(take(8).data(), v); }
+
+  void raw(std::span<const std::uint8_t> data) {
+    if (!data.empty()) std::memcpy(take(data.size()).data(), data.data(), data.size());
+  }
+
+  /// Claims the next `n` bytes for the caller to fill (e.g. a header whose
+  /// checksum covers its own bytes).
+  std::span<std::uint8_t> take(std::size_t n) {
+    assert(n <= remaining());
+    const std::span<std::uint8_t> out(at_, n);
+    at_ += n;
+    return out;
+  }
+
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - at_);
+  }
+
+ private:
+  std::uint8_t* at_;
+  std::uint8_t* end_;
+};
+
 /// Appends big-endian integers and raw bytes to a growable byte vector.
 class ByteWriter {
  public:
@@ -30,26 +76,10 @@ class ByteWriter {
   void u8(std::uint8_t v) { bytes_.push_back(v); }
 
   // Multi-byte writes grow the vector once and store bytes directly, rather
-  // than paying a capacity check per byte — the wire codec serializes sync
-  // batches of hundreds of fields and is hot in protocol-heavy runs.
-  void u16(std::uint16_t v) {
-    std::uint8_t* p = grow(2);
-    p[0] = static_cast<std::uint8_t>(v >> 8);
-    p[1] = static_cast<std::uint8_t>(v);
-  }
-
-  void u32(std::uint32_t v) {
-    std::uint8_t* p = grow(4);
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v);
-  }
-
-  void u64(std::uint64_t v) {
-    std::uint8_t* p = grow(8);
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  }
+  // than paying a capacity check per byte.
+  void u16(std::uint16_t v) { store_be(extend(2).data(), v); }
+  void u32(std::uint32_t v) { store_be(extend(4).data(), v); }
+  void u64(std::uint64_t v) { store_be(extend(8).data(), v); }
 
   void raw(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
@@ -58,8 +88,15 @@ class ByteWriter {
   /// Overwrites a previously written 16-bit field (e.g. a checksum slot).
   void patch_u16(std::size_t offset, std::uint16_t v) {
     if (offset + 2 > bytes_.size()) throw BufferError("patch_u16 out of range");
-    bytes_[offset] = static_cast<std::uint8_t>(v >> 8);
-    bytes_[offset + 1] = static_cast<std::uint8_t>(v);
+    store_be(bytes_.data() + offset, v);
+  }
+
+  /// Extends the buffer by `n` bytes and returns the new region (valid until
+  /// the next write).
+  std::span<std::uint8_t> extend(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return std::span<std::uint8_t>(bytes_).subspan(at);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
@@ -67,13 +104,6 @@ class ByteWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(bytes_); }
 
  private:
-  /// Extends the buffer by `n` bytes and returns a pointer to the new region.
-  std::uint8_t* grow(std::size_t n) {
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + n);
-    return bytes_.data() + at;
-  }
-
   std::vector<std::uint8_t> bytes_;
 };
 

@@ -2,10 +2,15 @@
 
 namespace swish::pkt {
 
-void EthernetHeader::encode(ByteWriter& w) const {
+void EthernetHeader::encode(ByteCursor& w) const {
   w.raw(dst.octets());
   w.raw(src.octets());
   w.u16(ether_type);
+}
+
+void EthernetHeader::encode(ByteWriter& w) const {
+  ByteCursor slot(w.extend(kEthernetHeaderLen));
+  encode(slot);
 }
 
 EthernetHeader EthernetHeader::decode(ByteReader& r) {
@@ -21,21 +26,20 @@ EthernetHeader EthernetHeader::decode(ByteReader& r) {
   return h;
 }
 
-void Ipv4Header::encode(ByteWriter& w) const {
-  const std::size_t start = w.size();
-  w.u8(0x45);  // version 4, IHL 5
-  w.u8(dscp << 2);
-  w.u16(total_length);
-  w.u16(identification);
-  w.u16(0x4000);  // DF, no fragmentation in the simulated fabric
-  w.u8(ttl);
-  w.u8(protocol);
-  w.u16(0);  // checksum placeholder
-  w.u32(src.value());
-  w.u32(dst.value());
-  const auto sum = internet_checksum(
-      std::span<const std::uint8_t>(w.bytes().data() + start, kIpv4HeaderLen));
-  w.patch_u16(start + 10, sum);
+void Ipv4Header::encode(ByteCursor& w) const {
+  const std::span<std::uint8_t> bytes = w.take(kIpv4HeaderLen);
+  ByteCursor h(bytes);
+  h.u8(0x45);  // version 4, IHL 5
+  h.u8(static_cast<std::uint8_t>(dscp << 2));
+  h.u16(total_length);
+  h.u16(identification);
+  h.u16(0x4000);  // DF, no fragmentation in the simulated fabric
+  h.u8(ttl);
+  h.u8(protocol);
+  h.u16(0);  // checksum placeholder
+  h.u32(src.value());
+  h.u32(dst.value());
+  store_be(&bytes[10], internet_checksum(bytes));
 }
 
 std::optional<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
@@ -57,7 +61,7 @@ std::optional<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
   return h;
 }
 
-void TcpHeader::encode(ByteWriter& w) const {
+void TcpHeader::encode(ByteCursor& w) const {
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
@@ -82,7 +86,7 @@ TcpHeader TcpHeader::decode(ByteReader& r) {
   return h;
 }
 
-void UdpHeader::encode(ByteWriter& w) const {
+void UdpHeader::encode(ByteCursor& w) const {
   w.u16(src_port);
   w.u16(dst_port);
   w.u16(length);

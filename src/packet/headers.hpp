@@ -3,7 +3,8 @@
 // These are real wire formats: 14-byte Ethernet, 20-byte IPv4 (no options),
 // 20-byte TCP, 8-byte UDP, with the standard internet checksum. The PISA
 // parser (src/pisa/parser) consumes these; the workload generator and the
-// SwiShmem protocol build on them.
+// SwiShmem protocol build on them. Each header writes through a ByteCursor
+// into its fixed-size slot of a pre-sized frame.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,8 @@ struct EthernetHeader {
   MacAddr src;
   std::uint16_t ether_type = kEtherTypeIpv4;
 
+  void encode(ByteCursor& w) const;
+  /// Appends the header to a growable buffer.
   void encode(ByteWriter& w) const;
   static EthernetHeader decode(ByteReader& r);
 };
@@ -44,7 +47,7 @@ struct Ipv4Header {
   Ipv4Addr dst;
 
   /// Encodes with a freshly computed header checksum.
-  void encode(ByteWriter& w) const;
+  void encode(ByteCursor& w) const;
 
   /// Decodes and verifies the checksum; returns nullopt on corruption.
   static std::optional<Ipv4Header> decode(ByteReader& r);
@@ -66,7 +69,7 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
 
-  void encode(ByteWriter& w) const;
+  void encode(ByteCursor& w) const;
   static TcpHeader decode(ByteReader& r);
 };
 
@@ -75,7 +78,7 @@ struct UdpHeader {
   std::uint16_t dst_port = 0;
   std::uint16_t length = 0;  // header + payload, filled by the builder
 
-  void encode(ByteWriter& w) const;
+  void encode(ByteCursor& w) const;
   static UdpHeader decode(ByteReader& r);
 };
 

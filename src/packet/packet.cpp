@@ -134,13 +134,10 @@ std::optional<ParsedPacket> Packet::parse() const {
   return *p;
 }
 
-Packet build_packet(const PacketSpec& spec) {
+void write_headers(const PacketSpec& spec, std::size_t payload_len, ByteCursor& out) {
   const std::size_t l4_len =
-      (spec.protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen) + spec.payload.size();
-
-  ByteWriter w(kEthernetHeaderLen + kIpv4HeaderLen + l4_len);
-  EthernetHeader eth{spec.eth_dst, spec.eth_src, kEtherTypeIpv4};
-  eth.encode(w);
+      (spec.protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen) + payload_len;
+  EthernetHeader{spec.eth_dst, spec.eth_src, kEtherTypeIpv4}.encode(out);
 
   Ipv4Header ip;
   ip.total_length = static_cast<std::uint16_t>(kIpv4HeaderLen + l4_len);
@@ -148,7 +145,7 @@ Packet build_packet(const PacketSpec& spec) {
   ip.protocol = spec.protocol;
   ip.src = spec.ip_src;
   ip.dst = spec.ip_dst;
-  ip.encode(w);
+  ip.encode(out);
 
   if (spec.protocol == kProtoTcp) {
     TcpHeader tcp;
@@ -156,16 +153,22 @@ Packet build_packet(const PacketSpec& spec) {
     tcp.dst_port = spec.dst_port;
     tcp.seq = spec.tcp_seq;
     tcp.flags = spec.tcp_flags;
-    tcp.encode(w);
+    tcp.encode(out);
   } else {
     UdpHeader udp;
     udp.src_port = spec.src_port;
     udp.dst_port = spec.dst_port;
     udp.length = static_cast<std::uint16_t>(l4_len);
-    udp.encode(w);
+    udp.encode(out);
   }
-  w.raw(spec.payload);
-  return Packet(std::move(w).take());
+}
+
+Packet build_packet(const PacketSpec& spec) {
+  std::vector<std::uint8_t> bytes(headers_len(spec.protocol) + spec.payload.size());
+  ByteCursor out(bytes);
+  write_headers(spec, spec.payload.size(), out);
+  out.raw(spec.payload);
+  return Packet(std::move(bytes));
 }
 
 Packet rewrite_l3l4(const Packet& packet, const ParsedPacket& parsed,

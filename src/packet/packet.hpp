@@ -158,6 +158,18 @@ struct PacketSpec {
   std::vector<std::uint8_t> payload;
 };
 
+/// Length of the Ethernet, IPv4 and L4 headers of a `protocol` packet.
+[[nodiscard]] constexpr std::size_t headers_len(std::uint8_t protocol) noexcept {
+  return kEthernetHeaderLen + kIpv4HeaderLen +
+         (protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen);
+}
+
+/// Writes the spec's Ethernet, IPv4 and TCP/UDP headers, with lengths and
+/// checksum for an L4 payload of `payload_len` bytes, through `out` (which
+/// must have headers_len(spec.protocol) bytes left); `spec.payload` is not
+/// read. The payload then goes into the same buffer, right after them.
+void write_headers(const PacketSpec& spec, std::size_t payload_len, ByteCursor& out);
+
 /// Builds a fully-encoded packet from the spec.
 Packet build_packet(const PacketSpec& spec);
 

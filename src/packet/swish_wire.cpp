@@ -12,12 +12,12 @@ namespace {
 template <typename M, typename T>
 concept Is = std::same_as<std::remove_const_t<M>, T>;
 
-// Field lists: the one layout of every message and record, walked by Writer
-// to encode and by Reader to decode. `io(...)` lists fields in wire order:
-// integers at their native width, big-endian; bool as one byte; a byte vector
-// as a u16 length and the bytes; any other vector as a u16 count and its
-// elements. `io.ops` walks an op list: u16 count, a has-seqs byte, then each
-// op followed by its seq when the list carries seqs.
+// Field lists: the one layout of every message and record, walked by Sizer
+// to size, by Writer to encode and by Reader to decode. `io(...)` lists
+// fields in wire order: integers at their native width, big-endian; bool as
+// one byte; a byte vector as a u16 length and the bytes; any other vector as
+// a u16 count and its elements. `io.ops` walks an op list: u16 count, a
+// has-seqs byte, then each op followed by its seq when the list carries seqs.
 
 void fields(auto& io, Is<WriteOp> auto& m) { io(m.space, m.key, m.value); }
 
@@ -93,10 +93,49 @@ void fields(auto& io, Is<ConLearn> auto& m) {
   io.ops(m.ops);
 }
 
-/// Encodes field lists into a growing byte vector.
+/// Sums the encoded length of field lists, encoding nothing.
+class Sizer {
+ public:
+  void operator()(const auto&... field) { (add(field), ...); }
+
+  void ops(const std::vector<WriteOp>& ops, const std::vector<SeqNum>* seqs = nullptr) {
+    const bool has_seqs = seqs != nullptr && !seqs->empty();
+    bytes_ += 2 + 1;  // count, has-seqs byte
+    for (const WriteOp& op : ops) {
+      fields(*this, op);
+      if (has_seqs) bytes_ += sizeof(SeqNum);
+    }
+  }
+
+  /// Sizes a message body; flattened like Writer::body.
+  [[gnu::flatten]] void body(const auto& m) { fields(*this, m); }
+
+  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
+
+ private:
+  static_assert(sizeof(bool) == 1, "bool travels as one byte");
+
+  template <typename T>
+    requires std::is_integral_v<T>
+  void add(T) {
+    bytes_ += sizeof(T);
+  }
+
+  void add(const std::vector<std::uint8_t>& blob) { bytes_ += 2 + blob.size(); }
+
+  template <typename T>
+  void add(const std::vector<T>& list) {
+    bytes_ += 2;
+    for (const T& element : list) fields(*this, element);
+  }
+
+  std::size_t bytes_ = 0;
+};
+
+/// Encodes field lists through a cursor into a region the Sizer sized.
 class Writer {
  public:
-  explicit Writer(std::size_t reserve) : out_(reserve) {}
+  explicit Writer(ByteCursor& out) : out_(out) {}
 
   void operator()(const auto&... field) { (put(field), ...); }
 
@@ -112,10 +151,8 @@ class Writer {
 
   /// Writes a message body. Flattened so every field write is inlined into
   /// the body: otherwise the unit's inline budget runs out and leaves
-  /// ByteWriter calls out of line on the hottest messages.
+  /// ByteCursor calls out of line on the hottest messages.
   [[gnu::flatten]] void body(const auto& m) { fields(*this, m); }
-
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(out_).take(); }
 
  private:
   void put(bool v) { out_.u8(v ? 1 : 0); }
@@ -135,7 +172,7 @@ class Writer {
     for (const T& element : list) fields(*this, element);
   }
 
-  ByteWriter out_;
+  ByteCursor& out_;
 };
 
 /// Decodes field lists from a payload; a read past its end throws
@@ -201,7 +238,36 @@ constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
   return table;
 }(std::make_index_sequence<kMessages.size()>{});
 
+/// Length of the type byte plus, when `ctx` is sampled, the trace context.
+std::size_t prefix_size(const telemetry::SpanContext& ctx) noexcept {
+  return ctx.sampled() ? 1 + telemetry::kSpanContextWireBytes : 1;
+}
+
+void write_prefix(std::uint8_t type, const telemetry::SpanContext& ctx, ByteCursor& out) {
+  Writer w(out);
+  if (ctx.sampled()) {
+    w(static_cast<std::uint8_t>(type | kTracedFlag), ctx.trace_id, ctx.span_id, ctx.hop);
+  } else {
+    w(type);
+  }
+}
+
+std::size_t body_size(const SwishMessage& msg) {
+  Sizer size;
+  std::visit([&size](const auto& m) { size.body(m); }, msg);
+  return size.bytes();
+}
+
+void write_body(const SwishMessage& msg, ByteCursor& out) {
+  Writer w(out);
+  std::visit([&w](const auto& m) { w.body(m); }, msg);
+}
+
 }  // namespace
+
+std::size_t encoded_size(const SwishMessage& msg, const telemetry::SpanContext& ctx) {
+  return prefix_size(ctx) + body_size(msg);
+}
 
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg) {
   return encode_message(msg, telemetry::SpanContext{});
@@ -209,15 +275,28 @@ std::vector<std::uint8_t> encode_message(const SwishMessage& msg) {
 
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
                                          const telemetry::SpanContext& ctx) {
-  const auto type = static_cast<std::uint8_t>(type_of(msg));
-  Writer out(ctx.sampled() ? 64 + telemetry::kSpanContextWireBytes : 64);
-  if (ctx.sampled()) {
-    out(static_cast<std::uint8_t>(type | kTracedFlag), ctx.trace_id, ctx.span_id, ctx.hop);
-  } else {
-    out(type);
-  }
-  std::visit([&out](const auto& m) { out.body(m); }, msg);
-  return std::move(out).take();
+  std::vector<std::uint8_t> out(encoded_size(msg, ctx));
+  ByteCursor cursor(out);
+  write_prefix(static_cast<std::uint8_t>(type_of(msg)), ctx, cursor);
+  write_body(msg, cursor);
+  return out;
+}
+
+void FrameEncoder::encode(const SwishMessage& msg) {
+  type_ = static_cast<std::uint8_t>(type_of(msg));
+  body_len_ = body_size(msg);
+  if (buf_.size() < kRoom + body_len_) buf_.resize(kRoom + body_len_);
+  ByteCursor body(std::span<std::uint8_t>(buf_).subspan(kRoom, body_len_));
+  write_body(msg, body);
+}
+
+Packet FrameEncoder::frame(const PacketSpec& spec, const telemetry::SpanContext& ctx) {
+  const std::size_t head = headers_len(spec.protocol) + prefix_size(ctx);
+  const std::span<std::uint8_t> bytes = std::span(buf_).subspan(kRoom - head, head + body_len_);
+  ByteCursor out(bytes.first(head));
+  write_headers(spec, prefix_size(ctx) + body_len_, out);
+  write_prefix(type_, ctx, out);
+  return Packet(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
 }
 
 std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload) {

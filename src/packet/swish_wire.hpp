@@ -8,8 +8,15 @@
 // (53 once the chain head adds its seq), a one-entry EwoUpdate 36.
 //
 // Each message's layout is declared once, as a field list in swish_wire.cpp
-// that both the encoder and the decoder walk, and its identity (wire type
-// byte, trace name, trace category) is one row of kMessages below.
+// that three walkers share: the size walker computes a message's exact
+// encoded length, the encoder writes it through a cursor into a region of
+// exactly that length, and the decoder reads it back. Its identity (wire
+// type byte, trace name, trace category) is one row of kMessages below.
+//
+// A message sent to several switches is encoded once: FrameEncoder sizes
+// and writes its body, then builds each destination's frame — Ethernet,
+// IPv4 and UDP headers, the type byte and that destination's trace context,
+// then a copy of the body — in one exact-size buffer.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +29,7 @@
 
 #include "common/buffer.hpp"
 #include "common/types.hpp"
+#include "packet/packet.hpp"
 #include "telemetry/records.hpp"
 #include "telemetry/span.hpp"
 
@@ -392,6 +400,36 @@ std::vector<std::uint8_t> encode_message(const SwishMessage& msg);
 /// byte and inserts the 17-byte context before the body.
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
                                          const telemetry::SpanContext& ctx);
+
+/// Exact length of encode_message(msg, ctx), computed by walking the
+/// message's field list without encoding it.
+std::size_t encoded_size(const SwishMessage& msg, const telemetry::SpanContext& ctx = {});
+
+/// Builds the UDP frames of one protocol message for one or more
+/// destinations: encode() sizes the body with the size walker and writes it
+/// once, and each frame() call builds one destination's frame from it.
+class FrameEncoder {
+ public:
+  /// Encodes `msg`'s body, replacing the previous message's.
+  void encode(const SwishMessage& msg);
+
+  /// One frame of the encoded message: `spec`'s headers (its payload is not
+  /// read), the type byte and — when sampled — `ctx`, then the body, built
+  /// in one exact-size buffer. The headers and type byte are written in the
+  /// room kept in front of the body, and the whole frame is copied out once.
+  [[nodiscard]] Packet frame(const PacketSpec& spec, const telemetry::SpanContext& ctx);
+
+ private:
+  /// Longest headers-and-type prefix a frame can have.
+  static constexpr std::size_t kRoom =
+      headers_len(kProtoTcp) + 1 + telemetry::kSpanContextWireBytes;
+
+  std::uint8_t type_ = 0;
+  std::size_t body_len_ = 0;
+  /// kRoom bytes of room, then the body. Grows to the longest body seen and
+  /// never shrinks, so steady-state encodes neither allocate nor zero-fill.
+  std::vector<std::uint8_t> buf_;
+};
 
 /// Parses a payload; returns nullopt on truncation or unknown type. Traced
 /// payloads decode transparently (the context is skipped).

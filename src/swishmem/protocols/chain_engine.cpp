@@ -56,10 +56,10 @@ std::vector<pkt::MsgType> ChainEngine::message_types() const {
   return {pkt::MsgType::kWriteRequest, pkt::MsgType::kWriteAck};
 }
 
-bool ChainEngine::handle_message(const pkt::SwishMessage& msg) {
-  if (const auto* req = std::get_if<pkt::WriteRequest>(&msg)) {
+bool ChainEngine::handle_message(pkt::SwishMessage& msg) {
+  if (auto* req = std::get_if<pkt::WriteRequest>(&msg)) {
     if (req->ops.empty() || !serves_space(req->ops.front().space)) return false;
-    on_write_request(*req);
+    on_write_request(std::move(*req));
     return true;
   }
   if (const auto* ack = std::get_if<pkt::WriteAck>(&msg)) {
@@ -182,7 +182,7 @@ bool ChainEngine::ops_table_backed(const std::vector<pkt::WriteOp>& ops) const {
   return false;
 }
 
-void ChainEngine::on_write_request(const pkt::WriteRequest& msg) {
+void ChainEngine::on_write_request(pkt::WriteRequest msg) {
   ++stats_.chain_requests_seen;
   if (msg.ops.empty()) return;
   const Placement& chain = host_.placement(msg.ops.front().space);
@@ -193,9 +193,9 @@ void ChainEngine::on_write_request(const pkt::WriteRequest& msg) {
   if (!chain_contains(chain, host_.self())) return;
   if (msg.seqs.empty()) {
     if (chain.members.front() != host_.self()) return;  // misrouted; dropped, retried
-    head_process(msg);
+    head_process(std::move(msg));
   } else {
-    relay_process(msg);
+    relay_process(std::move(msg));
   }
 }
 
@@ -233,9 +233,9 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
     }
     const Placement& chain = host_.placement(msg.ops.front().space);
     if (chain.members.back() == host_.self()) {
-      tail_commit(msg);
+      tail_commit(std::move(msg));
     } else {
-      send_chain_msg(chain_successor(chain), msg);
+      send_chain_msg(chain_successor(chain), std::move(msg));
     }
   };
   // Table-backed state is updated through each hop's control plane (§6.1);
@@ -282,9 +282,9 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
     if (applied_any) trace_point("chain_apply", msg.ops.front().space, msg.ops.front().key);
     const Placement& chain = host_.placement(msg.ops.front().space);
     if (chain.members.back() == host_.self()) {
-      tail_commit(msg);
+      tail_commit(std::move(msg));
     } else {
-      send_chain_msg(chain_successor(chain), msg);
+      send_chain_msg(chain_successor(chain), std::move(msg));
     }
   };
   if (ops_table_backed(msg.ops)) {
@@ -294,7 +294,7 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
   }
 }
 
-void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {
+void ChainEngine::tail_commit(pkt::WriteRequest msg) {
   if (!msg.ops.empty()) {
     trace_point("tail_commit", msg.ops.front().space, msg.ops.front().key);
   }
@@ -306,16 +306,19 @@ void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {
     SroSpaceState& sp = *it->second;
     sp.clear_key_pending_up_to(msg.ops[i].key, msg.seqs[i]);
   }
-  pkt::WriteAck ack{msg.epoch, msg.writer, msg.write_id, msg.ops, msg.seqs};
-  send_chain_msg(msg.writer, ack);
+  // One ack, to the writer first and then to every other member.
   const Placement& chain = host_.placement(msg.ops.empty() ? 0 : msg.ops.front().space);
+  ack_dsts_.assign(1, msg.writer);
   for (SwitchId member : chain.members) {
-    if (member == host_.self() || member == msg.writer) continue;
-    send_chain_msg(member, ack);
+    if (member != host_.self() && member != msg.writer) ack_dsts_.push_back(member);
   }
+  const pkt::SwishMessage ack =
+      pkt::WriteAck{msg.epoch, msg.writer, msg.write_id, std::move(msg.ops), std::move(msg.seqs)};
+  stats_.bytes_write += host_.send(ack_dsts_, ack);
   // While a recovery stream is active, every commit is also fed to the
   // recovering switch, in order, behind the snapshot (§6.3).
-  host_.recovery_tap(msg.ops, msg.seqs);
+  const auto& committed = std::get<pkt::WriteAck>(ack);
+  host_.recovery_tap(committed.ops, committed.seqs);
 }
 
 void ChainEngine::on_write_ack(const pkt::WriteAck& msg) {

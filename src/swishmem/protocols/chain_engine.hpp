@@ -35,7 +35,8 @@ class ChainEngine : public ProtocolEngine {
   void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
-  bool handle_message(const pkt::SwishMessage& msg) override;
+  using ProtocolEngine::handle_message;
+  bool handle_message(pkt::SwishMessage& msg) override;
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override {
@@ -87,14 +88,15 @@ class ChainEngine : public ProtocolEngine {
     telemetry::SpanContext trace;  ///< causal chain of this write (if sampled)
   };
 
-  // Message handlers.
-  void on_write_request(const pkt::WriteRequest& msg);
+  // Message handlers. A request is taken by value: each hop forwards the
+  // one it received, moved along rather than copied.
+  void on_write_request(pkt::WriteRequest msg);
   void on_write_ack(const pkt::WriteAck& msg);
 
   // Chain roles.
   void head_process(pkt::WriteRequest msg);
   void relay_process(pkt::WriteRequest msg);
-  void tail_commit(const pkt::WriteRequest& msg);
+  void tail_commit(pkt::WriteRequest msg);
   [[nodiscard]] bool ops_table_backed(const std::vector<pkt::WriteOp>& ops) const;
 
   // Writer side.
@@ -116,6 +118,8 @@ class ChainEngine : public ProtocolEngine {
 
   // Head dedup: write_id -> assigned seqs for in-flight writes.
   std::unordered_map<std::uint64_t, std::vector<SeqNum>> head_assigned_;
+
+  std::vector<SwitchId> ack_dsts_;  ///< the tail's ack fan-out list, reused
 
   Stats stats_;
 };

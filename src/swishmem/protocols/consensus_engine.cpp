@@ -90,7 +90,7 @@ const Placement& ConsensusEngine::placement() const noexcept {
   return spaces_.empty() ? kUnplaced : host_.placement(spaces_.begin()->first);
 }
 
-void ConsensusEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
+void ConsensusEngine::deliver(SwitchId dst, pkt::SwishMessage msg) {
   if (dst == host_.self()) {
     handle_message(msg);
     return;
@@ -98,14 +98,22 @@ void ConsensusEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
   stats_.bytes += host_.send(dst, msg);
 }
 
+void ConsensusEngine::broadcast(const pkt::SwishMessage& msg, const std::set<SwitchId>* skip) {
+  peers_.clear();
+  for (SwitchId m : members()) {
+    if (m != host_.self() && (skip == nullptr || !skip->contains(m))) peers_.push_back(m);
+  }
+  stats_.bytes += host_.send(peers_, msg);
+}
+
 std::vector<pkt::MsgType> ConsensusEngine::message_types() const {
   return {pkt::MsgType::kConForward, pkt::MsgType::kConPrepare, pkt::MsgType::kConPromise,
           pkt::MsgType::kConAccept, pkt::MsgType::kConAccepted, pkt::MsgType::kConLearn};
 }
 
-bool ConsensusEngine::handle_message(const pkt::SwishMessage& msg) {
-  if (const auto* fwd = std::get_if<pkt::ConForward>(&msg)) {
-    on_forward(*fwd);
+bool ConsensusEngine::handle_message(pkt::SwishMessage& msg) {
+  if (auto* fwd = std::get_if<pkt::ConForward>(&msg)) {
+    on_forward(std::move(*fwd));
     return true;
   }
   if (const auto* prep = std::get_if<pkt::ConPrepare>(&msg)) {
@@ -116,16 +124,16 @@ bool ConsensusEngine::handle_message(const pkt::SwishMessage& msg) {
     on_promise(*prom);
     return true;
   }
-  if (const auto* acc = std::get_if<pkt::ConAccept>(&msg)) {
-    on_accept(*acc);
+  if (auto* acc = std::get_if<pkt::ConAccept>(&msg)) {
+    on_accept(std::move(*acc));
     return true;
   }
   if (const auto* accd = std::get_if<pkt::ConAccepted>(&msg)) {
     on_accepted(*accd);
     return true;
   }
-  if (const auto* learn = std::get_if<pkt::ConLearn>(&msg)) {
-    on_learn(*learn);
+  if (auto* learn = std::get_if<pkt::ConLearn>(&msg)) {
+    on_learn(std::move(*learn));
     return true;
   }
   return false;
@@ -165,10 +173,7 @@ void ConsensusEngine::begin_election() {
   promised_ballot_ = std::max(promised_ballot_, ballot_);
   const telemetry::SpanContext tr = trace_root("con_election");
   ActiveTraceScope scope(host_, tr.sampled() ? tr : host_.active_trace());
-  for (SwitchId m : members()) {
-    if (m == host_.self()) continue;
-    deliver(m, pkt::ConPrepare{epoch(), ballot_, host_.self()});
-  }
+  broadcast(pkt::ConPrepare{epoch(), ballot_, host_.self()});
   if (promises_.size() >= quorum()) finish_election();
 }
 
@@ -191,7 +196,7 @@ void ConsensusEngine::on_prepare(const pkt::ConPrepare& msg) {
     if (slot <= applied_upto_) continue;
     promise.entries.push_back({slot, entry.ballot, entry.writer, entry.req_id, entry.ops});
   }
-  deliver(msg.coordinator, promise);
+  deliver(msg.coordinator, std::move(promise));
 }
 
 void ConsensusEngine::on_promise(const pkt::ConPromise& msg) {
@@ -371,7 +376,7 @@ void ConsensusEngine::release_write(SwitchId writer, std::uint64_t req_id) {
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-void ConsensusEngine::on_forward(const pkt::ConForward& msg) {
+void ConsensusEngine::on_forward(pkt::ConForward msg) {
   if (!is_coordinator() || electing_) return;  // the writer's retry re-routes
   if (msg.epoch != epoch()) return;            // stale view; retry carries the new one
   auto sit = sequenced_.find({msg.writer, msg.req_id});
@@ -380,7 +385,7 @@ void ConsensusEngine::on_forward(const pkt::ConForward& msg) {
     // loop (peer_applied_) re-delivers the learn; nothing to do here.
     return;
   }
-  propose(LogEntry{ballot_, msg.writer, msg.req_id, msg.ops});
+  propose(LogEntry{ballot_, msg.writer, msg.req_id, std::move(msg.ops)});
 }
 
 void ConsensusEngine::propose(LogEntry entry) {
@@ -403,13 +408,9 @@ void ConsensusEngine::send_accept(std::uint64_t slot) {
   auto lit = log_.find(slot);
   if (lit == log_.end()) return;
   auto pit = progress_.find(slot);
-  pkt::ConAccept accept{epoch(),          ballot_, slot, committed_upto_,
-                        lit->second.writer, lit->second.req_id, lit->second.ops};
-  for (SwitchId m : members()) {
-    if (m == host_.self()) continue;
-    if (pit != progress_.end() && pit->second.accepted_by.contains(m)) continue;
-    deliver(m, accept);
-  }
+  broadcast(pkt::ConAccept{epoch(), ballot_, slot, committed_upto_, lit->second.writer,
+                           lit->second.req_id, lit->second.ops},
+            pit != progress_.end() ? &pit->second.accepted_by : nullptr);
 }
 
 void ConsensusEngine::on_accepted(const pkt::ConAccepted& msg) {
@@ -450,12 +451,8 @@ void ConsensusEngine::advance_commit() {
       trace_point("con_commit", entry.ops.front().space, entry.ops.front().key);
       host_.recovery_tap(entry.ops, std::vector<SeqNum>(entry.ops.size(), slot));
     }
-    pkt::ConLearn learn{epoch(),      ballot_,       slot, committed_upto_,
-                        entry.writer, entry.req_id, entry.ops};
-    for (SwitchId m : members()) {
-      if (m == host_.self()) continue;
-      deliver(m, learn);
-    }
+    broadcast(pkt::ConLearn{epoch(), ballot_, slot, committed_upto_, entry.writer, entry.req_id,
+                            entry.ops});
     progress_.erase(slot);
   }
   apply_committed_upto(committed_upto_);
@@ -464,10 +461,7 @@ void ConsensusEngine::advance_commit() {
 void ConsensusEngine::repair_tick() {
   if (electing_) {
     // Re-drive lost prepares until a quorum promises.
-    for (SwitchId m : members()) {
-      if (m == host_.self() || promises_.contains(m)) continue;
-      deliver(m, pkt::ConPrepare{epoch(), ballot_, host_.self()});
-    }
+    broadcast(pkt::ConPrepare{epoch(), ballot_, host_.self()}, &promises_);
     return;
   }
   if (!is_coordinator()) return;
@@ -519,7 +513,7 @@ bool ConsensusEngine::lease_valid() const {
   return lease_expiry_ != 0 && host_.sw().simulator().now() < lease_expiry_;
 }
 
-void ConsensusEngine::on_accept(const pkt::ConAccept& msg) {
+void ConsensusEngine::on_accept(pkt::ConAccept msg) {
   ++stats_.accepts_seen;
   if (msg.ballot < promised_ballot_) {
     ++stats_.stale_ballot_drops;
@@ -532,7 +526,7 @@ void ConsensusEngine::on_accept(const pkt::ConAccept& msg) {
     // the committing one, where the choice invariant forces the same value:
     // the committed bit survives the overwrite.
     const bool chosen = it != log_.end() && it->second.committed;
-    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, msg.ops, chosen};
+    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, std::move(msg.ops), chosen};
   }
   committed_upto_ = std::max(committed_upto_, msg.commit_upto);
   mark_committed(msg.commit_upto, msg.ballot);
@@ -542,7 +536,7 @@ void ConsensusEngine::on_accept(const pkt::ConAccept& msg) {
           pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
 }
 
-void ConsensusEngine::on_learn(const pkt::ConLearn& msg) {
+void ConsensusEngine::on_learn(pkt::ConLearn msg) {
   if (msg.ballot < promised_ballot_) {
     ++stats_.stale_ballot_drops;
     return;
@@ -552,7 +546,7 @@ void ConsensusEngine::on_learn(const pkt::ConLearn& msg) {
   if (it == log_.end() || it->second.ballot <= msg.ballot) {
     // A learn carries the chosen value for the slot it names (commitment is
     // permanent), so the fresh entry is committed outright.
-    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, msg.ops, true};
+    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, std::move(msg.ops), true};
   } else {
     // Our entry outranks the learn's ballot; for a chosen slot any
     // higher-ballot accept must carry the same value, so it is chosen too.

@@ -60,7 +60,8 @@ class ConsensusEngine final : public ProtocolEngine {
   void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
-  bool handle_message(const pkt::SwishMessage& msg) override;
+  using ProtocolEngine::handle_message;
+  bool handle_message(pkt::SwishMessage& msg) override;
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override {
@@ -134,12 +135,14 @@ class ConsensusEngine final : public ProtocolEngine {
     telemetry::SpanContext trace;
   };
 
-  void on_forward(const pkt::ConForward& msg);
+  // Handlers of the messages that carry an op batch take them by value: the
+  // batch moves into the log instead of being copied.
+  void on_forward(pkt::ConForward msg);
   void on_prepare(const pkt::ConPrepare& msg);
   void on_promise(const pkt::ConPromise& msg);
-  void on_accept(const pkt::ConAccept& msg);
+  void on_accept(pkt::ConAccept msg);
   void on_accepted(const pkt::ConAccepted& msg);
-  void on_learn(const pkt::ConLearn& msg);
+  void on_learn(pkt::ConLearn msg);
 
   /// Coordinator: sequences `entry` at the next slot and proposes it.
   void propose(LogEntry entry);
@@ -170,7 +173,11 @@ class ConsensusEngine final : public ProtocolEngine {
   void release_write(SwitchId writer, std::uint64_t req_id);
   void refresh_lease(std::uint64_t ballot);
 
-  void deliver(SwitchId dst, const pkt::SwishMessage& msg);
+  /// Sends `msg` to `dst`, or handles it here when `dst` is this switch.
+  void deliver(SwitchId dst, pkt::SwishMessage msg);
+  /// Sends `msg` in one send to every member but this switch, in placement
+  /// order, leaving out those in `skip` (when given).
+  void broadcast(const pkt::SwishMessage& msg, const std::set<SwitchId>* skip = nullptr);
   /// The acceptor set and ballot epoch: one log serves every kCON space, and
   /// every kCON space spans every switch (add_remote_space refuses subsets)
   /// with placements that move in lockstep, so the lowest space's placement
@@ -211,6 +218,8 @@ class ConsensusEngine final : public ProtocolEngine {
   // -- Writer state ------------------------------------------------------------
   std::map<std::uint64_t, PendingWrite> pending_writes_;  ///< req_id -> write
   std::uint64_t next_req_id_ = 0;
+
+  std::vector<SwitchId> peers_;  ///< broadcast()'s destination list, reused
 
   Stats stats_;
 };

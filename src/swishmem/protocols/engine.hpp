@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,9 +140,15 @@ class EngineHost {
   /// space holds its add_space replica set at epoch 0.
   [[nodiscard]] virtual const Placement& placement(std::uint32_t space) const noexcept = 0;
 
-  /// Sends one protocol message into the fabric; returns the wire bytes so
-  /// the engine can account its own protocol bandwidth.
-  virtual std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) = 0;
+  /// Sends one protocol message to each of `dsts`, in order; returns the
+  /// wire bytes of all its frames so the engine can account its own protocol
+  /// bandwidth. The message is encoded once, however many destinations.
+  virtual std::size_t send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg) = 0;
+
+  /// The unicast case: a one-destination send.
+  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) {
+    return send(std::span<const SwitchId>(&dst, 1), msg);
+  }
 
   /// Registers a periodic background task (packet-generator driven); valid
   /// from ProtocolEngine::start().
@@ -285,7 +292,11 @@ class ProtocolEngine {
   /// Handles one protocol message. Returns false when the message belongs to
   /// another engine registered for the same type (e.g. chain traffic for a
   /// space of a different class); the runtime then tries the next claimant.
-  virtual bool handle_message(const pkt::SwishMessage& msg) = 0;
+  /// The engine may move from `msg` only once it claims it (returns true).
+  virtual bool handle_message(pkt::SwishMessage& msg) = 0;
+
+  /// Handles a message no one reads afterwards (a local delivery, a test).
+  bool handle_message(pkt::SwishMessage&& msg) { return handle_message(msg); }
 
   // -- Recovery (§6.3) ----------------------------------------------------------
   /// Donor side: a stream of this engine's replayable state, frozen at this

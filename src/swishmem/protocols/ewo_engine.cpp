@@ -44,7 +44,7 @@ std::vector<pkt::MsgType> EwoEngine::message_types() const {
   return {pkt::MsgType::kEwoUpdate};
 }
 
-bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
+bool EwoEngine::handle_message(pkt::SwishMessage& msg) {
   const auto* update = std::get_if<pkt::EwoUpdate>(&msg);
   if (!update) return false;
   ++stats_.updates_received;
@@ -173,6 +173,14 @@ const std::vector<SwitchId>& EwoEngine::replication_targets() const noexcept {
   return host_.placement(group_space_).members;
 }
 
+std::span<const SwitchId> EwoEngine::peers() {
+  peers_.clear();
+  for (SwitchId dst : replication_targets()) {
+    if (dst != host_.self()) peers_.push_back(dst);
+  }
+  return peers_;
+}
+
 std::uint32_t EwoEngine::expected_replicas() const noexcept {
   std::uint32_t n = 0;
   for (SwitchId dst : replication_targets()) {
@@ -207,9 +215,9 @@ void EwoEngine::mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,
 
 void EwoEngine::flush_mirror_buffer() {
   if (mirror_buffer_.empty()) return;
-  pkt::EwoUpdate update;
+  auto& update = std::get<pkt::EwoUpdate>(mirror_msg_);
   update.origin = host_.self();
-  update.periodic = false;
+  update.entries.clear();
   // A coalesced flush carries one trace context on the wire: the first
   // sampled write in the batch. Later sampled writes in the same batch lose
   // their individual linkage (documented in DESIGN.md §9).
@@ -220,13 +228,9 @@ void EwoEngine::flush_mirror_buffer() {
   }
   mirror_buffer_.clear();
   ActiveTraceScope scope(host_, flush_trace);
-  std::uint64_t copies = 0;
-  for (SwitchId dst : replication_targets()) {
-    if (dst == host_.self()) continue;
-    stats_.bytes += host_.send(dst, update);
-    ++copies;
-  }
-  stats_.updates_sent += copies;
+  const std::span<const SwitchId> dsts = peers();
+  stats_.bytes += host_.send(dsts, mirror_msg_);
+  stats_.updates_sent += dsts.size();
 }
 
 void EwoEngine::periodic_sync() {
@@ -240,10 +244,7 @@ void EwoEngine::periodic_sync() {
   }
   if (all.empty()) return;
 
-  std::vector<SwitchId> targets;
-  for (SwitchId m : replication_targets()) {
-    if (m != host_.self()) targets.push_back(m);
-  }
+  const std::span<const SwitchId> targets = peers();
   if (targets.empty()) return;
 
   // Root a span per sync round so anti-entropy repair traffic is visible in
@@ -253,24 +254,18 @@ void EwoEngine::periodic_sync() {
 
   const std::size_t chunk = host_.config().sync_chunk_entries;
   for (std::size_t off = 0; off < all.size(); off += chunk) {
-    pkt::EwoUpdate update;
-    update.origin = host_.self();
-    update.periodic = true;
     const std::size_t end = std::min(off + chunk, all.size());
-    update.entries.assign(all.begin() + static_cast<std::ptrdiff_t>(off),
-                          all.begin() + static_cast<std::ptrdiff_t>(end));
-    if (host_.config().sync_fanout == SyncFanout::kRandomOne) {
-      const SwitchId dst = targets[rng_.next_below(targets.size())];
-      stats_.bytes += host_.send(dst, update);
-      stats_.sync_entries_sent += update.entries.size();
-      ++stats_.updates_sent;
-    } else {
-      for (SwitchId dst : targets) {
-        stats_.bytes += host_.send(dst, update);
-        stats_.sync_entries_sent += update.entries.size();
-        ++stats_.updates_sent;
-      }
-    }
+    const pkt::SwishMessage update = pkt::EwoUpdate{
+        host_.self(), true,
+        {all.begin() + static_cast<std::ptrdiff_t>(off),
+         all.begin() + static_cast<std::ptrdiff_t>(end)}};
+    const std::span<const SwitchId> dsts =
+        host_.config().sync_fanout == SyncFanout::kRandomOne
+            ? targets.subspan(rng_.next_below(targets.size()), 1)
+            : targets;
+    stats_.bytes += host_.send(dsts, update);
+    stats_.sync_entries_sent += (end - off) * dsts.size();
+    stats_.updates_sent += dsts.size();
   }
 }
 

@@ -4,6 +4,7 @@
 // failures (§6.3). Merge policy per space: LWW, G-/PN-counter, or G-set.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 
 #include "common/rng.hpp"
@@ -40,7 +41,8 @@ class EwoEngine final : public ProtocolEngine {
                                       std::int64_t delta, UpdateDone done) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
-  bool handle_message(const pkt::SwishMessage& msg) override;
+  using ProtocolEngine::handle_message;
+  bool handle_message(pkt::SwishMessage& msg) override;
 
   [[nodiscard]] const EwoSpaceState* space_state(std::uint32_t id) const;
 
@@ -77,6 +79,9 @@ class EwoEngine final : public ProtocolEngine {
   /// refuses subsets) and their placements move in lockstep, so the first
   /// space's placement is every space's.
   [[nodiscard]] const std::vector<SwitchId>& replication_targets() const noexcept;
+  /// The mirror group without this switch, in placement order: every
+  /// mirror flush and sync chunk goes to these in one send.
+  [[nodiscard]] std::span<const SwitchId> peers();
   /// Replicas other than this switch (expected applies for lag accounting).
   [[nodiscard]] std::uint32_t expected_replicas() const noexcept;
   /// Reports commit-at-origin to the observatory; ident is the space's own
@@ -90,6 +95,10 @@ class EwoEngine final : public ProtocolEngine {
   // add-only and unique_ptr-owned, so the pointers stay valid and the flush
   // avoids a map lookup per buffered entry.
   std::vector<MirrorSlot> mirror_buffer_;
+  /// The EwoUpdate every mirror flush fills and sends: its entry list keeps
+  /// its capacity from flush to flush.
+  pkt::SwishMessage mirror_msg_{pkt::EwoUpdate{}};
+  std::vector<SwitchId> peers_;  ///< peers()'s list, reused
 
   // Scratch for observe_commit: with the observatory on, every local write
   // collects its own entries — reusing one buffer keeps that allocation-free.

@@ -70,7 +70,7 @@ std::vector<pkt::MsgType> OwnerEngine::message_types() const {
   return {pkt::MsgType::kOwnRequest, pkt::MsgType::kOwnGrant, pkt::MsgType::kOwnUpdate};
 }
 
-bool OwnerEngine::handle_message(const pkt::SwishMessage& msg) {
+bool OwnerEngine::handle_message(pkt::SwishMessage& msg) {
   if (const auto* req = std::get_if<pkt::OwnRequest>(&msg)) {
     if (!spaces_.contains(req->space)) return false;
     on_own_request(*req);

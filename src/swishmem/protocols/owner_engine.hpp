@@ -47,7 +47,8 @@ class OwnerEngine final : public ProtocolEngine {
                                       std::int64_t delta, UpdateDone done) override;
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
-  bool handle_message(const pkt::SwishMessage& msg) override;
+  using ProtocolEngine::handle_message;
+  bool handle_message(pkt::SwishMessage& msg) override;
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override;

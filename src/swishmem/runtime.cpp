@@ -185,20 +185,6 @@ const Placement& ShmRuntime::placement(std::uint32_t space) const noexcept {
 // Transport (EngineHost)
 // ---------------------------------------------------------------------------
 
-pkt::Packet ShmRuntime::wrap(SwitchId dst, const pkt::SwishMessage& msg,
-                             const telemetry::SpanContext& ctx) const {
-  pkt::PacketSpec spec;
-  spec.eth_src = pkt::MacAddr::for_node(sw_.id());
-  spec.eth_dst = pkt::MacAddr::for_node(dst);
-  spec.ip_src = net::node_ip(sw_.id());
-  spec.ip_dst = net::node_ip(dst);
-  spec.protocol = pkt::kProtoUdp;
-  spec.src_port = pkt::kSwishPort;
-  spec.dst_port = pkt::kSwishPort;
-  spec.payload = pkt::encode_message(msg, ctx);
-  return pkt::build_packet(spec);
-}
-
 telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::SwishMessage& msg) {
   // Fast path for the sampling-disabled steady state: nothing sampled is in
   // flight and no retransmission context is cached, so there is nothing to
@@ -221,34 +207,48 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   return ctx;
 }
 
-std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
-  telemetry::SpanContext trace_ctx;
-  // Inline what outgoing_trace's fast path would check, so the steady state
-  // with tracing enabled but nothing sampled skips the call entirely.
-  if (spans_->enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
-    trace_ctx = outgoing_trace(dst, msg);
-  }
-  pkt::Packet packet = wrap(dst, msg, trace_ctx);
-  // INT-MD sampling of protocol traffic: 1-in-N sends get the telemetry
-  // trailer. The trailer bytes are charged to the bytes_int class (not the
-  // message's own class — the caller-visible size excludes them), keeping
-  // the per-class counters summing to bytes_total exactly.
-  std::size_t int_overhead = 0;
-  if (config_.int_sample_every > 0 && --int_countdown_ == 0) {
-    int_countdown_ = config_.int_sample_every;
-    packet = pkt::with_int_trailer(
-        packet, static_cast<std::uint8_t>(std::min<unsigned>(config_.int_hop_cap, 255u)));
-    int_overhead = pkt::kIntTrailerBytes;
-    int_bytes_ += int_overhead;
-  }
-  const std::size_t n = packet.size();
-  total_bytes_ += n;
-  // Per-class protocol-message tracing: every protocol byte leaves through
-  // here, so one probe covers all four engines.
+std::size_t ShmRuntime::send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg) {
+  if (dsts.empty()) return 0;
+  frames_.encode(msg);
   const pkt::MsgInfo& info = pkt::info_of(msg);
-  sw_.simulator().records().trace(info.category, sw_.id(), info.name, dst, n);
-  sw_.send_to_node(dst, std::move(packet), rng_.next());
-  return n - int_overhead;
+  pkt::PacketSpec spec;
+  spec.eth_src = pkt::MacAddr::for_node(sw_.id());
+  spec.ip_src = net::node_ip(sw_.id());
+  spec.protocol = pkt::kProtoUdp;
+  spec.src_port = pkt::kSwishPort;
+  spec.dst_port = pkt::kSwishPort;
+  std::size_t sent = 0;
+  for (const SwitchId dst : dsts) {
+    telemetry::SpanContext trace_ctx;
+    // Inline what outgoing_trace's fast path would check, so the steady state
+    // with tracing enabled but nothing sampled skips the call entirely.
+    if (spans_->enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
+      trace_ctx = outgoing_trace(dst, msg);
+    }
+    spec.eth_dst = pkt::MacAddr::for_node(dst);
+    spec.ip_dst = net::node_ip(dst);
+    pkt::Packet packet = frames_.frame(spec, trace_ctx);
+    // INT-MD sampling of protocol traffic: 1-in-N sends get the telemetry
+    // trailer. The trailer bytes are charged to the bytes_int class (not the
+    // message's own class — the caller-visible size excludes them), keeping
+    // the per-class counters summing to bytes_total exactly.
+    std::size_t int_overhead = 0;
+    if (config_.int_sample_every > 0 && --int_countdown_ == 0) {
+      int_countdown_ = config_.int_sample_every;
+      packet = pkt::with_int_trailer(
+          packet, static_cast<std::uint8_t>(std::min<unsigned>(config_.int_hop_cap, 255u)));
+      int_overhead = pkt::kIntTrailerBytes;
+      int_bytes_ += int_overhead;
+    }
+    const std::size_t n = packet.size();
+    total_bytes_ += n;
+    // Per-class protocol-message tracing: every protocol byte leaves through
+    // here, so one probe covers all four engines.
+    sw_.simulator().records().trace(info.category, sw_.id(), info.name, dst, n);
+    sw_.send_to_node(dst, std::move(packet), rng_.next());
+    sent += n - int_overhead;
+  }
+  return sent;
 }
 
 std::size_t ShmRuntime::send_control(SwitchId dst, const pkt::SwishMessage& msg) {

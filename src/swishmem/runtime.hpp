@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -162,7 +163,11 @@ class ShmRuntime final : public EngineHost {
   [[nodiscard]] const RuntimeConfig& config() const noexcept override { return config_; }
   [[nodiscard]] SwitchId self() const noexcept override { return sw_.id(); }
   [[nodiscard]] const Placement& placement(std::uint32_t space) const noexcept override;
-  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) override;
+  /// Encodes `msg`'s body once, then gives each destination, in order, its
+  /// own frame: headers, type byte, trace context, INT trailer when the
+  /// sampling countdown picks that send, and its own ECMP hash draw.
+  std::size_t send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg) override;
+  using EngineHost::send;
   /// send() plus control-class byte accounting (heartbeats, SWIM traffic);
   /// keeps the per-class counters summing to bytes_total.
   std::size_t send_control(SwitchId dst, const pkt::SwishMessage& msg);
@@ -248,9 +253,6 @@ class ShmRuntime final : public EngineHost {
   void on_recovery_ack(std::uint64_t stream_seq);
   void on_recovery_chunk(const pkt::WriteRequest& msg);
 
-  [[nodiscard]] pkt::Packet wrap(SwitchId dst, const pkt::SwishMessage& msg,
-                                 const telemetry::SpanContext& ctx) const;
-
   /// Trace context to put on the wire for this send. Retransmissions of an
   /// idempotent message (same write_id/req_id to the same destination) reuse
   /// the span of the first transmission so a lossy fabric does not
@@ -298,6 +300,10 @@ class ShmRuntime final : public EngineHost {
   telemetry::Counter int_bytes_;       ///< INT trailer bytes on sampled sends
   telemetry::Counter total_bytes_;     ///< all protocol sends from this switch
   std::uint64_t int_countdown_ = 0;    ///< 1-in-N INT sampling of protocol sends
+  /// Encodes each sent message once and builds its frames. Nothing a send
+  /// does re-enters send (network deliveries and recirculations are
+  /// scheduled), so one encoder serves every call.
+  pkt::FrameEncoder frames_;
 
   bool authoritative_ = false;  ///< serving a redirected read at the tail
   bool started_ = false;

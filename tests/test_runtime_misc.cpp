@@ -3,6 +3,12 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "packet/int_md.hpp"
 #include "swishmem/fabric.hpp"
 
 namespace swish::shm {
@@ -168,6 +174,68 @@ TEST(RuntimeMisc, ProtocolByteCountersAccount) {
   const Histogram& h = snap.values.at("shm.sw1.sro.write_latency_ns").hist;
   EXPECT_EQ(h.count(), 1u);
   EXPECT_LE(h.p50(), h.p99());
+}
+
+TEST(RuntimeMisc, FanOutSendFramesEachDestinationSeparately) {
+  // One send to three switches under span sampling and 1-in-2 INT sampling.
+  // Virtual time never advances, so these are the only frames sent.
+  FabricConfig cfg;
+  cfg.num_switches = 4;
+  cfg.int_sample_every = 2;
+  Fabric fabric(cfg);
+  fabric.install(nullptr);
+  fabric.start();  // installs the routes
+  fabric.enable_spans(1);
+  std::vector<std::pair<NodeId, pkt::Packet>> frames;
+  fabric.network().set_tap([&](NodeId from, NodeId to, const pkt::Packet& p, TimeNs) {
+    if (from == 1) frames.emplace_back(to, p);
+  });
+
+  ShmRuntime& rt = fabric.runtime(0);
+  const pkt::SwishMessage msg = pkt::EwoUpdate{1, false, {{7, 1, 2, 3}, {7, 4, 5, 6}}};
+  const std::vector<SwitchId> dsts{3, 2, 4};
+  telemetry::SpanRecorder& spans = fabric.simulator().spans();
+  const telemetry::SpanContext root = spans.maybe_start_trace();
+  std::size_t sent = 0;
+  {
+    ActiveTraceScope scope(rt, root);
+    sent = rt.send(dsts, msg);
+  }
+
+  ASSERT_EQ(frames.size(), dsts.size());
+  std::size_t wire_bytes = 0;
+  std::set<std::uint64_t> span_ids;
+  for (std::size_t i = 0; i < dsts.size(); ++i) {
+    const auto& [to, frame] = frames[i];
+    EXPECT_EQ(to, dsts[i]) << "frames leave in list order";
+    const pkt::ParsedPacket* parsed = frame.parsed();
+    ASSERT_NE(parsed, nullptr);
+    EXPECT_EQ(parsed->eth.dst, pkt::MacAddr::for_node(dsts[i]));
+    EXPECT_EQ(parsed->ipv4->dst, net::node_ip(dsts[i]));
+    EXPECT_EQ(parsed->ipv4->src, net::node_ip(1));
+    EXPECT_EQ(parsed->udp->dst_port, pkt::kSwishPort);
+    telemetry::SpanContext ctx;
+    const auto decoded = pkt::decode_message(frame.l4_payload(*parsed), &ctx);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, msg);
+    // Each destination carries its own send span, a child of the root.
+    EXPECT_TRUE(ctx.sampled());
+    EXPECT_EQ(ctx.trace_id, root.trace_id);
+    span_ids.insert(ctx.span_id);
+    // The countdown (2) picks the second send for the INT trailer.
+    EXPECT_EQ(pkt::has_int_trailer(frame), i == 1) << "frame " << i;
+    wire_bytes += frame.size() - pkt::int_trailer_size(frame);  // egress added a hop record
+  }
+  EXPECT_EQ(span_ids.size(), dsts.size());
+  EXPECT_EQ(sent, wire_bytes) << "send returns the frames' bytes, trailers excluded";
+  std::size_t send_spans = 0;
+  for (const telemetry::Span& s : spans.spans()) {
+    if (std::string_view(s.name) != "EwoUpdate") continue;
+    ++send_spans;
+    EXPECT_EQ(s.parent_span, root.span_id);
+    EXPECT_TRUE(span_ids.contains(s.span_id));
+  }
+  EXPECT_EQ(send_spans, dsts.size());
 }
 
 TEST(RuntimeMisc, MalformedProtocolPacketConsumedSilently) {

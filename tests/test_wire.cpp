@@ -158,6 +158,14 @@ TEST(Wire, GoldenBytes) {
   EXPECT_EQ(encode_message(EwoUpdate{1, false, {{1, 2, 3, 4}}}).size(), 36u);
 }
 
+TEST(Wire, SizeWalkerMatchesEncoding) {
+  for (const Golden& g : golden_messages()) {
+    EXPECT_EQ(encoded_size(g.msg), encode_message(g.msg).size()) << "alternative " << g.msg.index();
+    EXPECT_EQ(encoded_size(g.msg, kGoldenContext), encode_message(g.msg, kGoldenContext).size())
+        << "alternative " << g.msg.index();
+  }
+}
+
 TEST(Wire, WriteRequestRoundTripUnsequenced) {
   WriteRequest m;
   m.epoch = 3;

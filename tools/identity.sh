@@ -62,6 +62,12 @@ add sim.rl.own.sparse.faults "$SIM" "--nf ratelimiter --space rl.user_bytes=own:
 # Firewall churn: ~4,000 flows whose FIN tombstones erase exact-match table
 # entries; the revive streams fw.connections' snapshot with its tombstones.
 add sim.firewall.churn "$SIM" "--nf firewall --flows-per-sec 20000 --duration-ms 200 $FAULTS $JSON"
+# Fan-out sends under span and INT sampling: every frame and span of one
+# message sent to several replicas (EWO mirror flushes and periodic syncs;
+# kCON prepare, accept and learn rounds).
+FANOUT="--span-sample 4 --int-sample 4 --pcap fabric.pcap --perfetto spans.json"
+add sim.ddos.fanout "$SIM" "--nf ddos $FANOUT $JSON"
+add sim.lb.con.fanout "$SIM" "$LB_CON --switches 4 $FANOUT $JSON"
 # Every other swish_sim flag, at least once. `--shards auto` picks the shard
 # count from the host, so compare both builds on one host.
 add sim.flags.workload "$SIM" \
