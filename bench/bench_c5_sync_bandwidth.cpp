@@ -41,7 +41,6 @@ int main() {
         shm::FabricConfig cfg;
         cfg.num_switches = 3;
         cfg.runtime.sync_period = period;
-        cfg.runtime.sync_fanout = shm::SyncFanout::kRandomOne;
         bench::DriverRig rig(cfg, regs, 0, /*mirror_batch=*/1);
         // Dirty every register once so the scan ships the full state.
         for (std::size_t k = 0; k < regs; ++k) {

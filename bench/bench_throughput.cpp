@@ -259,7 +259,7 @@ RunStats run_scenario(const Options& opt, std::size_t shards, std::uint64_t span
   cfg.spine_count = opt.spines;
   cfg.seed = 7;
   cfg.shards = shards;
-  cfg.int_sample_every = int_sample;
+  cfg.switch_config.int_sample_every = int_sample;
 
   shm::Fabric fabric(cfg);
   if (span_sample > 0) fabric.enable_spans(span_sample);

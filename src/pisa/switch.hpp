@@ -53,10 +53,10 @@ class Switch : public net::Node {
     TimeNs pipeline_latency = 1 * kUs;     ///< ingress-to-egress latency
     double dataplane_pps = 100e6;          ///< processing capacity
     std::size_t dataplane_queue = 16384;   ///< packets buffered before tail drop
-    std::size_t memory_budget = 10 * 1024 * 1024;  ///< ~10 MB SRAM (§1)
     unsigned max_recirculations = 16;      ///< per-packet cap; 0 disables recirculation
-    /// INT-MD sampling: tag 1-in-N edge-injected packets with a telemetry
-    /// trailer (0 = off; unsampled traffic stays byte-identical).
+    /// INT-MD sampling: tag 1-in-N edge-injected packets — and, on a
+    /// SwiShmem switch, 1-in-N protocol sends — with a telemetry trailer
+    /// (0 = off; unsampled traffic stays byte-identical).
     std::uint64_t int_sample_every = 0;
     unsigned int_hop_cap = 8;              ///< max on-wire hop records (1..255)
     ControlPlane::Config control_plane;
@@ -94,10 +94,13 @@ class Switch : public net::Node {
     return ref;
   }
 
-  /// Total SRAM consumed by stateful objects; compare to config().memory_budget.
+  /// SRAM budget of a switch's stateful objects: ~10 MB (§1).
+  static constexpr std::size_t kMemoryBudget = 10 * 1024 * 1024;
+
+  /// Total SRAM consumed by stateful objects; compare to kMemoryBudget.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
   [[nodiscard]] bool within_memory_budget() const noexcept {
-    return memory_bytes() <= config_.memory_budget;
+    return memory_bytes() <= kMemoryBudget;
   }
 
   void install_program(std::unique_ptr<PipelineProgram> program) {

@@ -78,7 +78,7 @@ TimerHandle Simulator::schedule_periodic(TimeNs period, std::function<void()> fn
 
 void Simulator::push_periodic(std::shared_ptr<PeriodicState> state) {
   // Each firing reschedules itself; cancellation of the shared flag stops the
-  // series (checked both before the event runs, in step(), and before the
+  // series (checked both before the event runs, in run_before(), and before the
   // re-arm, so a callback cancelling its own handle terminates the series).
   const TimeNs at = now_ + state->period;
   auto cancelled = state->cancelled;
@@ -90,42 +90,17 @@ void Simulator::push_periodic(std::shared_ptr<PeriodicState> state) {
        std::move(cancelled));
 }
 
-bool Simulator::step() {
-  while (!heap_.empty()) {
-    const EventKey key = pop_min();
-    EventSlot& slot = slots_[key.slot];
-    EventFn fn = std::move(slot.fn);
-    const bool skip = slot.cancelled && *slot.cancelled;
-    slot.cancelled.reset();
-    free_slots_.push_back(key.slot);  // recycle before running: fn may push
-    if (skip) continue;
-    now_ = key.time;
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
-}
-
-void Simulator::run() {
-  stopped_ = false;
-  while (!stopped_ && step()) {
-  }
-}
+void Simulator::run() { run_before(kNoEvent); }
 
 void Simulator::run_until(TimeNs deadline) {
-  stopped_ = false;
-  while (!stopped_ && !heap_.empty() && heap_.front().time <= deadline) {
-    if (!step()) break;
-  }
-  if (now_ < deadline) now_ = deadline;
+  // Events at the deadline run: the strict bound sits one past it.
+  run_before(deadline == kNoEvent ? kNoEvent : deadline + 1);
+  advance_to(deadline);
 }
 
 void Simulator::run_before(TimeNs horizon) {
-  // Open-coded rather than built on step(): step() discards cancelled heads
-  // and keeps popping until it executes *something*, which could be an event
-  // at or past the horizon. A conservative window must never overrun its
-  // bound, so the time check here guards every pop.
+  // The time check guards every pop, so a cancelled head never lets a later
+  // event slip in past the horizon.
   stopped_ = false;
   while (!stopped_ && !heap_.empty() && heap_.front().time < horizon) {
     const EventKey key = pop_min();

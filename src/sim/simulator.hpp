@@ -228,11 +228,9 @@ class Simulator {
   void run_until(TimeNs deadline);
 
   /// Runs events with time strictly < horizon; leaves later events queued
-  /// and does NOT advance now() past the last executed event. Unlike
-  /// run_until()+step(), a cancelled head never pulls an event at >= horizon
-  /// into the pass — the bound is strict. This is the window-execution
-  /// primitive for the sharded core (ShardSet), where the horizon is a
-  /// conservative-synchronization bound that must not be overrun.
+  /// and does NOT advance now() past the last executed event. The one event
+  /// loop: run() and run_until() are bounds on it, and the sharded core
+  /// (ShardSet) runs each conservative window through it.
   void run_before(TimeNs horizon);
 
   /// Timestamp of the earliest queued event (cancelled events included —
@@ -289,9 +287,6 @@ class Simulator {
   void push(TimeNs t, EventFn fn, std::shared_ptr<bool> cancelled);
   EventKey pop_min();
   void push_periodic(std::shared_ptr<PeriodicState> state);
-
-  /// Pops and runs the earliest event; returns false if queue empty.
-  bool step();
 
   std::vector<EventKey> heap_;  ///< binary min-heap ordered by EventKey::before
   std::vector<EventSlot> slots_;

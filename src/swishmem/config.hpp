@@ -69,12 +69,6 @@ enum class MergePolicy : std::uint8_t {
   kGSet,
 };
 
-/// How EWO periodic synchronization picks targets (§7 suggests random-one).
-enum class SyncFanout : std::uint8_t {
-  kRandomOne,  ///< each chunk goes to one randomly-selected group member
-  kBroadcast,  ///< each chunk is multicast to all group members
-};
-
 const char* to_string(ConsistencyClass cls) noexcept;
 const char* to_string(MergePolicy policy) noexcept;
 const char* to_string(SpaceKind kind) noexcept;
@@ -143,7 +137,8 @@ struct Placement {
 /// push's epoch.
 using PlacementTable = std::map<std::uint32_t, Placement>;
 
-/// Per-switch runtime tuning.
+/// Per-switch runtime tuning. Protocol settings that no deployment varies
+/// are named constants beside the one engine that reads them.
 struct RuntimeConfig {
   // SRO ------------------------------------------------------------------
   TimeNs write_retry_timeout = 5 * kMs;   ///< writer CP retransmit interval
@@ -152,42 +147,7 @@ struct RuntimeConfig {
 
   // EWO ------------------------------------------------------------------
   TimeNs sync_period = 1 * kMs;           ///< periodic full-state scan (§6.2)
-  std::size_t sync_chunk_entries = 64;    ///< registers per sync packet
-  SyncFanout sync_fanout = SyncFanout::kRandomOne;
   TimeNs mirror_flush_interval = 100 * kUs;  ///< flush partial mirror batches
-
-  // OWN ------------------------------------------------------------------
-  TimeNs own_backup_interval = 1 * kMs;   ///< owner -> home dirty-key flush
-  std::size_t own_backup_chunk = 64;      ///< entries per backup packet
-  /// Operations buffered per key while an ownership migration is in flight;
-  /// excess operations are rejected (their callbacks never fire).
-  std::size_t own_queue_limit = 1024;
-
-  // CON ------------------------------------------------------------------
-  /// Coordinator retransmit interval for unaccepted consensus slots, and the
-  /// follower-side forward retry interval.
-  TimeNs con_retry_timeout = 5 * kMs;
-  unsigned con_max_retries = 20;          ///< per-slot retransmit budget
-  /// Read-lease duration refreshed by each accept/learn a replica receives
-  /// from the current-ballot coordinator. A fresh lease lets the replica
-  /// answer reads locally with BOUNDED STALENESS — the coordinator commits
-  /// on any majority, so a lease holder outside the commit quorum can miss
-  /// writes whose learn is still in flight (or was lost), lagging the commit
-  /// point by up to the lease duration. This is not a linearizable quorum
-  /// read; after expiry reads redirect to the coordinator, whose applied
-  /// prefix is authoritative. 0 disables leases (every follower read
-  /// redirects).
-  TimeNs con_lease = 10 * kMs;
-  /// Operations buffered at a follower while the coordinator is unknown or a
-  /// forward is in flight; excess writes are rejected.
-  std::size_t con_queue_limit = 1024;
-
-  // Telemetry ---------------------------------------------------------------
-  /// INT-MD sampling of protocol traffic sent by this runtime: tag 1-in-N
-  /// outgoing protocol packets with a telemetry trailer (0 = off). Mirrors
-  /// the switch-level edge sampling knob; the fabric sets both together.
-  std::uint64_t int_sample_every = 0;
-  unsigned int_hop_cap = 8;  ///< max on-wire hop records (1..255)
 
   // Clocks -----------------------------------------------------------------
   /// Fixed offset of this switch's clock from simulated true time; the paper
@@ -195,19 +155,8 @@ struct RuntimeConfig {
   TimeNs clock_offset = 0;
 
   // Liveness ---------------------------------------------------------------
-  /// Failure-detection protocol this switch participates in. The fabric
-  /// mirrors the controller's configured protocol here so every switch starts
-  /// the matching participant (heartbeat generator, or a SWIM agent).
-  MembershipProtocol membership = MembershipProtocol::kHeartbeat;
+  /// Heartbeat interval towards the controller (switches without SWIM peers).
   TimeNs heartbeat_period = 10 * kMs;
-
-  // SWIM (membership == kSwim only) -----------------------------------------
-  TimeNs swim_period = 10 * kMs;             ///< protocol period (one probe per tick)
-  TimeNs swim_ping_timeout = 2 * kMs;        ///< direct-ack wait before indirection
-  TimeNs swim_suspicion_timeout = 40 * kMs;  ///< suspect -> faulty grace (refutation window)
-  std::size_t swim_indirect_k = 2;           ///< ping-req proxies per failed direct probe
-  std::size_t swim_gossip_fanout = 3;        ///< piggybacked entries per protocol message
-  unsigned swim_gossip_transmissions = 8;    ///< dissemination GC: sends per gossip entry
 };
 
 }  // namespace swish::shm

@@ -32,8 +32,9 @@ class Controller : public net::Node {
     TimeNs mgmt_latency = 500 * kUs;  ///< management RPC one-way latency
     /// Failure-detection strategy: the central heartbeat scan above, or
     /// decentralized SWIM gossip between the switches (the controller then
-    /// only consumes finished verdicts; the timing knobs live per switch in
-    /// RuntimeConfig).
+    /// only consumes finished verdicts; the SWIM timings are constants in
+    /// swim_membership.cpp). The one home of this setting: Fabric gives
+    /// switch runtimes SWIM peers only under kSwim.
     MembershipProtocol membership = MembershipProtocol::kHeartbeat;
 
     /// Throws std::invalid_argument when the timing configuration is

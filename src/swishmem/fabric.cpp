@@ -23,6 +23,10 @@ class TransitProgram : public pisa::PipelineProgram {
 constexpr NodeId kControllerId = 1000;
 constexpr NodeId kSpineBase = 2000;
 
+/// Per-switch clock skew bound: switch i gets an offset in [0, bound] (§6.2
+/// cites data-plane time sync within tens of ns).
+constexpr TimeNs kClockSkewBound = 50;
+
 std::size_t validated_shards(const FabricConfig& c) {
   if (c.shards == 0) throw std::invalid_argument("Fabric: shard count must be >= 1");
   if (c.num_switches != 0 && c.shards > c.num_switches) {
@@ -38,16 +42,6 @@ Fabric::Fabric(FabricConfig config)
   if (config_.num_switches == 0) throw std::invalid_argument("Fabric: need >= 1 switch");
   if (config_.topology == FabricConfig::Topology::kLeafSpine && config_.spine_count == 0) {
     throw std::invalid_argument("Fabric: a leaf-spine fabric needs >= 1 spine");
-  }
-
-  // The fabric-level INT knob fans out to both sampling points: the switch
-  // config (edge tagging, hop append, sink extraction — spines included) and
-  // the runtime config (protocol-send sampling, applied at install()).
-  if (config_.int_sample_every > 0) {
-    config_.switch_config.int_sample_every = config_.int_sample_every;
-    config_.switch_config.int_hop_cap = config_.int_hop_cap;
-    config_.runtime.int_sample_every = config_.int_sample_every;
-    config_.runtime.int_hop_cap = config_.int_hop_cap;
   }
 
   // Partition before any node exists: Switch constructors capture their
@@ -132,17 +126,15 @@ void Fabric::install(const std::function<std::unique_ptr<NfApp>()>& nf_factory) 
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     pisa::Switch& sw = *switches_[i];
     RuntimeConfig rc = config_.runtime;
-    if (config_.clock_skew_bound > 0) {
-      // Deterministic spread of clock offsets across [0, bound].
-      rc.clock_offset = static_cast<TimeNs>(
-          (static_cast<std::uint64_t>(config_.clock_skew_bound) * (i + 1)) / switches_.size());
-    }
-    // The fabric-wide membership knob lives in the controller config; the
-    // runtimes mirror it so switches know whether to beacon heartbeats or
-    // run SWIM agents.
-    rc.membership = config_.controller.membership;
+    // Deterministic spread of clock offsets across [0, bound].
+    rc.clock_offset = static_cast<TimeNs>(
+        (static_cast<std::uint64_t>(kClockSkewBound) * (i + 1)) / switches_.size());
     runtimes_.push_back(std::make_unique<ShmRuntime>(sw, rc, kControllerId));
-    runtimes_.back()->set_membership_peers(ids_);
+    // Under SWIM every switch watches the whole deployment; without peers a
+    // runtime beacons heartbeats to the controller instead.
+    if (config_.controller.membership == MembershipProtocol::kSwim) {
+      runtimes_.back()->set_membership_peers(ids_);
+    }
     controller_->register_switch(sw, *runtimes_.back());
   }
   // The directory places every space; a switch outside a space's replica

@@ -40,21 +40,12 @@ struct FabricConfig {
   std::size_t spine_count = 2;  ///< leaf-spine only (switches become leaves)
 
   net::LinkParams link;                 ///< inter-switch links
-  pisa::Switch::Config switch_config;   ///< per-switch data/control plane
+  /// Per-switch data/control plane, INT-MD sampling included: its switches
+  /// (spines too) sample edge traffic and their runtimes protocol sends.
+  pisa::Switch::Config switch_config;
   RuntimeConfig runtime;                ///< SwiShmem protocol tuning
   Controller::Config controller;
   std::uint64_t seed = 1;
-
-  /// Per-switch clock skew bound: switch i gets offset in [0, bound] (§6.2
-  /// cites data-plane time sync within tens of ns).
-  TimeNs clock_skew_bound = 50;
-
-  /// INT-MD sampling (0 = off): tag 1-in-N edge-injected packets and 1-in-N
-  /// protocol sends with a per-hop telemetry trailer. Copied into both the
-  /// switch config (edge sampling, hop append, sink extraction) and the
-  /// runtime config (protocol-send sampling) at construction.
-  std::uint64_t int_sample_every = 0;
-  unsigned int_hop_cap = 8;  ///< max on-wire hop records per packet (1..255)
 };
 
 class Fabric {

@@ -2,16 +2,20 @@
 // control planes, as the ROADMAP item 2 alternative to the central heartbeat
 // scan. Detection is entirely switch-to-switch over the lossy data network:
 //
-//  - every swim_period each switch probes the next member of a shuffled ring
-//    (SwimPing) and expects a SwimAck within swim_ping_timeout;
-//  - a missed ack triggers indirection: swim_indirect_k proxies are asked
+//  - every period (kPeriod, 10 ms) each switch probes the next member of a
+//    shuffled ring (SwimPing) and expects a SwimAck within kPingTimeout
+//    (2 ms);
+//  - a missed ack triggers indirection: kIndirectProbes (2) proxies are asked
 //    (SwimPingReq) to probe the target on the origin's behalf, separating a
 //    dead member from a bad origin<->target path;
 //  - a member that fails both rounds becomes *suspect*, gossiped as such, and
-//    is only committed to *faulty* after swim_suspicion_timeout — giving it
-//    time to refute the rumor by bumping its incarnation number;
+//    is only committed to *faulty* after kSuspicionTimeout (40 ms, longer at
+//    scale) — giving it time to refute the rumor by bumping its incarnation
+//    number;
 //  - membership assertions piggyback on all SWIM traffic (anti-entropy
-//    dissemination), each retransmitted swim_gossip_transmissions times.
+//    dissemination), each retransmitted kGossipTransmissions (8) times.
+//
+// The constants live in swim_membership.cpp.
 //
 // The controller never participates: its SwimMembership service is a passive
 // aggregator that receives finished faulty verdicts (MembershipUpdate) from

@@ -100,10 +100,7 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
                       ops.empty() ? 0 : ops.front().key);
     return;
   }
-  // 40-bit mask: the counter must never wrap into the switch-id bits (same
-  // id-minting scheme as OwnerEngine req_ids).
-  const std::uint64_t id = (static_cast<std::uint64_t>(host_.self()) << 40) |
-                           (++next_write_id_ & ((1ULL << 40) - 1));
+  const std::uint64_t id = mint_id(host_.self(), next_write_id_);
   PendingWrite pw;
   pw.ops = std::move(ops);
   pw.output = std::move(output);

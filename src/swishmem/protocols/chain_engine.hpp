@@ -38,9 +38,9 @@ class ChainEngine : public ProtocolEngine {
   using ProtocolEngine::handle_message;
   bool handle_message(pkt::SwishMessage& msg) override;
 
-  [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter) override {
-    return sro_snapshot_source(spaces_, space_filter);
+  void append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                               SnapshotSources& out) override {
+    append_sro_snapshot_sources(spaces_, space_filter, out);
   }
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 

@@ -9,6 +9,24 @@ namespace {
 /// the burst when back-filling a freshly revived (empty) replica.
 constexpr std::size_t kRepairChunk = 64;
 
+/// Coordinator retransmit interval for unaccepted slots (the repair tick),
+/// and the follower-side forward retry interval.
+constexpr TimeNs kRetryTimeout = 5 * kMs;
+/// Per-write forward/propose retransmit budget.
+constexpr unsigned kMaxRetries = 20;
+/// Read-lease duration refreshed by each accept/learn a replica receives
+/// from the current-ballot coordinator. A fresh lease lets the replica
+/// answer reads locally with BOUNDED STALENESS — the coordinator commits on
+/// any majority, so a lease holder outside the commit quorum can miss writes
+/// whose learn is still in flight (or was lost), lagging the commit point by
+/// up to the lease duration. This is not a linearizable quorum read; after
+/// expiry reads redirect to the coordinator, whose applied prefix is
+/// authoritative.
+constexpr TimeNs kLease = 10 * kMs;
+/// Writes buffered at a follower while the coordinator is unknown or a
+/// forward is in flight; excess writes are rejected.
+constexpr std::size_t kQueueLimit = 1024;
+
 /// Ballot = (placement epoch << 32) | (coordinator id + 1): monotone across
 /// epochs, unique per coordinator, and never 0 (0 is the "nothing promised"
 /// floor). The low half names the ballot's owner for reply routing.
@@ -61,7 +79,7 @@ const SroSpaceState* ConsensusEngine::space_state(std::uint32_t id) const {
 void ConsensusEngine::start() {
   // The bootstrap push already ran the first election (on_config_update);
   // the repair tick re-drives any prepare it lost.
-  host_.every(host_.config().con_retry_timeout, [this]() { repair_tick(); });
+  host_.every(kRetryTimeout, [this]() { repair_tick(); });
 }
 
 void ConsensusEngine::reset() {
@@ -276,12 +294,12 @@ void ConsensusEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
     if (release) release(std::move(output));
     return;
   }
-  if (pending_writes_.size() >= host_.config().con_queue_limit) {
+  if (pending_writes_.size() >= kQueueLimit) {
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kConQueueOverflow, ops.front().key);
     return;
   }
-  const std::uint64_t req_id = mint_req_id();
+  const std::uint64_t req_id = mint_id(host_.self(), next_req_id_);
   PendingWrite pw;
   pw.submit_time = host_.sw().simulator().now();
   pw.trace = trace_origin("con_write", ops.front().space, ops.front().key);
@@ -329,10 +347,10 @@ void ConsensusEngine::arm_forward_retry(std::uint64_t req_id) {
   auto it = pending_writes_.find(req_id);
   if (it == pending_writes_.end()) return;
   it->second.retry_timer = host_.sw().control_plane().schedule_after(
-      host_.config().con_retry_timeout, [this, req_id]() {
+      kRetryTimeout, [this, req_id]() {
         auto pit = pending_writes_.find(req_id);
         if (pit == pending_writes_.end()) return;  // applied and released
-        if (++pit->second.retries > host_.config().con_max_retries) {
+        if (++pit->second.retries > kMaxRetries) {
           // The forward/propose budget ran dry: no quorum (or coordinator)
           // was reachable within the retry window.
           ++stats_.writes_failed;
@@ -480,7 +498,7 @@ void ConsensusEngine::repair_tick() {
     const std::uint64_t pa = peer_applied_[m];
     if (pa >= committed_upto_) {
       auto lit = log_.find(committed_upto_);
-      if (host_.config().con_lease != 0 && lit != log_.end()) {
+      if (lit != log_.end()) {
         ++stats_.lease_renewals;
         deliver(m, pkt::ConLearn{epoch(), ballot_, committed_upto_, committed_upto_,
                                  lit->second.writer, lit->second.req_id, lit->second.ops});
@@ -503,9 +521,7 @@ void ConsensusEngine::repair_tick() {
 // ---------------------------------------------------------------------------
 
 void ConsensusEngine::refresh_lease(std::uint64_t ballot) {
-  const TimeNs lease = host_.config().con_lease;
-  if (lease == 0) return;
-  lease_expiry_ = host_.sw().simulator().now() + lease;
+  lease_expiry_ = host_.sw().simulator().now() + kLease;
   lease_ballot_ = std::max(lease_ballot_, ballot);
 }
 

@@ -63,9 +63,9 @@ class ConsensusEngine final : public ProtocolEngine {
   using ProtocolEngine::handle_message;
   bool handle_message(pkt::SwishMessage& msg) override;
 
-  [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter) override {
-    return sro_snapshot_source(spaces_, space_filter);
+  void append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                               SnapshotSources& out) override {
+    append_sro_snapshot_sources(spaces_, space_filter, out);
   }
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
@@ -188,10 +188,6 @@ class ConsensusEngine final : public ProtocolEngine {
   }
   [[nodiscard]] std::size_t quorum() const noexcept { return members().size() / 2 + 1; }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return placement().epoch; }
-  [[nodiscard]] std::uint64_t mint_req_id() noexcept {
-    return (static_cast<std::uint64_t>(host_.self()) << 40) |
-           (++next_req_id_ & ((1ULL << 40) - 1));
-  }
 
   std::map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
 

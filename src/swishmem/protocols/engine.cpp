@@ -58,32 +58,6 @@ class PinnedSnapshotSource final : public SnapshotSource {
   bool done_ = false;
 };
 
-class ChainedSnapshotSource final : public SnapshotSource {
- public:
-  explicit ChainedSnapshotSource(std::vector<std::unique_ptr<SnapshotSource>> sources)
-      : sources_(std::move(sources)) {}
-
-  bool next(std::size_t max_ops, std::vector<SnapshotOp>& out) override {
-    while (current_ < sources_.size()) {
-      const std::size_t before = out.size();
-      if (sources_[current_]->next(max_ops, out)) return true;
-      const std::size_t got = out.size() - before;
-      if (got == max_ops) {
-        // Chunk filled exactly as this source drained; more may follow.
-        ++current_;
-        return current_ < sources_.size();
-      }
-      max_ops -= got;
-      ++current_;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::unique_ptr<SnapshotSource>> sources_;
-  std::size_t current_ = 0;
-};
-
 }  // namespace
 
 std::unique_ptr<SnapshotSource> make_vector_source(std::vector<SnapshotOp> ops) {
@@ -94,11 +68,6 @@ std::unique_ptr<SnapshotSource> make_pinned_source(
     store::OrderedIndex::Snapshot snap,
     std::function<bool(const store::Entry&, SnapshotOp&)> project) {
   return std::make_unique<PinnedSnapshotSource>(std::move(snap), std::move(project));
-}
-
-std::unique_ptr<SnapshotSource> make_chained_source(
-    std::vector<std::unique_ptr<SnapshotSource>> sources) {
-  return std::make_unique<ChainedSnapshotSource>(std::move(sources));
 }
 
 telemetry::MetricsRegistry& ProtocolEngine::host_metrics() const {
@@ -134,10 +103,10 @@ std::optional<std::uint64_t> ProtocolEngine::read_lpm(std::uint32_t space, std::
   return std::nullopt;
 }
 
-std::unique_ptr<SnapshotSource> ProtocolEngine::snapshot_source(
-    std::optional<std::uint32_t> space_filter) {
+void ProtocolEngine::append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                                             SnapshotSources& out) {
   (void)space_filter;
-  return make_vector_source({});
+  (void)out;
 }
 
 }  // namespace swish::shm

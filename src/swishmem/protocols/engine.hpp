@@ -54,11 +54,11 @@ using WriteRelease = std::function<void(pkt::Packet&&)>;
 /// Completion of a read-modify-write; receives the new value when it applies.
 using UpdateDone = std::function<void(std::uint64_t)>;
 
-/// Pull-based donor snapshot stream (§6.3). The source is created — and its
-/// state frozen — synchronously at start_recovery_stream time; the runtime
-/// then drains it one chunk per in-flight frame, so a sparse space's CoW pin
-/// is held only as long as the drain and a million-key snapshot never
-/// materializes in memory at once.
+/// Pull-based donor snapshot stream of one space (§6.3). The source is
+/// created — and its state frozen — synchronously at start_recovery_stream
+/// time; the runtime then drains its sources in order, one chunk per
+/// in-flight frame, so a sparse space's CoW pin is held only as long as the
+/// drain and a million-key snapshot never materializes in memory at once.
 class SnapshotSource {
  public:
   virtual ~SnapshotSource() = default;
@@ -81,9 +81,8 @@ std::unique_ptr<SnapshotSource> make_vector_source(std::vector<SnapshotOp> ops);
 std::unique_ptr<SnapshotSource> make_pinned_source(
     store::OrderedIndex::Snapshot snap,
     std::function<bool(const store::Entry&, SnapshotOp&)> project);
-/// Concatenates sub-sources in order (multi-space donors).
-std::unique_ptr<SnapshotSource> make_chained_source(
-    std::vector<std::unique_ptr<SnapshotSource>> sources);
+/// A donor's frozen sources, drained in order.
+using SnapshotSources = std::vector<std::unique_ptr<SnapshotSource>>;
 
 /// Ids of `spaces` (a map keyed by space id) matching `space_filter`,
 /// ascending: snapshot and sync order must not depend on unordered_map
@@ -99,27 +98,27 @@ template <typename SpaceMap>
   return ids;
 }
 
-/// Donor stream of the engines that store SroSpaceState spaces (chain and
-/// kCON): a sparse space streams a CoW pin taken at this call, a dense one
-/// its snapshot() collected now — either way, writes after this call reach
-/// the target only through the runtime's live tap.
+/// Donor sources of the engines that store SroSpaceState spaces (chain and
+/// kCON), one per space in id order: a sparse space streams a CoW pin taken
+/// at this call, a dense one its snapshot() collected now — either way,
+/// writes after this call reach the target only through the runtime's live
+/// tap.
 template <typename SpaceMap>
-[[nodiscard]] std::unique_ptr<SnapshotSource> sro_snapshot_source(
-    const SpaceMap& spaces, std::optional<std::uint32_t> space_filter) {
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
+void append_sro_snapshot_sources(const SpaceMap& spaces,
+                                 std::optional<std::uint32_t> space_filter,
+                                 SnapshotSources& out) {
   for (const std::uint32_t id : sorted_space_ids(spaces, space_filter)) {
     const SroSpaceState& sp = *spaces.at(id);
     if (sp.sparse_store() != nullptr) {
-      parts.push_back(make_pinned_source(
+      out.push_back(make_pinned_source(
           sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
             op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
             return true;  // tombstones stream too — they carry deletions
           }));
     } else {
-      parts.push_back(make_vector_source(sp.snapshot()));
+      out.push_back(make_vector_source(sp.snapshot()));
     }
   }
-  return make_chained_source(std::move(parts));
 }
 
 /// Services the runtime provides to its engines: transport with byte
@@ -195,6 +194,14 @@ class EngineHost {
     return nullptr;
   }
 };
+
+/// Mints the next write or request id of switch `self` from `counter`: the
+/// switch id above a 40-bit counter. The mask keeps a long-lived switch's
+/// counter from wrapping into the switch-id bits, so no two switches ever
+/// mint the same id.
+[[nodiscard]] inline std::uint64_t mint_id(SwitchId self, std::uint64_t& counter) noexcept {
+  return (static_cast<std::uint64_t>(self) << 40) | (++counter & ((1ULL << 40) - 1));
+}
 
 /// Applies one committed op to a chain or kCON replica through the host's
 /// control plane. A full table that refuses a new key still lets the write
@@ -299,11 +306,12 @@ class ProtocolEngine {
   bool handle_message(pkt::SwishMessage&& msg) { return handle_message(msg); }
 
   // -- Recovery (§6.3) ----------------------------------------------------------
-  /// Donor side: a stream of this engine's replayable state, frozen at this
-  /// call. The default streams nothing (EWO replicas converge through
+  /// Donor side: appends one source per space of this engine's replayable
+  /// state (matching `space_filter`, in space-id order), frozen at this
+  /// call. The default appends nothing (EWO replicas converge through
   /// anti-entropy sync instead).
-  [[nodiscard]] virtual std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter);
+  virtual void append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                                       SnapshotSources& out);
   /// Target side: applies one replayed snapshot/live-tap op in stream order.
   virtual void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq);
 

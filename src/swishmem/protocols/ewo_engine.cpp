@@ -5,6 +5,12 @@
 #include "swishmem/version.hpp"
 
 namespace swish::shm {
+namespace {
+
+/// Registers per periodic-sync packet.
+constexpr std::size_t kSyncChunkEntries = 64;
+
+}  // namespace
 
 EwoEngine::EwoEngine(EngineHost& host)
     : ProtocolEngine(host), rng_(0xe40 ^ (host.self() * 0x9e3779b9ULL)) {
@@ -252,20 +258,17 @@ void EwoEngine::periodic_sync() {
   const telemetry::SpanContext sync_trace = trace_root("ewo_sync");
   ActiveTraceScope scope(host_, sync_trace.sampled() ? sync_trace : host_.active_trace());
 
-  const std::size_t chunk = host_.config().sync_chunk_entries;
-  for (std::size_t off = 0; off < all.size(); off += chunk) {
-    const std::size_t end = std::min(off + chunk, all.size());
+  // Each chunk goes to one randomly selected group member (§7's random-one
+  // synchronization); repeated rounds reach every member.
+  for (std::size_t off = 0; off < all.size(); off += kSyncChunkEntries) {
+    const std::size_t end = std::min(off + kSyncChunkEntries, all.size());
     const pkt::SwishMessage update = pkt::EwoUpdate{
         host_.self(), true,
         {all.begin() + static_cast<std::ptrdiff_t>(off),
          all.begin() + static_cast<std::ptrdiff_t>(end)}};
-    const std::span<const SwitchId> dsts =
-        host_.config().sync_fanout == SyncFanout::kRandomOne
-            ? targets.subspan(rng_.next_below(targets.size()), 1)
-            : targets;
-    stats_.bytes += host_.send(dsts, update);
-    stats_.sync_entries_sent += (end - off) * dsts.size();
-    stats_.updates_sent += dsts.size();
+    stats_.bytes += host_.send(targets[rng_.next_below(targets.size())], update);
+    stats_.sync_entries_sent += end - off;
+    ++stats_.updates_sent;
   }
 }
 

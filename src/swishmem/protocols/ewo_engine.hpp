@@ -80,7 +80,7 @@ class EwoEngine final : public ProtocolEngine {
   /// space's placement is every space's.
   [[nodiscard]] const std::vector<SwitchId>& replication_targets() const noexcept;
   /// The mirror group without this switch, in placement order: every
-  /// mirror flush and sync chunk goes to these in one send.
+  /// mirror flush goes to these in one send; each sync chunk to one of them.
   [[nodiscard]] std::span<const SwitchId> peers();
   /// Replicas other than this switch (expected applies for lag accounting).
   [[nodiscard]] std::uint32_t expected_replicas() const noexcept;
@@ -106,7 +106,7 @@ class EwoEngine final : public ProtocolEngine {
 
   TimeNs last_lww_timestamp_ = 0;  ///< per-switch monotone LWW clock (§6.2)
 
-  Rng rng_;  ///< kRandomOne sync target selection
+  Rng rng_;  ///< sync target selection
   Stats stats_;
 };
 

@@ -4,6 +4,17 @@
 #include <map>
 
 namespace swish::shm {
+namespace {
+
+/// Owner -> home dirty-key backup flush interval.
+constexpr TimeNs kBackupInterval = 1 * kMs;
+/// Entries per backup packet.
+constexpr std::size_t kBackupChunk = 64;
+/// Operations buffered per key while an ownership migration is in flight;
+/// excess operations are rejected (their callbacks never fire).
+constexpr std::size_t kQueueLimit = 1024;
+
+}  // namespace
 
 OwnerEngine::OwnerEngine(EngineHost& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
@@ -32,7 +43,7 @@ bool OwnerEngine::hosts_space(std::uint32_t space) const noexcept {
 }
 
 void OwnerEngine::start() {
-  host_.every(host_.config().own_backup_interval, [this]() { backup_flush(); });
+  host_.every(kBackupInterval, [this]() { backup_flush(); });
 }
 
 void OwnerEngine::reset() {
@@ -108,17 +119,11 @@ bool OwnerEngine::owns(std::uint32_t space, std::uint64_t key) const {
   return it != spaces_.end() && it->second->owned(key);
 }
 
-void OwnerEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
+void OwnerEngine::deliver(SwitchId dst, pkt::SwishMessage msg) {
   if (dst == host_.self()) {
     // A switch can be requester, home, and owner in any combination; local
     // hops skip the wire.
-    if (const auto* req = std::get_if<pkt::OwnRequest>(&msg)) {
-      on_own_request(*req);
-    } else if (const auto* grant = std::get_if<pkt::OwnGrant>(&msg)) {
-      on_own_grant(*grant);
-    } else if (const auto* update = std::get_if<pkt::OwnUpdate>(&msg)) {
-      on_own_update(*update);
-    }
+    handle_message(msg);
     return;
   }
   stats_.bytes += host_.send(dst, msg);
@@ -215,7 +220,7 @@ std::optional<std::uint64_t> OwnerEngine::apply_or_acquire(std::uint32_t space,
     pit = pending_acquires_.find(ref);
     if (pit == pending_acquires_.end()) return std::nullopt;  // acquisition not startable
   }
-  if (pit->second.queue.size() >= host_.config().own_queue_limit) {
+  if (pit->second.queue.size() >= kQueueLimit) {
     ++stats_.queue_rejected;
     host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, slot);
     return std::nullopt;  // dropped; the op's callbacks never fire
@@ -230,11 +235,7 @@ std::optional<std::uint64_t> OwnerEngine::apply_or_acquire(std::uint32_t space,
 
 void OwnerEngine::begin_acquire(std::uint32_t space, std::uint64_t slot) {
   ++stats_.acquisitions_started;
-  // Mask the counter to its 40-bit field so a (pathologically) long-lived
-  // switch can never wrap the counter into the switch-id bits and mint
-  // req_ids that collide with another switch's.
-  const std::uint64_t req_id = (static_cast<std::uint64_t>(host_.self()) << 40) |
-                               (++next_req_id_ & ((1ULL << 40) - 1));
+  const std::uint64_t req_id = mint_id(host_.self(), next_req_id_);
   const telemetry::SpanContext tr = trace_origin("own_acquire", space, slot);
   PendingAcquire pa;
   pa.req_id = req_id;
@@ -396,18 +397,17 @@ void OwnerEngine::send_backup_entries(std::uint32_t space, const OwnSpaceState& 
     by_home[home_of(space, slot)].push_back(
         {space, slot, st.version(slot), st.value(slot)});
   }
-  const std::size_t chunk = host_.config().own_backup_chunk;
   for (auto& [home, entries] : by_home) {
     if (home == host_.self()) continue;  // backup of self-homed keys is the copy itself
-    for (std::size_t off = 0; off < entries.size(); off += chunk) {
+    for (std::size_t off = 0; off < entries.size(); off += kBackupChunk) {
       pkt::OwnUpdate update;
       update.owner = host_.self();
       update.claim = true;
-      const std::size_t end = std::min(off + chunk, entries.size());
+      const std::size_t end = std::min(off + kBackupChunk, entries.size());
       update.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(off),
                             entries.begin() + static_cast<std::ptrdiff_t>(end));
       stats_.backup_entries_sent += update.entries.size();
-      deliver(home, update);
+      deliver(home, std::move(update));
     }
   }
 }
@@ -459,13 +459,12 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<SnapshotSource> OwnerEngine::snapshot_source(
-    std::optional<std::uint32_t> space_filter) {
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
+void OwnerEngine::append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                                          SnapshotSources& out) {
   for (const std::uint32_t id : sorted_space_ids(spaces_, space_filter)) {
     OwnSpaceState& sp = *spaces_.at(id);
     if (sp.sparse_store() != nullptr) {
-      parts.push_back(make_pinned_source(
+      out.push_back(make_pinned_source(
           sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
             if (e.version == 0) return false;  // dir-only entry, nothing to replay
             op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.version)};
@@ -476,10 +475,9 @@ std::unique_ptr<SnapshotSource> OwnerEngine::snapshot_source(
       for (std::uint64_t slot : sp.live_slots()) {
         ops.push_back({pkt::WriteOp{id, slot, sp.value(slot)}, sp.version(slot)});
       }
-      parts.push_back(make_vector_source(std::move(ops)));
+      out.push_back(make_vector_source(std::move(ops)));
     }
   }
-  return make_chained_source(std::move(parts));
 }
 
 void OwnerEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {

@@ -50,8 +50,8 @@ class OwnerEngine final : public ProtocolEngine {
   using ProtocolEngine::handle_message;
   bool handle_message(pkt::SwishMessage& msg) override;
 
-  [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
-      std::optional<std::uint32_t> space_filter) override;
+  void append_snapshot_sources(std::optional<std::uint32_t> space_filter,
+                               SnapshotSources& out) override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
 
   // -- Introspection (tests, tools) ---------------------------------------------
@@ -74,7 +74,7 @@ class OwnerEngine final : public ProtocolEngine {
     telemetry::Counter acquisition_retries;
     telemetry::Counter revokes_served;     ///< ownership relinquished
     telemetry::Counter grants_issued;      ///< grants sent by this home
-    telemetry::Counter queue_rejected;     ///< ops dropped at own_queue_limit
+    telemetry::Counter queue_rejected;     ///< ops dropped at the per-key queue limit
     telemetry::Counter backup_entries_sent;
     telemetry::Counter backup_entries_merged;
     telemetry::Counter bytes;  ///< OwnRequest + OwnGrant + OwnUpdate
@@ -136,7 +136,7 @@ class OwnerEngine final : public ProtocolEngine {
 
   /// Routes a protocol message, short-circuiting self-delivery (a switch can
   /// be requester, home, and owner in any combination).
-  void deliver(SwitchId dst, const pkt::SwishMessage& msg);
+  void deliver(SwitchId dst, pkt::SwishMessage msg);
 
   std::map<std::uint32_t, std::unique_ptr<OwnSpaceState>> spaces_;
   std::map<KeyRef, PendingAcquire> pending_acquires_;   // requester side

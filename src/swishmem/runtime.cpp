@@ -82,7 +82,7 @@ ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller
   control_bytes_ = reg.counter(prefix + "bytes_control");
   int_bytes_ = reg.counter(prefix + "bytes_int");
   total_bytes_ = reg.counter(prefix + "bytes_total");
-  int_countdown_ = config_.int_sample_every;
+  int_countdown_ = sw.config().int_sample_every;
   spans_ = &sw.simulator().spans();
   observatory_ = &sw.simulator().observatory();
 }
@@ -142,13 +142,11 @@ bool ShmRuntime::hosts_space(std::uint32_t space) const noexcept {
 }
 
 void ShmRuntime::start() {
-  if (config_.membership == MembershipProtocol::kSwim) {
+  if (!membership_peers_.empty()) {
     // Decentralized detection: no heartbeats at all; the agent probes peers
     // from this switch's own control plane (ROADMAP item 2).
-    if (!membership_peers_.empty()) {
-      swim_ = std::make_unique<SwimAgent>(*this, membership_peers_);
-      swim_->start();
-    }
+    swim_ = std::make_unique<SwimAgent>(*this, membership_peers_);
+    swim_->start();
   } else if (controller_ != kInvalidNode) {
     background_.push_back(sw_.start_packet_generator(config_.heartbeat_period, [this]() {
       control_bytes_ += send(
@@ -233,10 +231,11 @@ std::size_t ShmRuntime::send(std::span<const SwitchId> dsts, const pkt::SwishMes
     // message's own class — the caller-visible size excludes them), keeping
     // the per-class counters summing to bytes_total exactly.
     std::size_t int_overhead = 0;
-    if (config_.int_sample_every > 0 && --int_countdown_ == 0) {
-      int_countdown_ = config_.int_sample_every;
+    const pisa::Switch::Config& sc = sw_.config();
+    if (sc.int_sample_every > 0 && --int_countdown_ == 0) {
+      int_countdown_ = sc.int_sample_every;
       packet = pkt::with_int_trailer(
-          packet, static_cast<std::uint8_t>(std::min<unsigned>(config_.int_hop_cap, 255u)));
+          packet, static_cast<std::uint8_t>(std::min<unsigned>(sc.int_hop_cap, 255u)));
       int_overhead = pkt::kIntTrailerBytes;
       int_bytes_ += int_overhead;
     }
@@ -404,12 +403,10 @@ void ShmRuntime::start_recovery_stream(SwitchId target, std::function<void()> do
       (static_cast<std::uint32_t>(sw_.id()) << 16) | (++recovery_epoch_counter_ & 0xffffu);
   // The freeze point and the tap enable are the same instant: sparse spaces
   // pin an O(1) CoW snapshot, dense spaces collect eagerly inside
-  // snapshot_source(). Every write committed after this line reaches the
-  // target exactly once — through the live tap, never through the snapshot —
-  // so there is no window where a commit lands in neither.
-  for (const auto& e : engines_) {
-    recovery_->sources.push_back(e->snapshot_source(space_filter));
-  }
+  // append_snapshot_sources(). Every write committed after this line reaches
+  // the target exactly once — through the live tap, never through the
+  // snapshot — so there is no window where a commit lands in neither.
+  for (const auto& e : engines_) e->append_snapshot_sources(space_filter, recovery_->sources);
   recovery_tap_ = true;
   // Streaming runs on the control plane (§6.3): chunks are pulled from the
   // frozen sources one at a time and replayed through the normal data-plane

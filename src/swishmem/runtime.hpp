@@ -68,17 +68,17 @@ class ShmRuntime final : public EngineHost {
   /// True when this switch hosts storage for the space.
   [[nodiscard]] bool hosts_space(std::uint32_t space) const noexcept;
 
-  /// The switch ids this runtime's failure detector watches (the full
-  /// deployment; self is filtered out). Only consulted under --membership
-  /// swim; call before start().
+  /// The switch ids a SWIM agent on this switch watches (the full
+  /// deployment; self is filtered out). A runtime given peers runs SWIM; one
+  /// without beacons heartbeats to the controller. Call before start().
   void set_membership_peers(std::vector<SwitchId> peers) {
     membership_peers_ = std::move(peers);
   }
 
-  /// Starts liveness reporting — heartbeats to the controller, or the SWIM
-  /// agent's probe tick, per config().membership — and the engines' periodic
-  /// work (EWO sync/mirror flush, OWN backup flush). Call after all spaces
-  /// exist.
+  /// Starts liveness reporting — the SWIM agent's probe tick when membership
+  /// peers are set, heartbeats to the controller otherwise — and the
+  /// engines' periodic work (EWO sync/mirror flush, OWN backup flush). Call
+  /// after all spaces exist.
   void start();
 
   /// Installed by ShmProgram: how to re-run the NF logic on a redirected
@@ -224,10 +224,11 @@ class ShmRuntime final : public EngineHost {
     SwitchId target = kInvalidNode;
     std::optional<std::uint32_t> space_filter;
     std::uint32_t snapshot_epoch = 0;  ///< stamped on every chunk of this stream
-    /// Frozen at start_recovery_stream: one source per engine (sparse spaces
-    /// pin a CoW snapshot, dense ones collect eagerly). Drained lazily, one
-    /// chunk per ack, so a million-key snapshot is never materialized whole.
-    std::vector<std::unique_ptr<SnapshotSource>> sources;
+    /// Frozen at start_recovery_stream: one source per space, engines in
+    /// creation order (sparse spaces pin a CoW snapshot, dense ones collect
+    /// eagerly). Drained lazily, one chunk per ack, so a million-key
+    /// snapshot is never materialized whole.
+    SnapshotSources sources;
     bool draining = true;  ///< snapshot portion not yet exhausted
     /// Writes committed (and tapped) while the snapshot is still draining.
     /// They post-date the freeze point, so they are flushed behind the last
@@ -264,7 +265,7 @@ class ShmRuntime final : public EngineHost {
   RuntimeConfig config_;
   NodeId controller_;
 
-  // Decentralized failure detection (config_.membership == kSwim only).
+  // Decentralized failure detection (only when membership peers are set).
   std::unique_ptr<SwimAgent> swim_;
   std::vector<SwitchId> membership_peers_;
 

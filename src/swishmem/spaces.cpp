@@ -161,44 +161,6 @@ bool SroSpaceState::apply(std::uint64_t key, std::uint64_t value, pisa::CpToken 
   return true;
 }
 
-SeqNum SroSpaceState::guard_seq(std::size_t slot) const {
-  if (store_) return key_guard_seq(static_cast<std::uint64_t>(slot));
-  return guard_seq_->read(static_cast<RegisterIndex>(slot));
-}
-
-void SroSpaceState::set_guard_seq(std::size_t slot, SeqNum seq) {
-  if (store_) {
-    set_key_guard_seq(static_cast<std::uint64_t>(slot), seq);
-    return;
-  }
-  guard_seq_->write(static_cast<RegisterIndex>(slot), seq);
-}
-
-bool SroSpaceState::pending(std::size_t slot) const {
-  if (store_) return key_pending(static_cast<std::uint64_t>(slot));
-  if (!guard_pending_) return false;
-  return guard_pending_->read(static_cast<RegisterIndex>(slot)) != 0;
-}
-
-void SroSpaceState::set_pending(std::size_t slot) {
-  if (store_) {
-    set_key_pending(static_cast<std::uint64_t>(slot));
-    return;
-  }
-  if (guard_pending_) guard_pending_->write(static_cast<RegisterIndex>(slot), 1);
-}
-
-void SroSpaceState::clear_pending_up_to(std::size_t slot, SeqNum acked_seq) {
-  if (store_) {
-    clear_key_pending_up_to(static_cast<std::uint64_t>(slot), acked_seq);
-    return;
-  }
-  if (!guard_pending_) return;
-  if (guard_seq(slot) <= acked_seq) {
-    guard_pending_->write(static_cast<RegisterIndex>(slot), 0);
-  }
-}
-
 SeqNum SroSpaceState::key_guard_seq(std::uint64_t key) const {
   if (store_) {
     const store::Entry* e = store_->find(key);
@@ -221,29 +183,30 @@ bool SroSpaceState::key_pending(std::uint64_t key) const {
     const store::Entry* e = store_->find(key);
     return e != nullptr && (e->flags & store::Entry::kFlagPending) != 0;
   }
-  return pending(slot(key));
+  return guard_pending_ != nullptr &&
+         guard_pending_->read(static_cast<RegisterIndex>(slot(key))) != 0;
 }
 
 void SroSpaceState::set_key_pending(std::uint64_t key) {
+  if (cfg_.cls != ConsistencyClass::kSRO) return;  // ERO has no pending bits
   if (store_) {
-    if (cfg_.cls == ConsistencyClass::kSRO) {  // ERO has no pending bits
-      store_->upsert(key).flags |= store::Entry::kFlagPending;
-    }
+    store_->upsert(key).flags |= store::Entry::kFlagPending;
     return;
   }
-  set_pending(slot(key));
+  guard_pending_->write(static_cast<RegisterIndex>(slot(key)), 1);
 }
 
 void SroSpaceState::clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq) {
+  if (cfg_.cls != ConsistencyClass::kSRO) return;
   if (store_) {
-    if (cfg_.cls != ConsistencyClass::kSRO) return;
     const store::Entry* e = store_->find(key);
     if (e != nullptr && (e->flags & store::Entry::kFlagPending) != 0 && e->aux <= acked_seq) {
       store_->upsert(key).flags &= static_cast<std::uint8_t>(~store::Entry::kFlagPending);
     }
     return;
   }
-  clear_pending_up_to(slot(key), acked_seq);
+  const auto guard = static_cast<RegisterIndex>(slot(key));
+  if (guard_seq_->read(guard) <= acked_seq) guard_pending_->write(guard, 0);
 }
 
 std::vector<SnapshotOp> SroSpaceState::snapshot() const {
@@ -251,7 +214,7 @@ std::vector<SnapshotOp> SroSpaceState::snapshot() const {
   if (table_) {
     out.reserve(table_->entry_count() + erased_.size());
     table_->for_each([&](std::uint64_t key, std::uint64_t value) {
-      out.push_back({pkt::WriteOp{cfg_.id, key, value}, guard_seq(slot(key))});
+      out.push_back({pkt::WriteOp{cfg_.id, key, value}, key_guard_seq(key)});
     });
     // for_each visits in slot order; sort so snapshots (and therefore
     // recovery streams) are deterministic across runs and shard counts.
@@ -260,13 +223,13 @@ std::vector<SnapshotOp> SroSpaceState::snapshot() const {
     // Erased keys left no table entry; emit tombstones so a recovered
     // replica that held stale state does not resurrect closed connections.
     for (const std::uint64_t key : erased_) {
-      out.push_back({pkt::WriteOp{cfg_.id, key, kTombstone}, guard_seq(slot(key))});
+      out.push_back({pkt::WriteOp{cfg_.id, key, kTombstone}, key_guard_seq(key)});
     }
   } else {
     for (std::size_t i = 0; i < values_->size(); ++i) {
       const std::uint64_t v = values_->read(static_cast<RegisterIndex>(i));
       if (v == 0) continue;  // zero registers need no transfer
-      out.push_back({pkt::WriteOp{cfg_.id, i, v}, guard_seq(slot(i))});
+      out.push_back({pkt::WriteOp{cfg_.id, i, v}, key_guard_seq(i)});
     }
   }
   return out;

@@ -66,27 +66,17 @@ class SroSpaceState {
   /// Returns false when a full table refused a new key (nothing stored).
   bool apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token);
 
-  // -- Guard table (slot-addressed; dense layout) -----------------------------
-
-  [[nodiscard]] SeqNum guard_seq(std::size_t slot) const;
-  void set_guard_seq(std::size_t slot, SeqNum seq);
-
-  [[nodiscard]] bool pending(std::size_t slot) const;  ///< always false for ERO
-  void set_pending(std::size_t slot);
-
-  /// Clears the pending bit iff no write newer than `acked_seq` has been
-  /// applied locally (a later in-flight write keeps the register pending).
-  void clear_pending_up_to(std::size_t slot, SeqNum acked_seq);
-
-  // -- Guard table (key-addressed; what the chain engine uses) -----------------
-  // Dense spaces delegate to the hashed slot above (bit-identical to the old
-  // behavior); sparse spaces keep the guard in the key's own entry, so there
-  // is no false sharing — and no false-pending redirects.
+  // -- Guard table (sequence number + pending bit) ----------------------------
+  // Dense spaces keep guards in the hashed slot above; sparse spaces keep the
+  // guard in the key's own entry, so there is no false sharing — and no
+  // false-pending redirects.
 
   [[nodiscard]] SeqNum key_guard_seq(std::uint64_t key) const;
   void set_key_guard_seq(std::uint64_t key, SeqNum seq);
-  [[nodiscard]] bool key_pending(std::uint64_t key) const;
+  [[nodiscard]] bool key_pending(std::uint64_t key) const;  ///< always false for ERO
   void set_key_pending(std::uint64_t key);
+  /// Clears the pending bit iff no write newer than `acked_seq` has been
+  /// applied locally (a later in-flight write keeps the register pending).
   void clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq);
 
   // -- Recovery ----------------------------------------------------------------

@@ -12,6 +12,34 @@
 #include <string_view>
 
 namespace swish::telemetry {
+namespace {
+
+// Anomaly-detector thresholds, deliberately conservative: a flag should mean
+// "look at this switch/link", not "the p99 moved".
+
+/// Bucket width for the drop-spike detector's event-rate windows.
+constexpr TimeNs kDropWindow = 10 * kMs;
+
+/// Queue growth: flag a switch when the mean queue depth over the late half
+/// of the run exceeds kQueueGrowthFactor x the early-half mean AND the late
+/// mean is at least kQueueGrowthMinDepth packets (filters noise around zero).
+constexpr double kQueueGrowthFactor = 4.0;
+constexpr double kQueueGrowthMinDepth = 16.0;
+constexpr std::size_t kQueueGrowthMinSamples = 8;
+
+/// Asymmetric link: flag a switch pair when both directions have at least
+/// kAsymMinSamples hop-latency samples and the p50s differ by more than
+/// kAsymRatio x.
+constexpr double kAsymRatio = 4.0;
+constexpr std::uint64_t kAsymMinSamples = 16;
+
+/// Drop spike: flag a switch when its busiest drop window holds more than
+/// kDropSpikeFactor x the mean per-window drop count AND at least
+/// kDropSpikeMin drops.
+constexpr double kDropSpikeFactor = 8.0;
+constexpr std::uint64_t kDropSpikeMin = 32;
+
+}  // namespace
 
 const char* to_string(AnomalyFlag::Kind kind) noexcept {
   switch (kind) {
@@ -41,7 +69,7 @@ double slo_burn_fraction(const Histogram& hist, std::uint64_t target) noexcept {
   return 1.0 - 0.5 * (lo + hi);
 }
 
-HealthCollector::HealthCollector(CollectorConfig config) : config_(config) {
+HealthCollector::HealthCollector() {
   // Default propagation SLO targets per consistency class: single-writer and
   // quorum classes are expected to land within a round trip or two; the
   // eventual classes get budgets matching their periodic-sync cadence.
@@ -180,7 +208,7 @@ void HealthCollector::finalize() {
 
 void HealthCollector::detect_queue_growth() {
   for (const auto& [node, series] : queue_series_) {
-    if (series.size() < config_.queue_growth_min_samples) continue;
+    if (series.size() < kQueueGrowthMinSamples) continue;
     const TimeNs t0 = series.front().first;
     const TimeNs t1 = series.back().first;
     if (t1 <= t0) continue;
@@ -192,8 +220,7 @@ void HealthCollector::detect_queue_growth() {
     }
     if (early.count() == 0 || late.count() == 0) continue;
     const double base = std::max(1.0, early.mean());
-    if (late.mean() < config_.queue_growth_factor * base ||
-        late.mean() < config_.queue_growth_min_depth) {
+    if (late.mean() < kQueueGrowthFactor * base || late.mean() < kQueueGrowthMinDepth) {
       continue;
     }
     AnomalyFlag f;
@@ -212,13 +239,11 @@ void HealthCollector::detect_asym_links() {
     const auto rit = link_ns_.find({key.second, key.first});
     if (rit == link_ns_.end()) continue;
     const Histogram& rev = rit->second;
-    if (fwd.count() < config_.asym_min_samples || rev.count() < config_.asym_min_samples) {
-      continue;
-    }
+    if (fwd.count() < kAsymMinSamples || rev.count() < kAsymMinSamples) continue;
     const double pf = static_cast<double>(std::max<std::uint64_t>(1, fwd.p50()));
     const double pr = static_cast<double>(std::max<std::uint64_t>(1, rev.p50()));
     const double ratio = std::max(pf, pr) / std::min(pf, pr);
-    if (ratio < config_.asym_ratio) continue;
+    if (ratio < kAsymRatio) continue;
     AnomalyFlag f;
     f.kind = AnomalyFlag::Kind::kAsymLink;
     f.a = key.first;
@@ -232,26 +257,27 @@ void HealthCollector::detect_asym_links() {
 
 void HealthCollector::detect_drop_spikes() {
   if (!observed_any_) return;
-  const TimeNs w = std::max<TimeNs>(1, config_.window);
   // Rate baseline over the whole observed run, so a single burst still
   // stands out against the quiet remainder.
-  const auto num_windows = static_cast<std::uint64_t>((observed_max_ - observed_min_) / w) + 1;
+  const auto num_windows =
+      static_cast<std::uint64_t>((observed_max_ - observed_min_) / kDropWindow) + 1;
   for (const auto& [node, times] : drop_times_) {
     if (times.empty()) continue;
     std::map<std::uint64_t, std::uint64_t> buckets;
-    for (const TimeNs t : times) ++buckets[static_cast<std::uint64_t>((t - observed_min_) / w)];
+    for (const TimeNs t : times) {
+      ++buckets[static_cast<std::uint64_t>((t - observed_min_) / kDropWindow)];
+    }
     std::uint64_t peak = 0;
     for (const auto& [idx, n] : buckets) peak = std::max(peak, n);
     const double mean = static_cast<double>(times.size()) / static_cast<double>(num_windows);
-    if (peak < config_.drop_spike_min ||
-        static_cast<double>(peak) < config_.drop_spike_factor * mean) {
+    if (peak < kDropSpikeMin || static_cast<double>(peak) < kDropSpikeFactor * mean) {
       continue;
     }
     AnomalyFlag f;
     f.kind = AnomalyFlag::Kind::kDropSpike;
     f.a = node;
     f.severity = static_cast<double>(peak) / std::max(mean, 1e-9);
-    f.detail = std::to_string(peak) + " drops in one " + std::to_string(w) +
+    f.detail = std::to_string(peak) + " drops in one " + std::to_string(kDropWindow) +
                " ns window (mean " + format_double(mean, 1) + "/window)";
     anomalies_.push_back(std::move(f));
   }

@@ -358,7 +358,7 @@ TEST(Consensus, DeposedCoordinatorWriteRetriesInsteadOfStranding) {
   // than strand it.
   eng->handle_message(pkt::ConPrepare{0, (5000ULL << 32) | 3, 2});
   ASSERT_FALSE(eng->is_coordinator());
-  rig.fabric.run_for(300 * kMs);  // > con_max_retries * con_retry_timeout
+  rig.fabric.run_for(300 * kMs);  // > the retry budget: 20 retries x 5 ms
   EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.con.writes_failed").count, 1u)
       << "deposed coordinator's write neither re-routed nor failed: stranded";
   EXPECT_EQ(rig.delivered, 0u);

@@ -113,8 +113,11 @@ using StateVec = std::vector<std::array<std::uint64_t, 4>>;
 
 StateVec collect(ShmRuntime& rt) {
   std::vector<SnapshotOp> snap;
-  const auto source = rt.engine_for_space(kPart)->snapshot_source(kPart);
-  while (source->next(64, snap)) {
+  SnapshotSources sources;
+  rt.engine_for_space(kPart)->append_snapshot_sources(kPart, sources);
+  for (const auto& source : sources) {
+    while (source->next(64, snap)) {
+    }
   }
   StateVec v;
   v.reserve(snap.size());
@@ -124,8 +127,16 @@ StateVec collect(ShmRuntime& rt) {
 
 StateVec run_scenario(std::size_t shards, bool migrate, SpaceKind kind) {
   Rig rig({1, 2}, /*switches=*/6, shards, kind);
+  // Every run stops exactly on its deadline, so each harness write below
+  // lands at the same virtual time at every shard count.
+  TimeNs deadline = rig.fabric.simulator().now();
+  const auto run_for = [&](TimeNs d) {
+    deadline += d;
+    rig.fabric.run_for(d);
+    EXPECT_EQ(rig.fabric.simulator().now(), deadline) << "shards=" << shards;
+  };
   for (std::uint64_t k = 0; k < 200; ++k) rig.write(0, k, 100 + k);
-  rig.fabric.run_for(300 * kMs);
+  run_for(300 * kMs);
 
   int fires = 0;
   if (migrate) {
@@ -135,9 +146,9 @@ StateVec run_scenario(std::size_t shards, bool migrate, SpaceKind kind) {
   // the spread covers both sides of the freeze boundary).
   for (std::uint64_t i = 0; i < 40; ++i) {
     rig.write(0, 200 + i, 900 + i);
-    rig.fabric.run_for(2 * kMs);
+    run_for(2 * kMs);
   }
-  rig.fabric.run_for(2 * kSec);
+  run_for(2 * kSec);
 
   if (migrate) {
     EXPECT_EQ(fires, 1);

@@ -153,8 +153,8 @@ struct IntRig {
     cfg.shards = shards;
     cfg.seed = seed;
     cfg.link.loss_probability = loss;
-    cfg.int_sample_every = sample;
-    cfg.int_hop_cap = 8;
+    cfg.switch_config.int_sample_every = sample;
+    cfg.switch_config.int_hop_cap = 8;
     return cfg;
   }
 

@@ -189,28 +189,17 @@ TEST(Ewo, PartialBatchFlushedByTimer) {
   EXPECT_TRUE(rig.counters_converged(6, 1));
 }
 
-TEST(Ewo, BroadcastFanoutConvergesFasterThanRandomOne) {
+TEST(Ewo, RandomOneSyncConvergesUnderLossWithoutMirrors) {
+  // Each sync chunk goes to one random group member (§7): with mirrors off
+  // and 20% loss, repeated rounds still reach every replica.
   FabricConfig cfg;
   cfg.num_switches = 5;
   cfg.link.loss_probability = 0.2;
   cfg.runtime.sync_period = 1 * kMs;
-  FabricConfig bcfg = cfg;
-  bcfg.runtime.sync_fanout = SyncFanout::kBroadcast;
-
-  Rig random_one(cfg, 1, /*mirror=*/false);
-  Rig broadcast(bcfg, 1, /*mirror=*/false);
-  for (int i = 0; i < 10; ++i) {
-    random_one.fabric.sw(0).inject(udp(0, 1001));
-    broadcast.fabric.sw(0).inject(udp(0, 1001));
-  }
-  // Both eventually converge; broadcast sends more update packets per round.
-  random_one.fabric.run_for(500 * kMs);
-  broadcast.fabric.run_for(500 * kMs);
-  EXPECT_TRUE(random_one.counters_converged(1, 10));
-  EXPECT_TRUE(broadcast.counters_converged(1, 10));
-  const char* kSent = "shm.sw1.ewo.updates_sent";
-  EXPECT_GT(broadcast.fabric.metrics_snapshot().values.at(kSent).count,
-            random_one.fabric.metrics_snapshot().values.at(kSent).count);
+  Rig rig(cfg, 1, /*mirror=*/false);
+  for (int i = 0; i < 10; ++i) rig.fabric.sw(0).inject(udp(0, 1001));
+  rig.fabric.run_for(500 * kMs);
+  EXPECT_TRUE(rig.counters_converged(1, 10));
 }
 
 TEST(Ewo, NoWritesMeansNoSyncTraffic) {

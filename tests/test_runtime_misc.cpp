@@ -181,7 +181,7 @@ TEST(RuntimeMisc, FanOutSendFramesEachDestinationSeparately) {
   // Virtual time never advances, so these are the only frames sent.
   FabricConfig cfg;
   cfg.num_switches = 4;
-  cfg.int_sample_every = 2;
+  cfg.switch_config.int_sample_every = 2;
   Fabric fabric(cfg);
   fabric.install(nullptr);
   fabric.start();  // installs the routes

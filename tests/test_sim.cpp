@@ -79,6 +79,22 @@ TEST(Simulator, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, RunUntilStopsAtDeadlineAfterCancelledHead) {
+  // A cancelled event at or before the deadline must not let a later live
+  // event run in its place.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(10, [&] { ++fired; }).cancel();
+  sim.schedule_at(30, [&] { ++fired; });
+  sim.run_until(20);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 20);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(30);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 30);
+}
+
 TEST(Simulator, PeriodicFiresAtPeriodUntilCancelled) {
   Simulator sim;
   std::vector<TimeNs> fires;

@@ -2,6 +2,9 @@
 // (LWW merge, G-counter / PN-counter CRDT vectors, gossip collection).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "swishmem/spaces.hpp"
 #include "swishmem/version.hpp"
 
@@ -100,17 +103,16 @@ TEST(SroSpace, TableBackedSnapshotCarriesEraseTombstones) {
 TEST(SroSpace, GuardSeqAndPending) {
   Rig rig;
   SroSpaceState sp(rig.sw, sro_cfg());
-  const std::size_t slot = sp.slot(5);
-  EXPECT_EQ(sp.guard_seq(slot), 0u);
-  EXPECT_FALSE(sp.pending(slot));
-  sp.set_guard_seq(slot, 3);
-  sp.set_pending(slot);
-  EXPECT_TRUE(sp.pending(slot));
+  EXPECT_EQ(sp.key_guard_seq(5), 0u);
+  EXPECT_FALSE(sp.key_pending(5));
+  sp.set_key_guard_seq(5, 3);
+  sp.set_key_pending(5);
+  EXPECT_TRUE(sp.key_pending(5));
   // Ack for an older write does not clear: a newer write is still in flight.
-  sp.clear_pending_up_to(slot, 2);
-  EXPECT_TRUE(sp.pending(slot));
-  sp.clear_pending_up_to(slot, 3);
-  EXPECT_FALSE(sp.pending(slot));
+  sp.clear_key_pending_up_to(5, 2);
+  EXPECT_TRUE(sp.key_pending(5));
+  sp.clear_key_pending_up_to(5, 3);
+  EXPECT_FALSE(sp.key_pending(5));
 }
 
 TEST(SroSpace, EroHasNoPendingBits) {
@@ -118,9 +120,8 @@ TEST(SroSpace, EroHasNoPendingBits) {
   SpaceConfig cfg = sro_cfg();
   cfg.cls = ConsistencyClass::kERO;
   SroSpaceState sp(rig.sw, cfg);
-  const std::size_t slot = sp.slot(1);
-  sp.set_pending(slot);  // no-op
-  EXPECT_FALSE(sp.pending(slot));
+  sp.set_key_pending(1);  // no-op
+  EXPECT_FALSE(sp.key_pending(1));
 }
 
 TEST(SroSpace, SharedGuardSlots) {
@@ -129,16 +130,25 @@ TEST(SroSpace, SharedGuardSlots) {
   // All keys map into 4 slots.
   for (std::uint64_t k = 0; k < 64; ++k) EXPECT_LT(sp.slot(k), 4u);
   // Some distinct keys must share a slot.
-  bool shared = false;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> shared;
   for (std::uint64_t a = 0; a < 8 && !shared; ++a) {
     for (std::uint64_t b = a + 1; b < 8; ++b) {
       if (sp.slot(a) == sp.slot(b)) {
-        shared = true;
+        shared = {a, b};
         break;
       }
     }
   }
-  EXPECT_TRUE(shared);
+  ASSERT_TRUE(shared);
+  // Keys sharing a slot share its guard: the seq and the pending bit one
+  // key sets are the other's too (§7's false-pending trade-off).
+  const auto [a, b] = *shared;
+  sp.set_key_guard_seq(a, 7);
+  sp.set_key_pending(a);
+  EXPECT_EQ(sp.key_guard_seq(b), 7u);
+  EXPECT_TRUE(sp.key_pending(b));
+  sp.clear_key_pending_up_to(b, 7);
+  EXPECT_FALSE(sp.key_pending(a));
 }
 
 TEST(SroSpace, GuardMemorySmallerWithSharing) {
@@ -153,7 +163,7 @@ TEST(SroSpace, SnapshotSkipsZeroRegisters) {
   SroSpaceState sp(rig.sw, sro_cfg());
   sp.apply(3, 30, rig.token());
   sp.apply(9, 90, rig.token());
-  sp.set_guard_seq(sp.slot(3), 5);
+  sp.set_key_guard_seq(3, 5);
   auto snap = sp.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   for (const auto& e : snap) {
@@ -174,12 +184,12 @@ TEST(SroSpace, ResetClearsEverything) {
   Rig rig;
   SroSpaceState sp(rig.sw, sro_cfg());
   sp.apply(1, 10, rig.token());
-  sp.set_guard_seq(sp.slot(1), 4);
-  sp.set_pending(sp.slot(1));
+  sp.set_key_guard_seq(1, 4);
+  sp.set_key_pending(1);
   sp.reset(rig.token());
   EXPECT_EQ(sp.read(1).value(), 0u);
-  EXPECT_EQ(sp.guard_seq(sp.slot(1)), 0u);
-  EXPECT_FALSE(sp.pending(sp.slot(1)));
+  EXPECT_EQ(sp.key_guard_seq(1), 0u);
+  EXPECT_FALSE(sp.key_pending(1));
 }
 
 TEST(SroSpace, RejectsEwoClass) {

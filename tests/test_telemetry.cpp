@@ -192,7 +192,7 @@ std::unique_ptr<Fabric> make_mixed_fabric(std::uint64_t int_sample_every = 0) {
   FabricConfig cfg;
   cfg.num_switches = 3;
   cfg.link.loss_probability = 0.02;
-  cfg.int_sample_every = int_sample_every;
+  cfg.switch_config.int_sample_every = int_sample_every;
   auto fabric = std::make_unique<Fabric>(cfg);
   SpaceConfig sro;
   sro.id = kSro;

@@ -50,6 +50,11 @@ add sim.lb.con.leafspine "$SIM" \
 INT="--nf nat --switches 4 --loss 0.02 --int-sample 4 --health-json health.json"
 add sim.nat.int "$SIM" "$INT --drops-json drops.json $JSON"
 add sim.nat.int.shards2 "$SIM" "$INT --drops-json drops.json --shards 2 $JSON"
+# INT under loss and a kill/revive: raises a drop_spike anomaly, so the
+# health collector's detector thresholds reach the scorecard.
+add sim.nat.int.faults "$SIM" \
+  "--nf nat --loss 0.02 --kill 2:40 --revive 2:70 --int-sample 4 --health-json health.json \
+--drops-json drops.json $JSON"
 add sim.nat.trace "$SIM" \
   "--nf nat --loss 0.02 --kill 2:40 --trace trace.txt --trace-mask drop,failover $JSON"
 # Sparse spaces under kill/revive stream CoW-pinned snapshots to the rejoiner.

@@ -513,8 +513,8 @@ int main(int argc, char** argv) {
   else if (opt.topology == "leafspine") cfg.topology = shm::FabricConfig::Topology::kLeafSpine;
   else if (opt.topology != "mesh") usage(argv[0]);
   cfg.spine_count = opt.spines;
-  cfg.int_sample_every = opt.int_sample;
-  cfg.int_hop_cap = opt.int_hop_cap;
+  cfg.switch_config.int_sample_every = opt.int_sample;
+  cfg.switch_config.int_hop_cap = opt.int_hop_cap;
 
   // Construction validates the controller timing (heartbeat_timeout must
   // exceed check_period, both positive); a bad combination is a usage error
