@@ -12,6 +12,14 @@
 
 namespace swish {
 
+/// SplitMix64's finalizer: a full-avalanche 64-bit mix, used to hash keys to
+/// slots and homes and to derive seeds.
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t h) noexcept {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.
 class Rng {
  public:

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "packet/int_md.hpp"
 
 namespace swish::net {
@@ -14,16 +15,12 @@ std::string link_prefix(NodeId node, PortId port) {
   return "net.link.n" + std::to_string(node) + ".p" + std::to_string(port) + ".";
 }
 
-// SplitMix64 finalizer: full-avalanche 64-bit mix for per-link seeding.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+// One SplitMix64 step (the golden-ratio increment, then the finalizer): a
+// full-avalanche 64-bit mix for per-link seeding.
+std::uint64_t splitmix_step(std::uint64_t z) { return mix64(z + 0x9e3779b97f4a7c15ULL); }
 
 std::uint64_t link_seed(std::uint64_t seed, NodeId node, PortId port) {
-  return mix64(seed ^ mix64((static_cast<std::uint64_t>(node) << 32) | port));
+  return splitmix_step(seed ^ splitmix_step((static_cast<std::uint64_t>(node) << 32) | port));
 }
 
 // Mirror-on-drop forensics: if the packet carries an INT trailer, its hop

@@ -1,18 +1,11 @@
 #include "nf/ddos.hpp"
 
+#include "common/rng.hpp"
+
 namespace swish::nf {
-namespace {
-
-std::uint64_t mix(std::uint64_t h) noexcept {
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
-}  // namespace
 
 std::uint64_t DdosDetectorApp::cell(std::size_t row, pkt::Ipv4Addr dst) const noexcept {
-  const std::uint64_t h = mix(dst.value() ^ (0x9e3779b97f4a7c15ULL * (row + 1)));
+  const std::uint64_t h = mix64(dst.value() ^ (0x9e3779b97f4a7c15ULL * (row + 1)));
   return row * config_.sketch_cols + (h % config_.sketch_cols);
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/rng.hpp"
 #include "packet/addr.hpp"
 #include "packet/packet.hpp"
 
@@ -42,10 +43,7 @@ struct FlowKey {
     std::uint64_t h = (static_cast<std::uint64_t>(src_ip.value()) << 32) | dst_ip.value();
     h ^= (static_cast<std::uint64_t>(src_port) << 24) ^ (static_cast<std::uint64_t>(dst_port) << 8) ^
          protocol;
-    // SplitMix64 finalizer for avalanche.
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return h ^ (h >> 31);
+    return mix64(h);  // SplitMix64 finalizer for avalanche
   }
 
   /// Extracts the flow key from a parsed packet; valid only if IPv4 + L4.

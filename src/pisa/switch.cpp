@@ -162,23 +162,6 @@ void Switch::recirculate(pkt::Packet packet, unsigned recirc_count) {
                   });
 }
 
-void Switch::multicast_nodes(std::span<const SwitchId> nodes, const pkt::Packet& packet) {
-  // Fan out directly: each copy is a refcount bump on the shared buffer, not
-  // a byte copy, and no per-destination (or even per-group) egress closure is
-  // allocated — the pipeline latency rides on the network send.
-  for (SwitchId dst : nodes) {
-    if (dst == id()) continue;
-    const net::PortId port = routing_.pick(dst, /*flow_hash=*/dst);
-    if (port == net::kInvalidPort) {
-      ++stats_.dropped_noroute;
-      report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
-      continue;
-    }
-    ++stats_.sent;
-    network_.send(id(), port, packet, config_.pipeline_latency);
-  }
-}
-
 telemetry::IntHop Switch::make_int_hop(net::PortId egress_port) const {
   const TimeNs now = sim_.now();
   telemetry::IntHop hop;

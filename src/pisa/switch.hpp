@@ -1,7 +1,7 @@
 // The PISA switch model (§2): a programmable parser + match-action pipeline
 // with data-plane stateful objects, traffic-manager primitives
-// (recirculation, node-level multicast, mirroring-by-construction), a packet
-// generator for background tasks, and a finite-rate control-plane CPU.
+// (recirculation, mirroring-by-construction), a packet generator for
+// background tasks, and a finite-rate control-plane CPU.
 //
 // Packets are processed atomically — the single-threaded discrete-event
 // simulator guarantees that a packet's multi-register write set is visible
@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -142,10 +141,6 @@ class Switch : public net::Node {
   /// recirculation count bumped. Pass the context's current recirc_count;
   /// packets past config().max_recirculations are dropped (dropped_recirc).
   void recirculate(pkt::Packet packet, unsigned recirc_count = 0);
-
-  /// Replicates to each listed node (egress mirroring + multicast engine,
-  /// §7); skips this switch's own id.
-  void multicast_nodes(std::span<const SwitchId> nodes, const pkt::Packet& packet);
 
   // -- Telemetry ---------------------------------------------------------------
 

@@ -125,7 +125,7 @@ struct SpaceConfig {
 /// Where one space lives (§6.3, §9): its live replicas in chain order (head
 /// first, tail last) and the controller epoch that placed them. The
 /// controller's directory places every space; engines read the placement
-/// through EngineHost::placement().
+/// through ShmRuntime::placement().
 struct Placement {
   std::uint32_t epoch = 0;
   std::vector<SwitchId> members;

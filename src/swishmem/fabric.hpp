@@ -20,6 +20,7 @@
 #include "net/topology.hpp"
 #include "sim/shard.hpp"
 #include "swishmem/controller.hpp"
+#include "swishmem/protocols/engine.hpp"
 #include "swishmem/runtime.hpp"
 
 namespace swish::shm {

@@ -19,7 +19,7 @@ class ChainEngine : public ProtocolEngine {
  public:
   /// `proto_name` ("sro" / "ero") names this engine's registry subtree; the
   /// base class cannot call the name() virtual during construction.
-  ChainEngine(EngineHost& host, const char* proto_name);
+  ChainEngine(ShmRuntime& host, const char* proto_name);
 
   // -- ProtocolEngine ----------------------------------------------------------
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) override;
@@ -128,7 +128,7 @@ class ChainEngine : public ProtocolEngine {
 /// redirect to the tail.
 class SroEngine final : public ChainEngine {
  public:
-  explicit SroEngine(EngineHost& host) : ChainEngine(host, "sro") {}
+  explicit SroEngine(ShmRuntime& host) : ChainEngine(host, "sro") {}
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kSRO;
   }
@@ -142,7 +142,7 @@ class SroEngine final : public ChainEngine {
 /// pending bits.
 class EroEngine final : public ChainEngine {
  public:
-  explicit EroEngine(EngineHost& host) : ChainEngine(host, "ero") {}
+  explicit EroEngine(ShmRuntime& host) : ChainEngine(host, "ero") {}
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kERO;
   }

@@ -40,7 +40,7 @@ SwitchId ballot_owner(std::uint64_t ballot) noexcept {
 
 }  // namespace
 
-ConsensusEngine::ConsensusEngine(EngineHost& host) : ProtocolEngine(host) {
+ConsensusEngine::ConsensusEngine(ShmRuntime& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("con");
   stats_.writes_submitted = reg.counter(p + "writes_submitted");
@@ -106,14 +106,6 @@ void ConsensusEngine::reset() {
 const Placement& ConsensusEngine::placement() const noexcept {
   static const Placement kUnplaced;
   return spaces_.empty() ? kUnplaced : host_.placement(spaces_.begin()->first);
-}
-
-void ConsensusEngine::deliver(SwitchId dst, pkt::SwishMessage msg) {
-  if (dst == host_.self()) {
-    handle_message(msg);
-    return;
-  }
-  stats_.bytes += host_.send(dst, msg);
 }
 
 void ConsensusEngine::broadcast(const pkt::SwishMessage& msg, const std::set<SwitchId>* skip) {
@@ -214,7 +206,7 @@ void ConsensusEngine::on_prepare(const pkt::ConPrepare& msg) {
     if (slot <= applied_upto_) continue;
     promise.entries.push_back({slot, entry.ballot, entry.writer, entry.req_id, entry.ops});
   }
-  deliver(msg.coordinator, std::move(promise));
+  stats_.bytes += deliver(msg.coordinator, std::move(promise));
 }
 
 void ConsensusEngine::on_promise(const pkt::ConPromise& msg) {
@@ -340,7 +332,8 @@ void ConsensusEngine::send_forward(std::uint64_t req_id) {
     return;
   }
   if (coordinator_ == kInvalidNode) return;  // retry after the placement push
-  deliver(coordinator_, pkt::ConForward{epoch(), host_.self(), req_id, it->second.ops});
+  stats_.bytes +=
+      deliver(coordinator_, pkt::ConForward{epoch(), host_.self(), req_id, it->second.ops});
 }
 
 void ConsensusEngine::arm_forward_retry(std::uint64_t req_id) {
@@ -459,10 +452,10 @@ void ConsensusEngine::advance_commit() {
   // notified, and the recovery tap (if a stream is active) sees the commit.
   for (std::uint64_t slot = before + 1; slot <= committed_upto_; ++slot) {
     const LogEntry& entry = log_.at(slot);
-    if (obs_ != nullptr) {
+    if (obs_.enabled()) {
       const auto expected = static_cast<std::uint32_t>(members().size());
       for (const auto& op : entry.ops) {
-        obs_->on_commit(op.space, op.key, slot, host_.self(), expected);
+        obs_.on_commit(op.space, op.key, slot, host_.self(), expected);
       }
     }
     if (!entry.ops.empty()) {
@@ -500,8 +493,9 @@ void ConsensusEngine::repair_tick() {
       auto lit = log_.find(committed_upto_);
       if (lit != log_.end()) {
         ++stats_.lease_renewals;
-        deliver(m, pkt::ConLearn{epoch(), ballot_, committed_upto_, committed_upto_,
-                                 lit->second.writer, lit->second.req_id, lit->second.ops});
+        stats_.bytes += deliver(m, pkt::ConLearn{epoch(), ballot_, committed_upto_,
+                                                 committed_upto_, lit->second.writer,
+                                                 lit->second.req_id, lit->second.ops});
       }
       continue;
     }
@@ -510,8 +504,9 @@ void ConsensusEngine::repair_tick() {
       auto lit = log_.find(slot);
       if (lit == log_.end()) continue;
       ++stats_.repair_resends;
-      deliver(m, pkt::ConLearn{epoch(), ballot_, slot, committed_upto_,
-                               lit->second.writer, lit->second.req_id, lit->second.ops});
+      stats_.bytes += deliver(m, pkt::ConLearn{epoch(), ballot_, slot, committed_upto_,
+                                               lit->second.writer, lit->second.req_id,
+                                               lit->second.ops});
     }
   }
 }
@@ -548,8 +543,9 @@ void ConsensusEngine::on_accept(pkt::ConAccept msg) {
   mark_committed(msg.commit_upto, msg.ballot);
   apply_committed_upto(committed_upto_);
   refresh_lease(msg.ballot);
-  deliver(ballot_owner(msg.ballot),
-          pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
+  stats_.bytes +=
+      deliver(ballot_owner(msg.ballot),
+              pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
 }
 
 void ConsensusEngine::on_learn(pkt::ConLearn msg) {
@@ -575,8 +571,9 @@ void ConsensusEngine::on_learn(pkt::ConLearn msg) {
   refresh_lease(msg.ballot);
   // The learn-ack: reports our applied prefix so the coordinator's repair
   // loop knows when to stop re-sending.
-  deliver(ballot_owner(msg.ballot),
-          pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
+  stats_.bytes +=
+      deliver(ballot_owner(msg.ballot),
+              pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
 }
 
 void ConsensusEngine::mark_committed(std::uint64_t upto, std::uint64_t ballot) {
@@ -613,7 +610,7 @@ void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
     // Guard seq = slot: snapshots carry the log position, so a recovery
     // stream replays into the same ordering domain.
     if (slot > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, slot);
-    if (obs_ != nullptr) obs_->on_apply(op.space, op.key, coordinator_, slot, host_.self());
+    obs_.on_apply(op.space, op.key, coordinator_, slot, host_.self());
   }
   if (!entry.ops.empty()) {
     trace_point("con_apply", entry.ops.front().space, entry.ops.front().key);
@@ -645,7 +642,7 @@ ReadStatus ConsensusEngine::read(pisa::PacketContext* ctx, std::uint32_t space,
     }
   }
   ++stats_.reads_local;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   auto v = it->second->read(key);
   if (!v) return ReadStatus::kMiss;
   value = *v;

@@ -40,7 +40,7 @@ namespace swish::shm {
 
 class ConsensusEngine final : public ProtocolEngine {
  public:
-  explicit ConsensusEngine(EngineHost& host);
+  explicit ConsensusEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kCON;
@@ -173,8 +173,6 @@ class ConsensusEngine final : public ProtocolEngine {
   void release_write(SwitchId writer, std::uint64_t req_id);
   void refresh_lease(std::uint64_t ballot);
 
-  /// Sends `msg` to `dst`, or handles it here when `dst` is this switch.
-  void deliver(SwitchId dst, pkt::SwishMessage msg);
   /// Sends `msg` in one send to every member but this switch, in placement
   /// order, leaving out those in `skip` (when given).
   void broadcast(const pkt::SwishMessage& msg, const std::set<SwitchId>* skip = nullptr);

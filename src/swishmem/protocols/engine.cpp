@@ -78,6 +78,14 @@ std::string ProtocolEngine::metric_prefix(const char* proto_name) const {
   return "shm.sw" + std::to_string(host_.self()) + "." + proto_name + ".";
 }
 
+std::size_t ProtocolEngine::deliver(SwitchId dst, pkt::SwishMessage msg) {
+  if (dst == host_.self()) {
+    handle_message(msg);
+    return 0;
+  }
+  return host_.send(dst, msg);
+}
+
 void ProtocolEngine::add_remote_space(const SpaceConfig& config) {
   throw std::invalid_argument(std::string("add_remote_space: ") + to_string(config.cls) +
                               " spaces cannot be remote");

@@ -12,7 +12,7 @@ constexpr std::size_t kSyncChunkEntries = 64;
 
 }  // namespace
 
-EwoEngine::EwoEngine(EngineHost& host)
+EwoEngine::EwoEngine(ShmRuntime& host)
     : ProtocolEngine(host), rng_(0xe40 ^ (host.self() * 0x9e3779b9ULL)) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("ewo");
@@ -54,7 +54,7 @@ bool EwoEngine::handle_message(pkt::SwishMessage& msg) {
   const auto* update = std::get_if<pkt::EwoUpdate>(&msg);
   if (!update) return false;
   ++stats_.updates_received;
-  const bool observe = obs_ != nullptr && obs_->enabled();
+  const bool observe = obs_.enabled();
   bool merged_any = false;
   for (const auto& entry : update->entries) {
     auto it = spaces_.find(entry.space);
@@ -84,7 +84,7 @@ bool EwoEngine::handle_message(pkt::SwishMessage& msg) {
         origin = static_cast<NodeId>(entry.version >> 1);
         ident = entry.value;
       }
-      obs_->on_apply(entry.space, entry.key, origin, ident, host_.self());
+      obs_.on_apply(entry.space, entry.key, origin, ident, host_.self());
     }
   }
   if (merged_any && !update->entries.empty()) {
@@ -103,7 +103,7 @@ ReadStatus EwoEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std::u
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return ReadStatus::kMiss;
   ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   value = it->second->read(key);
   return ReadStatus::kOk;
 }
@@ -156,9 +156,7 @@ void EwoEngine::local_write(EwoSpaceState& st, std::uint32_t space, std::uint64_
   const RawVersion version = Version::pack(ts, host_.self());
   st.write_local(key, value, version);
   const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
-  if (obs_ != nullptr && obs_->enabled()) {
-    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
-  }
+  if (obs_.enabled()) obs_.on_commit(space, key, version, host_.self(), expected_replicas());
   if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
 }
 
@@ -196,7 +194,7 @@ std::uint32_t EwoEngine::expected_replicas() const noexcept {
 }
 
 void EwoEngine::observe_commit(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key) {
-  if (obs_ == nullptr || !obs_->enabled()) return;
+  if (!obs_.enabled()) return;
   // The identity the observatory will see back in on_apply: for CRDTs that is
   // the value of this switch's own slot (monotone), for LWW the packed
   // version. collect_own_entries gives exactly the entries we would mirror.
@@ -210,7 +208,7 @@ void EwoEngine::observe_commit(const EwoSpaceState& st, std::uint32_t space, std
   } else {
     for (const auto& e : own) ident = std::max(ident, e.value);
   }
-  obs_->on_commit(space, key, ident, host_.self(), expected_replicas());
+  obs_.on_commit(space, key, ident, host_.self(), expected_replicas());
 }
 
 void EwoEngine::mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,

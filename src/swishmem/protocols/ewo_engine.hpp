@@ -16,7 +16,7 @@ namespace swish::shm {
 
 class EwoEngine final : public ProtocolEngine {
  public:
-  explicit EwoEngine(EngineHost& host);
+  explicit EwoEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kEWO;

@@ -1,24 +1,18 @@
 #include "swishmem/protocols/own_space.hpp"
 
-#include <memory>
 #include <stdexcept>
 
-namespace swish::shm {
+#include "common/rng.hpp"
+#include "swishmem/spaces.hpp"
 
-std::uint64_t own_mix64(std::uint64_t h) noexcept {
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
+namespace swish::shm {
 
 OwnSpaceState::OwnSpaceState(pisa::Switch& sw, const SpaceConfig& config) : cfg_(config) {
   if (cfg_.cls != ConsistencyClass::kOWN) {
     throw std::invalid_argument("OwnSpaceState: non-OWN space");
   }
   if (cfg_.sparse()) {
-    store_ = &sw.add_object(std::make_unique<store::StoreSpace>(
-        cfg_.name + ".store", &sw.simulator().metrics(),
-        "store.sw" + std::to_string(sw.id()) + "." + cfg_.name + "."));
+    store_ = &make_store(sw, cfg_);
     return;
   }
   values_ = &sw.add_register_array(cfg_.name + ".values", cfg_.size, cfg_.value_bits);
@@ -30,7 +24,7 @@ OwnSpaceState::OwnSpaceState(pisa::Switch& sw, const SpaceConfig& config) : cfg_
 std::size_t OwnSpaceState::slot(std::uint64_t key) const noexcept {
   if (store_) return static_cast<std::size_t>(key);  // per-key entries, no hashing
   return key < cfg_.size ? static_cast<std::size_t>(key)
-                         : static_cast<std::size_t>(own_mix64(key) % cfg_.size);
+                         : static_cast<std::size_t>(mix64(key) % cfg_.size);
 }
 
 std::uint64_t OwnSpaceState::value(std::uint64_t key) const {

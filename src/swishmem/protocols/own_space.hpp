@@ -28,9 +28,6 @@
 
 namespace swish::shm {
 
-/// 64-bit finalizer used for OWN key -> slot hashing and home placement.
-std::uint64_t own_mix64(std::uint64_t h) noexcept;
-
 class OwnSpaceState {
  public:
   OwnSpaceState(pisa::Switch& sw, const SpaceConfig& config);

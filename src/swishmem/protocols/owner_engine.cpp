@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/rng.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -16,7 +18,7 @@ constexpr std::size_t kQueueLimit = 1024;
 
 }  // namespace
 
-OwnerEngine::OwnerEngine(EngineHost& host) : ProtocolEngine(host) {
+OwnerEngine::OwnerEngine(ShmRuntime& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("own");
   stats_.reads = reg.counter(p + "reads");
@@ -110,23 +112,13 @@ SwitchId OwnerEngine::home_of(std::uint32_t space, std::uint64_t key) const {
   const auto& m = host_.placement(space).members;
   if (m.empty()) return host_.self();
   const std::uint64_t mix =
-      own_mix64(key ^ (static_cast<std::uint64_t>(space) * 0x9e3779b97f4a7c15ULL));
+      mix64(key ^ (static_cast<std::uint64_t>(space) * 0x9e3779b97f4a7c15ULL));
   return m[mix % m.size()];
 }
 
 bool OwnerEngine::owns(std::uint32_t space, std::uint64_t key) const {
   auto it = spaces_.find(space);
   return it != spaces_.end() && it->second->owned(key);
-}
-
-void OwnerEngine::deliver(SwitchId dst, pkt::SwishMessage msg) {
-  if (dst == host_.self()) {
-    // A switch can be requester, home, and owner in any combination; local
-    // hops skip the wire.
-    handle_message(msg);
-    return;
-  }
-  stats_.bytes += host_.send(dst, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +131,7 @@ ReadStatus OwnerEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return ReadStatus::kMiss;
   ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, it->second->slot(key), host_.self());
+  obs_.on_read(space, it->second->slot(key), host_.self());
   value = it->second->value(key);
   return ReadStatus::kOk;
 }
@@ -197,8 +189,8 @@ std::uint64_t OwnerEngine::apply_owned(OwnSpaceState& st, std::uint32_t space,
   // OWN propagates owner writes to exactly one replica — the key's home —
   // via the periodic backup flush (or the grant relinquish path). Self-homed
   // keys have no remote copy to lag behind.
-  if (obs_ != nullptr && obs_->enabled() && home_of(space, key) != host_.self()) {
-    obs_->on_commit(space, key, st.version(key), host_.self(), 1);
+  if (obs_.enabled() && home_of(space, key) != host_.self()) {
+    obs_.on_commit(space, key, st.version(key), host_.self(), 1);
   }
   return result;
 }
@@ -242,8 +234,8 @@ void OwnerEngine::begin_acquire(std::uint32_t space, std::uint64_t slot) {
   pa.trace = tr;
   pending_acquires_.emplace(KeyRef{space, slot}, std::move(pa));
   ActiveTraceScope scope(host_, tr);
-  deliver(home_of(space, slot),
-          pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
+  stats_.bytes += deliver(home_of(space, slot),
+                          pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
   arm_acquire_retry(space, slot, req_id);
 }
 
@@ -267,8 +259,9 @@ void OwnerEngine::arm_acquire_retry(std::uint32_t space, std::uint64_t slot,
         // Re-entering the original acquisition trace (plus the runtime's
         // req_id-keyed send-span cache) keeps retransmits from double-counting.
         ActiveTraceScope scope(host_, pit->second.trace);
-        deliver(home_of(space, slot),
-                pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
+        stats_.bytes +=
+            deliver(home_of(space, slot),
+                    pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
         arm_acquire_retry(space, slot, req_id);
       });
 }
@@ -302,8 +295,8 @@ void OwnerEngine::grant_from_backup(OwnSpaceState& st, std::uint32_t space, std:
                                     SwitchId requester, std::uint64_t req_id) {
   st.set_dir_owner(slot, requester);
   ++stats_.grants_issued;
-  deliver(requester,
-          pkt::OwnGrant{space, slot, requester, req_id, st.value(slot), st.version(slot)});
+  stats_.bytes += deliver(
+      requester, pkt::OwnGrant{space, slot, requester, req_id, st.value(slot), st.version(slot)});
 }
 
 void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
@@ -323,9 +316,9 @@ void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
                                              "own_revoked", msg.space, msg.key);
       trace_point("own_revoke", msg.space, msg.key);
     }
-    deliver(home_of(msg.space, msg.key),
-            pkt::OwnGrant{msg.space, msg.key, msg.requester, msg.req_id, st.value(msg.key),
-                          st.version(msg.key)});
+    stats_.bytes += deliver(home_of(msg.space, msg.key),
+                            pkt::OwnGrant{msg.space, msg.key, msg.requester, msg.req_id,
+                                          st.value(msg.key), st.version(msg.key)});
     return;
   }
 
@@ -348,8 +341,8 @@ void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
     return;
   }
   pending_grants_[ref] = {msg.req_id, msg.requester};
-  deliver(current, pkt::OwnRequest{msg.space, msg.key, msg.requester, msg.req_id,
-                                   /*revoke=*/true});
+  stats_.bytes += deliver(current, pkt::OwnRequest{msg.space, msg.key, msg.requester,
+                                                   msg.req_id, /*revoke=*/true});
 }
 
 void OwnerEngine::on_own_grant(const pkt::OwnGrant& msg) {
@@ -366,10 +359,10 @@ void OwnerEngine::on_own_grant(const pkt::OwnGrant& msg) {
       // The relinquished value folding into the home backup IS the (single)
       // replica apply for the old owner's in-flight writes: close their
       // propagation records here so migration does not leak inflight entries.
-      if (obs_ != nullptr) {
+      if (obs_.enabled()) {
         const SwitchId prev_owner = st.dir_owner(msg.key);
         if (prev_owner != kInvalidNode && prev_owner != host_.self()) {
-          obs_->on_apply(msg.space, msg.key, prev_owner, msg.version, host_.self());
+          obs_.on_apply(msg.space, msg.key, prev_owner, msg.version, host_.self());
         }
       }
       st.store(msg.key, msg.value, msg.version);
@@ -407,7 +400,7 @@ void OwnerEngine::send_backup_entries(std::uint32_t space, const OwnSpaceState& 
       update.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(off),
                             entries.begin() + static_cast<std::ptrdiff_t>(end));
       stats_.backup_entries_sent += update.entries.size();
-      deliver(home, std::move(update));
+      stats_.bytes += deliver(home, std::move(update));
     }
   }
 }
@@ -441,9 +434,7 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
     // The observatory subsumes older idents and deduplicates replicas, so
     // reporting every entry (merged or not) is safe and closes records whose
     // value reached us through another path first.
-    if (obs_ != nullptr) {
-      obs_->on_apply(entry.space, entry.key, msg.owner, entry.version, host_.self());
-    }
+    obs_.on_apply(entry.space, entry.key, msg.owner, entry.version, host_.self());
     if (msg.claim && home_of(entry.space, entry.key) == host_.self()) {
       // Directory self-healing: adopt the claimant when the directory has no
       // owner on record. A conflicting record wins — grants are authoritative.

@@ -24,7 +24,7 @@ namespace swish::shm {
 
 class OwnerEngine final : public ProtocolEngine {
  public:
-  explicit OwnerEngine(EngineHost& host);
+  explicit OwnerEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kOWN;
@@ -133,10 +133,6 @@ class OwnerEngine final : public ProtocolEngine {
   void flush_claims();
   void send_backup_entries(std::uint32_t space, const OwnSpaceState& st,
                            const std::vector<std::uint64_t>& slots);
-
-  /// Routes a protocol message, short-circuiting self-delivery (a switch can
-  /// be requester, home, and owner in any combination).
-  void deliver(SwitchId dst, pkt::SwishMessage msg);
 
   std::map<std::uint32_t, std::unique_ptr<OwnSpaceState>> spaces_;
   std::map<KeyRef, PendingAcquire> pending_acquires_;   // requester side

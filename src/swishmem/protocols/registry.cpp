@@ -9,7 +9,7 @@
 
 namespace swish::shm {
 
-std::unique_ptr<ProtocolEngine> make_engine(ConsistencyClass cls, EngineHost& host) {
+std::unique_ptr<ProtocolEngine> make_engine(ConsistencyClass cls, ShmRuntime& host) {
   switch (cls) {
     case ConsistencyClass::kSRO: return std::make_unique<SroEngine>(host);
     case ConsistencyClass::kERO: return std::make_unique<EroEngine>(host);

@@ -72,7 +72,12 @@ std::optional<std::tuple<std::uint8_t, std::uint64_t, std::uint64_t>> send_ident
 }  // namespace
 
 ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller)
-    : sw_(sw), config_(config), controller_(controller), rng_(0x5115 ^ (sw.id() * 0x9e3779b9ULL)) {
+    : sw_(sw),
+      config_(config),
+      controller_(controller),
+      spans_(sw.simulator().spans()),
+      observatory_(sw.simulator().observatory()),
+      rng_(0x5115 ^ (sw.id() * 0x9e3779b9ULL)) {
   telemetry::MetricsRegistry& reg = sw.simulator().metrics();
   const std::string prefix = "shm.sw" + std::to_string(sw.id()) + ".";
   redirects_processed_ = reg.counter(prefix + "redirects_processed");
@@ -83,8 +88,6 @@ ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller
   int_bytes_ = reg.counter(prefix + "bytes_int");
   total_bytes_ = reg.counter(prefix + "bytes_total");
   int_countdown_ = sw.config().int_sample_every;
-  spans_ = &sw.simulator().spans();
-  observatory_ = &sw.simulator().observatory();
 }
 
 ShmRuntime::~ShmRuntime() = default;
@@ -125,7 +128,7 @@ void ShmRuntime::add_space(const SpaceConfig& config, const std::vector<SwitchId
   space_engines_[config.id] = &engine;
   // All hosts of a space register it with the shared observatory; after the
   // first registration the call is a no-op.
-  observatory_->register_space(config.id, config.name, to_string(config.cls));
+  observatory_.register_space(config.id, config.name, to_string(config.cls));
 }
 
 void ShmRuntime::add_remote_space(const SpaceConfig& config) {
@@ -180,7 +183,7 @@ const Placement& ShmRuntime::placement(std::uint32_t space) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Transport (EngineHost)
+// Transport
 // ---------------------------------------------------------------------------
 
 telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::SwishMessage& msg) {
@@ -197,7 +200,7 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   }
   if (!active_trace_.sampled()) return {};
   const telemetry::SpanContext ctx =
-      spans_->record_instant(active_trace_, sw_.id(), pkt::info_of(msg).name);
+      spans_.record_instant(active_trace_, sw_.id(), pkt::info_of(msg).name);
   if (identity && ctx.sampled()) {
     if (send_spans_.size() >= kMaxSendSpans) send_spans_.clear();
     send_spans_.emplace(*identity, ctx);
@@ -220,7 +223,7 @@ std::size_t ShmRuntime::send(std::span<const SwitchId> dsts, const pkt::SwishMes
     telemetry::SpanContext trace_ctx;
     // Inline what outgoing_trace's fast path would check, so the steady state
     // with tracing enabled but nothing sampled skips the call entirely.
-    if (spans_->enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
+    if (spans_.enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
       trace_ctx = outgoing_trace(dst, msg);
     }
     spec.eth_dst = pkt::MacAddr::for_node(dst);
@@ -377,7 +380,7 @@ void ShmRuntime::on_read_redirect(const pkt::ReadRedirect& msg) {
   // write the re-run NF performs parents under this span.
   telemetry::SpanContext serve;
   if (active_trace_.sampled()) {
-    serve = spans_->record_instant(active_trace_, sw_.id(), "redirect_serve");
+    serve = spans_.record_instant(active_trace_, sw_.id(), "redirect_serve");
   }
   ActiveTraceScope scope(*this, serve.sampled() ? serve : active_trace_);
   pisa::PacketContext ctx{sw_, pkt::Packet(msg.original_packet), nullptr,
@@ -507,11 +510,11 @@ void ShmRuntime::recovery_send_next() {
   // write); retransmissions reuse the first transmission's span through the
   // send-identity cache like any other idempotent frame.
   telemetry::SpanContext root;
-  if (spans_->enabled() && !active_trace_.sampled()) {
-    root = spans_->maybe_start_trace();
+  if (spans_.enabled() && !active_trace_.sampled()) {
+    root = spans_.maybe_start_trace();
     if (root.sampled()) {
-      const TimeNs t = spans_->now();
-      spans_->record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0,
+      const TimeNs t = spans_.now();
+      spans_.record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0,
                       chunk.write_id});
     }
   }
@@ -559,7 +562,7 @@ void ShmRuntime::on_recovery_chunk(const pkt::WriteRequest& msg) {
   }
   if (msg.write_id == last_recovery_applied_ + 1) {
     if (active_trace_.sampled()) {
-      spans_->record_instant(active_trace_, sw_.id(), "recovery_apply", 0, msg.write_id);
+      spans_.record_instant(active_trace_, sw_.id(), "recovery_apply", 0, msg.write_id);
     }
     for (std::size_t i = 0; i < msg.ops.size(); ++i) {
       // Stream order replays the donor's apply order; each op goes to the

@@ -29,20 +29,58 @@
 #include "packet/swish_wire.hpp"
 #include "pisa/switch.hpp"
 #include "swishmem/config.hpp"
-#include "swishmem/protocols/engine.hpp"
 #include "swishmem/spaces.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/observatory.hpp"
+#include "telemetry/records.hpp"
+#include "telemetry/span.hpp"
 
 namespace swish::shm {
 
 class OwnSpaceState;
+class ProtocolEngine;
 class SwimAgent;
+
+/// Outcome of a strong read during packet processing.
+enum class ReadStatus {
+  kOk,          ///< value is valid (read served locally or authoritatively)
+  kMiss,        ///< table-backed space has no entry for the key
+  kRedirected,  ///< original packet was forwarded to the chain tail; the NF
+                ///< must stop processing this packet and emit no output
+};
+
+/// Runs when a buffered output packet may be released (write committed).
+using WriteRelease = std::function<void(pkt::Packet&&)>;
+
+/// Completion of a read-modify-write; receives the new value when it applies.
+using UpdateDone = std::function<void(std::uint64_t)>;
+
+/// Pull-based donor snapshot stream of one space (§6.3). The source is
+/// created — and its state frozen — synchronously at start_recovery_stream
+/// time; the runtime then drains its sources in order, one chunk per
+/// in-flight frame, so a sparse space's CoW pin is held only as long as the
+/// drain and a million-key snapshot never materializes in memory at once.
+class SnapshotSource {
+ public:
+  virtual ~SnapshotSource() = default;
+  SnapshotSource() = default;
+  SnapshotSource(const SnapshotSource&) = delete;
+  SnapshotSource& operator=(const SnapshotSource&) = delete;
+
+  /// Appends up to `max_ops` snapshot ops to `out`; returns true while more
+  /// remain (false = drained; pinned pages are released at that point).
+  virtual bool next(std::size_t max_ops, std::vector<SnapshotOp>& out) = 0;
+};
+
+/// A donor's frozen sources, drained in order.
+using SnapshotSources = std::vector<std::unique_ptr<SnapshotSource>>;
 
 /// Protocol counters live in the simulator's MetricsRegistry, not behind
 /// this class: the runtime registers its own cells under `shm.sw<id>.*` and
 /// each engine its cells under `shm.sw<id>.<sro|ero|ewo|own|con>.*`; readers
 /// take them by name from Fabric::metrics_snapshot(). The per-class byte
 /// cells of one switch sum to its `bytes_total` (regression-tested).
-class ShmRuntime final : public EngineHost {
+class ShmRuntime final {
  public:
   ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller);
   ~ShmRuntime();  // out-of-line: SwimAgent is only forward-declared here
@@ -157,39 +195,58 @@ class ShmRuntime final : public EngineHost {
   /// switch boots empty and unplaced).
   void reset_state();
 
-  // -- EngineHost (services the engines call back into) --------------------------
+  // -- Services the engines call ---------------------------------------------------
 
-  [[nodiscard]] pisa::Switch& sw() noexcept override { return sw_; }
-  [[nodiscard]] const RuntimeConfig& config() const noexcept override { return config_; }
-  [[nodiscard]] SwitchId self() const noexcept override { return sw_.id(); }
-  [[nodiscard]] const Placement& placement(std::uint32_t space) const noexcept override;
-  /// Encodes `msg`'s body once, then gives each destination, in order, its
+  [[nodiscard]] pisa::Switch& sw() noexcept { return sw_; }
+  [[nodiscard]] const RuntimeConfig& config() const noexcept { return config_; }
+  [[nodiscard]] SwitchId self() const noexcept { return sw_.id(); }
+  /// A space's placement as the controller last pushed it: chain order and
+  /// epoch for SRO/ERO, acceptors (coordinator = lowest id) and ballot epoch
+  /// for kCON, mirror group for EWO, home set for OWN. Before the first push
+  /// (and after a state reset) an SRO/ERO space has no members and any other
+  /// space holds its add_space replica set at epoch 0.
+  [[nodiscard]] const Placement& placement(std::uint32_t space) const noexcept;
+  /// Sends one protocol message to each of `dsts`, in order; returns the
+  /// wire bytes of all its frames so an engine can account its own protocol
+  /// bandwidth. Encodes `msg`'s body once, then gives each destination its
   /// own frame: headers, type byte, trace context, INT trailer when the
   /// sampling countdown picks that send, and its own ECMP hash draw.
-  std::size_t send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg) override;
-  using EngineHost::send;
+  std::size_t send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg);
+  /// The unicast case: a one-destination send.
+  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) {
+    return send(std::span<const SwitchId>(&dst, 1), msg);
+  }
   /// send() plus control-class byte accounting (heartbeats, SWIM traffic);
   /// keeps the per-class counters summing to bytes_total.
   std::size_t send_control(SwitchId dst, const pkt::SwishMessage& msg);
-  void report_drop(telemetry::DropReason reason, std::uint64_t detail) override;
+  /// Mirror-on-drop: reports a protocol-level reject/abandon (queue
+  /// overflow, retry exhaustion, quorum loss) into the simulation's record
+  /// log. `detail` is site-specific (usually the key or peer involved).
+  void report_drop(telemetry::DropReason reason, std::uint64_t detail);
   [[nodiscard]] NodeId controller() const noexcept { return controller_; }
-  void every(TimeNs period, std::function<void()> tick) override;
-  [[nodiscard]] bool authoritative() const noexcept override { return authoritative_; }
-  void recovery_tap(const std::vector<pkt::WriteOp>& ops,
-                    const std::vector<SeqNum>& seqs) override;
-  [[nodiscard]] telemetry::SpanRecorder* spans() noexcept override { return spans_; }
-  [[nodiscard]] telemetry::ConsistencyObservatory* observatory() noexcept override {
+  /// Registers a periodic background task (packet-generator driven); valid
+  /// from ProtocolEngine::start().
+  void every(TimeNs period, std::function<void()> tick);
+  /// True while this switch is serving a redirected read at the tail (the
+  /// tail's state is authoritative, §6.1).
+  [[nodiscard]] bool authoritative() const noexcept { return authoritative_; }
+  /// Feeds a committed write into the active recovery stream, if any (the
+  /// donor-side tap of §6.3).
+  void recovery_tap(const std::vector<pkt::WriteOp>& ops, const std::vector<SeqNum>& seqs);
+  /// Span recorder of this switch's simulator; a disabled recorder is one
+  /// branch per call.
+  [[nodiscard]] telemetry::SpanRecorder& spans() noexcept { return spans_; }
+  /// Consistency-lag observatory of this switch's simulator; every method
+  /// returns early while it is disabled.
+  [[nodiscard]] telemetry::ConsistencyObservatory& observatory() noexcept {
     return observatory_;
   }
-  [[nodiscard]] telemetry::SpanContext active_trace() const noexcept override {
-    return active_trace_;
-  }
-  [[nodiscard]] const telemetry::SpanContext* active_trace_ptr() const noexcept override {
-    return &active_trace_;
-  }
-  void set_active_trace(const telemetry::SpanContext& ctx) noexcept override {
-    active_trace_ = ctx;
-  }
+  /// Trace context of the causal chain currently executing on this switch —
+  /// set around message dispatch and by engines around deferred work
+  /// (control-plane closures, timers). send() attaches it to outgoing
+  /// messages.
+  [[nodiscard]] telemetry::SpanContext active_trace() const noexcept { return active_trace_; }
+  void set_active_trace(const telemetry::SpanContext& ctx) noexcept { active_trace_ = ctx; }
 
   // -- Introspection ------------------------------------------------------------
 
@@ -206,10 +263,6 @@ class ShmRuntime final : public EngineHost {
 
   /// Engine serving a space (nullptr when the space is unknown here).
   [[nodiscard]] ProtocolEngine* engine_for_space(std::uint32_t space) const noexcept;
-  /// All engines instantiated on this switch, in creation order.
-  [[nodiscard]] const std::vector<std::unique_ptr<ProtocolEngine>>& engines() const noexcept {
-    return engines_;
-  }
 
  private:
   /// Engine implementing `cls`, created (and registered in the message-type
@@ -310,9 +363,10 @@ class ShmRuntime final : public EngineHost {
   bool started_ = false;
   std::function<void(pisa::PacketContext&)> nf_reentry_;
 
-  // Causal tracing (cached from the simulator; one branch when disabled).
-  telemetry::SpanRecorder* spans_ = nullptr;
-  telemetry::ConsistencyObservatory* observatory_ = nullptr;
+  // Causal tracing and lag measurement (the simulator's; one branch each
+  // when disabled).
+  telemetry::SpanRecorder& spans_;
+  telemetry::ConsistencyObservatory& observatory_;
   telemetry::SpanContext active_trace_;
   /// Retry-reuse guard at the send chokepoint: (message tag, idempotency id,
   /// packed sender/destination) -> span of the first transmission. Only

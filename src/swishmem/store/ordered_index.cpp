@@ -195,11 +195,6 @@ void OrderedIndex::for_each(const Visitor& fn) const {
   walk(root_.get(), 0, ~0ULL, fn);
 }
 
-void OrderedIndex::range(std::uint64_t lo, std::uint64_t hi, const Visitor& fn) const {
-  if (hi == 0) return;
-  walk(root_.get(), lo, hi - 1, fn);
-}
-
 const Entry* OrderedIndex::lookup_lpm(std::uint64_t key, unsigned key_bits) const noexcept {
   return lpm_probe(root_.get(), key, key_bits,
                    [this](std::uint64_t k) { return find(k); });
@@ -261,12 +256,6 @@ const Entry* OrderedIndex::Snapshot::find(std::uint64_t key) const noexcept {
 
 void OrderedIndex::Snapshot::for_each(const Visitor& fn) const {
   walk(static_cast<const Node*>(root_.get()), 0, ~0ULL, fn);
-}
-
-bool OrderedIndex::Snapshot::range(std::uint64_t lo, std::uint64_t hi,
-                                   const Visitor& fn) const {
-  if (hi == 0) return true;
-  return walk(static_cast<const Node*>(root_.get()), lo, hi - 1, fn);
 }
 
 bool OrderedIndex::Snapshot::scan(std::uint64_t lo, const Visitor& fn) const {

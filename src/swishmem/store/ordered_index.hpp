@@ -6,7 +6,7 @@
 //   * sparse population — millions of addressable keys, memory proportional
 //     to live entries (a leaf costs ~kLeafCap entries; nothing is allocated
 //     for absent keys);
-//   * ordered iteration — in-order walks, range scans, and longest-prefix
+//   * ordered iteration — in-order walks, resumable scans, and longest-prefix
 //     match over packed (prefix, length) keys, all deterministic across runs
 //     and shard counts because the order is the key order, not a hash order;
 //   * O(1) consistent snapshots — Snapshot pins the root; subsequent writes
@@ -103,8 +103,6 @@ class OrderedIndex {
 
   /// In-order walk over all entries (including tombstones).
   void for_each(const Visitor& fn) const;
-  /// In-order walk over keys in [lo, hi).
-  void range(std::uint64_t lo, std::uint64_t hi, const Visitor& fn) const;
 
   /// Longest-prefix match over lpm_pack()ed keys: probes prefix lengths
   /// key_bits..0, skipping tombstone entries; nullptr when nothing matches.
@@ -127,13 +125,10 @@ class OrderedIndex {
 
     [[nodiscard]] const Entry* find(std::uint64_t key) const noexcept;
     void for_each(const Visitor& fn) const;
-    /// In-order walk over keys in [lo, hi); returns false when the visitor
-    /// stopped the walk early (the resumable-drain hook recovery uses).
-    bool range(std::uint64_t lo, std::uint64_t hi, const Visitor& fn) const;
-    /// In-order walk over [lo, max-key] — the whole remaining key space,
-    /// which range() cannot express (its hi is exclusive). Returns false
-    /// when the visitor stopped early; resume by re-scanning from the key
-    /// the visitor rejected.
+    /// In-order walk over [lo, max-key], the whole remaining key space (the
+    /// resumable-drain hook recovery uses). Returns false when the visitor
+    /// stopped early; resume by re-scanning from the key the visitor
+    /// rejected.
     bool scan(std::uint64_t lo, const Visitor& fn) const;
 
     /// Releases the pin early (idempotent).

@@ -33,9 +33,6 @@ class StoreSpace final : public pisa::StatefulObject {
     return index_.lookup_lpm(key, key_bits);
   }
   void for_each(const OrderedIndex::Visitor& fn) const { index_.for_each(fn); }
-  void range(std::uint64_t lo, std::uint64_t hi, const OrderedIndex::Visitor& fn) const {
-    index_.range(lo, hi, fn);
-  }
 
   // -- Snapshots ----------------------------------------------------------------
   /// Pins a frozen view; gauge updates on pin and (via the index observer)

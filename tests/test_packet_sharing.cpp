@@ -4,15 +4,11 @@
 // per-thread striping of the PacketStats counters those paths bump.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "net/routing.hpp"
-#include "net/topology.hpp"
 #include "packet/packet.hpp"
-#include "pisa/switch.hpp"
 
 namespace swish {
 namespace {
@@ -97,57 +93,6 @@ TEST(PacketSharing, RewriteIsCopyOnWrite) {
   ASSERT_TRUE(rewritten.parse().has_value());
   EXPECT_EQ(rewritten.parse()->ipv4->src.value(), pkt::Ipv4Addr(9, 9, 9, 9).value());
   EXPECT_EQ(original.parse()->ipv4->src.value(), pkt::Ipv4Addr(10, 0, 0, 1).value());
-}
-
-/// Captures every packet a switch's pipeline sees.
-class CaptureProgram : public pisa::PipelineProgram {
- public:
-  void process(pisa::PacketContext& ctx) override {
-    packets.push_back(std::move(ctx.packet));
-  }
-  std::vector<pkt::Packet> packets;
-};
-
-TEST(PacketSharing, MulticastFanOutSharesOneBuffer) {
-  // One switch replicating to two peers: every delivered copy must reference
-  // the sender's original buffer — the fan-out is refcount bumps, not byte
-  // copies, end to end through egress, the link, and the peer pipeline.
-  sim::ShardSet shards{1};
-  sim::Simulator& sim = shards.sim(0);
-  net::Network net{shards, 5};
-  pisa::Switch a{sim, net, 1, {}};
-  pisa::Switch b{sim, net, 2, {}};
-  pisa::Switch c{sim, net, 3, {}};
-  net.attach(a);
-  net.attach(b);
-  net.attach(c);
-  net.connect(1, 2, net::LinkParams{});
-  net.connect(1, 3, net::LinkParams{});
-  auto tables = net::compute_routes(net);
-  a.set_routing(std::move(tables[1]));
-
-  auto prog_b = std::make_unique<CaptureProgram>();
-  auto prog_c = std::make_unique<CaptureProgram>();
-  CaptureProgram* pb = prog_b.get();
-  CaptureProgram* pc = prog_c.get();
-  b.install_program(std::move(prog_b));
-  c.install_program(std::move(prog_c));
-
-  pkt::Packet original = make_udp_packet();
-  auto& stats = pkt::PacketStats::global();
-  stats.reset();
-  const std::vector<SwitchId> group{2, 3};
-  a.multicast_nodes(group, original);
-  sim.run();
-
-  ASSERT_EQ(pb->packets.size(), 1u);
-  ASSERT_EQ(pc->packets.size(), 1u);
-  EXPECT_TRUE(pb->packets[0].shares_buffer_with(original));
-  EXPECT_TRUE(pc->packets[0].shares_buffer_with(original));
-  EXPECT_EQ(&pb->packets[0].bytes(), &original.bytes());
-  // The entire fan-out allocated zero new buffers.
-  EXPECT_EQ(stats.buffers_created, 0u);
-  EXPECT_EQ(stats.rewrite_copies, 0u);
 }
 
 TEST(PacketStats, ThreadStripesSumExactlyAndResetZeroesEveryStripe) {

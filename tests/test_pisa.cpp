@@ -408,21 +408,6 @@ TEST(Switch, PipelineLatencyAppliedToEgress) {
   EXPECT_EQ(delivered_at, rig.a.config().pipeline_latency);
 }
 
-TEST(Switch, MulticastSkipsSelf) {
-  SwitchRig rig;
-  auto prog_b = std::make_unique<EchoProgram>();
-  EchoProgram* pb = prog_b.get();
-  rig.b.install_program(std::move(prog_b));
-  auto prog_a = std::make_unique<EchoProgram>();
-  EchoProgram* pa = prog_a.get();
-  rig.a.install_program(std::move(prog_a));
-  const std::vector<SwitchId> group{1, 2};
-  rig.a.multicast_nodes(group, some_packet());
-  rig.sim.run();
-  EXPECT_EQ(pb->seen, 1);
-  EXPECT_EQ(pa->seen, 0);
-}
-
 /// Forwards every packet back to the local switch, threading the real
 /// recirculation count — an infinite loop unless the cap intervenes.
 class RecircForeverProgram : public PipelineProgram {

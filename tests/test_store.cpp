@@ -50,28 +50,10 @@ TEST(StoreOrderedIndex, UpsertIsIdempotentOnEntryCount) {
   EXPECT_EQ(idx.find(43), nullptr);  // missing key
 }
 
-TEST(StoreOrderedIndex, RangeBoundsAreHalfOpen) {
-  OrderedIndex idx;
-  for (std::uint64_t k : {10u, 20u, 30u, 40u}) idx.upsert(k).value = k;
-  std::vector<std::uint64_t> seen;
-  idx.range(20, 40, [&](const Entry& e) {
-    seen.push_back(e.key);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{20, 30}));
-  // Empty window.
-  seen.clear();
-  idx.range(21, 21, [&](const Entry&) {
-    seen.push_back(0);
-    return true;
-  });
-  EXPECT_TRUE(seen.empty());
-}
-
 TEST(StoreOrderedIndex, ScanReachesTheMaximumKey) {
   OrderedIndex idx;
   idx.upsert(0).value = 1;
-  idx.upsert(~0ULL).value = 2;  // range(lo, hi) can never include this key
+  idx.upsert(~0ULL).value = 2;  // the largest key: scan's upper bound is inclusive
   auto snap = idx.snapshot();
   std::vector<std::uint64_t> seen;
   EXPECT_TRUE(snap.scan(0, [&](const Entry& e) {
