@@ -10,6 +10,8 @@
 
 #include "swishmem/fabric.hpp"
 
+#include "read_value.hpp"
+
 namespace swish::shm {
 namespace {
 
@@ -99,6 +101,43 @@ TEST(ControllerMigrate, MultiJoinerMigrationStreamsSequentiallyAndReleases) {
   for (std::size_t i : {1u, 2u, 3u}) {
     ASSERT_NE(rig.fabric.runtime(i).sro_space(kPart), nullptr) << i;
     EXPECT_EQ(rig.fabric.runtime(i).sro_space(kPart)->read(3).value(), 503u) << i;
+  }
+}
+
+TEST(ControllerMigrate, RejoinAfterShrinkStartsFromTheDonor) {
+  // A switch migrated out of a chain space keeps that space's storage. When
+  // a later migration brings it back, it must reuse that storage and start
+  // empty, like a revived switch, so the donor's stream alone rebuilds it:
+  // no second set of arrays, no value frozen at the shrink, and guards that
+  // let the next write commit.
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    Rig rig({1, 2, 3, 4}, /*switches=*/4, shards);
+    rig.write(0, 5, 42);
+    rig.fabric.run_for(200 * kMs);
+    const std::size_t hosted_bytes = rig.fabric.sw(3).memory_bytes();
+
+    int fires = 0;
+    rig.fabric.controller().migrate_space(kPart, {1, 2, 3}, [&fires](TimeNs) { ++fires; });
+    rig.fabric.run_for(200 * kMs);
+    rig.write(0, 5, 0);
+    rig.write(0, 6, 66);
+    rig.fabric.run_for(200 * kMs);
+    rig.fabric.controller().migrate_space(kPart, {1, 2, 3, 4}, [&fires](TimeNs) { ++fires; });
+    rig.fabric.run_for(1 * kSec);
+    ASSERT_EQ(fires, 2);
+    EXPECT_EQ(rig.fabric.sw(3).memory_bytes(), hosted_bytes);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(read_value(rig.fabric.runtime(i), kPart, 5), 0u) << "switch " << i;
+      EXPECT_EQ(read_value(rig.fabric.runtime(i), kPart, 6), 66u) << "switch " << i;
+    }
+
+    rig.write(0, 5, 7);
+    rig.fabric.run_for(500 * kMs);
+    EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.sro.writes_failed").count, 0u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(read_value(rig.fabric.runtime(i), kPart, 5), 7u) << "switch " << i;
+    }
   }
 }
 

@@ -347,6 +347,54 @@ TEST(Recovery, RecoveredSwitchServesStrongReadsOnlyAfterJoin) {
   EXPECT_TRUE(joined_chain());
 }
 
+TEST(Recovery, RevivedTailAcceptsWriteToZeroedKey) {
+  // A dense register space's snapshot skips registers that read 0, yet the
+  // guard slot of a key written back to 0 still holds its sequence. Unless
+  // the stream carries that sequence, the revived tail restarts the slot at
+  // 0 and gap-drops the key's next write until the writer's retries run out.
+  constexpr std::uint32_t kDense = 60;
+  constexpr std::uint64_t kKey = 5;
+  constexpr std::size_t kVictim = 2;
+  for (std::size_t shards : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    FabricConfig cfg = cfg4();
+    cfg.shards = shards;
+    Fabric fabric(cfg);
+    SpaceConfig sp;
+    sp.id = kDense;
+    sp.name = "zeroed";
+    sp.cls = ConsistencyClass::kSRO;
+    sp.size = 64;
+    fabric.add_space(sp);
+    fabric.install(nullptr);
+    fabric.start();
+    int committed = 0;
+    const auto write = [&](std::uint64_t value) {
+      fabric.runtime(0).write({{kDense, kKey, value}}, pkt::Packet{},
+                              [&committed](pkt::Packet&&) { ++committed; });
+      fabric.run_for(300 * kMs);
+    };
+    write(42);
+    write(0);
+    const TimeNs now = fabric.simulator().now();
+    fabric.schedule_kill(kVictim, now + 1 * kMs);
+    fabric.schedule_revive(kVictim, now + 100 * kMs);
+    fabric.run_for(600 * kMs);
+    const SwitchId victim = fabric.sw(kVictim).id();
+    ASSERT_EQ(fabric.controller().placement(kDense)->members.back(), victim);
+
+    write(9);
+    EXPECT_EQ(committed, 3);
+    const telemetry::MetricsSnapshot snap = fabric.metrics_snapshot();
+    EXPECT_EQ(snap.values.at("shm.sw1.sro.writes_failed").count, 0u);
+    EXPECT_EQ(snap.values.at("shm.sw" + std::to_string(victim) + ".sro.chain_gap_drops").count,
+              0u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(read_value(fabric.runtime(i), kDense, kKey), 9u) << "switch " << i;
+    }
+  }
+}
+
 TEST(Failover, ReadmissionPlacementPolicy) {
   // One space per class: the rejoiner enters the EWO/OWN/kCON placements at
   // the readmit push, and the SRO chain only once the donor's snapshot stream

@@ -38,10 +38,10 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 # traffic), the CoW store suites (snapshot pins shared across the recovery
 # path), the record-log suites (every shard's worker writes its own per-node
 # trace, drop and INT logs, gathered cross-shard by the health collector and
-# the sharded trace dump), the per-thread PacketStats stripes, and the
+# the sharded trace dump), the per-thread PacketStats stripes, the
 # controller's 2- and 4-shard migrations and readmissions, revive races
-# included (pushes and stream kickoffs hop shards). TSan and ASan cannot
-# share a build, hence the second tree.
+# included (pushes and stream kickoffs hop shards), and the recovery suite's
+# 2-shard revive. TSan and ASan cannot share a build, hence the second tree.
 TSAN_BUILD="$ROOT/build-check-tsan"
 cmake -B "$TSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -52,7 +52,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
 SWISH_SHARD_FORCE_THREADS=1 \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector|PacketStats|ControllerMigrate|Directory|RecordLog|ReviveBeforeDetection'
+    -R 'ShardedSim|Conformance|Store|Membership|Consensus|Int|MirrorOnDrop|HealthCollector|PacketStats|ControllerMigrate|Directory|RecordLog|ReviveBeforeDetection|Recovery'
 
 echo
 echo "check.sh: clean (Werror + ASan/UBSan + TSan sharded suites)"
