@@ -156,6 +156,13 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
 
   auto finish = [this, space, new_replicas, joiners, done]() {
     SpaceEntry& e = directory_.at(space);
+    // Leavers reach the space like any non-replica, from its tail.
+    for (SwitchId id : e.replicas) {
+      if (contains(new_replicas, id)) continue;
+      ShmRuntime* rt = members_.at(id).runtime;
+      post_to_node(id, config_.mgmt_latency,
+                   [rt, config = e.config]() { rt->add_remote_space(config); });
+    }
     e.replicas = new_replicas;
     e.placement.members = live(new_replicas);
     push(/*immediate=*/false, space, joiners);

@@ -24,10 +24,11 @@ ChainEngine::ChainEngine(ShmRuntime& host, const char* proto_name) : ProtocolEng
 
 void ChainEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
   (void)replicas;  // chain membership comes from the space's placement
-  if (auto it = spaces_.find(config.id); it != spaces_.end()) {
+  if (auto parked = parked_.extract(config.id); !parked.empty()) {
     // Migrated back into a space it left: reuse the storage, but start
     // empty like a revived switch; the donor's stream rebuilds it.
-    it->second->reset(host_.sw().control_plane().token());
+    parked.mapped()->reset(host_.sw().control_plane().token());
+    spaces_.insert(std::move(parked));
   } else {
     spaces_.emplace(config.id, std::make_unique<SroSpaceState>(host_.sw(), config));
   }
@@ -35,6 +36,12 @@ void ChainEngine::add_space(const SpaceConfig& config, const std::vector<SwitchI
 }
 
 void ChainEngine::add_remote_space(const SpaceConfig& config) {
+  if (auto hosted = spaces_.extract(config.id); !hosted.empty()) {
+    // Migrated out of the space: park its storage (the SRAM stays booked
+    // for a rejoin) and serve it by the remote path, never from the copy
+    // that stopped receiving writes.
+    parked_.insert(std::move(hosted));
+  }
   remote_spaces_.emplace(config.id, config);
 }
 

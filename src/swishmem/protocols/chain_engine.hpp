@@ -110,6 +110,8 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] static bool chain_contains(const Placement& chain, SwitchId sw) noexcept;
 
   std::unordered_map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
+  /// Storage of spaces this switch was migrated out of, kept for a rejoin.
+  std::unordered_map<std::uint32_t, std::unique_ptr<SroSpaceState>> parked_;
   std::unordered_map<std::uint32_t, SpaceConfig> remote_spaces_;
 
   // Writer state (CP DRAM).

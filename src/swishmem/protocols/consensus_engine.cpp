@@ -1,6 +1,8 @@
 #include "swishmem/protocols/consensus_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 namespace swish::shm {
 namespace {
@@ -39,6 +41,51 @@ SwitchId ballot_owner(std::uint64_t ballot) noexcept {
 }
 
 }  // namespace
+
+ConsensusEngine::LogEntry::LogEntry(std::uint64_t entry_ballot, SwitchId entry_writer,
+                                    std::uint64_t entry_req_id,
+                                    std::span<const pkt::WriteOp> ops, bool chosen)
+    : ballot(entry_ballot),
+      req_id(entry_req_id),
+      writer(entry_writer),
+      committed(chosen),
+      n_ops_(static_cast<std::uint16_t>(ops.size())),
+      inline_{} {
+  assert(ops.size() <= std::numeric_limits<std::uint16_t>::max());
+  if (n_ops_ > kInlineOps) heap_ = new pkt::WriteOp[n_ops_];
+  std::copy_n(ops.begin(), n_ops_, n_ops_ > kInlineOps ? heap_ : inline_.data());
+}
+
+ConsensusEngine::LogEntry& ConsensusEngine::LogEntry::operator=(LogEntry&& other) noexcept {
+  if (this != &other) {
+    free_ops();
+    take(other);
+  }
+  return *this;
+}
+
+void ConsensusEngine::LogEntry::take(LogEntry& other) noexcept {
+  ballot = other.ballot;
+  req_id = other.req_id;
+  writer = other.writer;
+  committed = other.committed;
+  n_ops_ = other.n_ops_;
+  if (n_ops_ > kInlineOps) {
+    heap_ = other.heap_;
+  } else {
+    inline_ = other.inline_;
+  }
+  other.n_ops_ = 0;
+  other.inline_ = {};
+}
+
+void ConsensusEngine::LogEntry::free_ops() noexcept {
+  if (n_ops_ > kInlineOps) {
+    delete[] heap_;
+    inline_ = {};
+  }
+  n_ops_ = 0;
+}
 
 ConsensusEngine::ConsensusEngine(ShmRuntime& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
@@ -122,8 +169,8 @@ std::vector<pkt::MsgType> ConsensusEngine::message_types() const {
 }
 
 bool ConsensusEngine::handle_message(pkt::SwishMessage& msg) {
-  if (auto* fwd = std::get_if<pkt::ConForward>(&msg)) {
-    on_forward(std::move(*fwd));
+  if (const auto* fwd = std::get_if<pkt::ConForward>(&msg)) {
+    on_forward(*fwd);
     return true;
   }
   if (const auto* prep = std::get_if<pkt::ConPrepare>(&msg)) {
@@ -134,16 +181,16 @@ bool ConsensusEngine::handle_message(pkt::SwishMessage& msg) {
     on_promise(*prom);
     return true;
   }
-  if (auto* acc = std::get_if<pkt::ConAccept>(&msg)) {
-    on_accept(std::move(*acc));
+  if (const auto* acc = std::get_if<pkt::ConAccept>(&msg)) {
+    on_accept(*acc);
     return true;
   }
   if (const auto* accd = std::get_if<pkt::ConAccepted>(&msg)) {
     on_accepted(*accd);
     return true;
   }
-  if (auto* learn = std::get_if<pkt::ConLearn>(&msg)) {
-    on_learn(std::move(*learn));
+  if (const auto* learn = std::get_if<pkt::ConLearn>(&msg)) {
+    on_learn(*learn);
     return true;
   }
   return false;
@@ -202,9 +249,10 @@ void ConsensusEngine::on_prepare(const pkt::ConPrepare& msg) {
   promise.applied_upto = applied_upto_;
   // Report every accepted slot above the applied prefix so in-flight
   // transactions survive the old coordinator (atomicity across failover).
-  for (const auto& [slot, entry] : log_) {
-    if (slot <= applied_upto_) continue;
-    promise.entries.push_back({slot, entry.ballot, entry.writer, entry.req_id, entry.ops});
+  for (std::uint64_t slot = applied_upto_ + 1; slot <= log_.size(); ++slot) {
+    const LogEntry& entry = log_[slot - 1];
+    if (!entry.present()) continue;
+    promise.entries.push_back({slot, entry.ballot, entry.writer, entry.req_id, entry.op_vector()});
   }
   stats_.bytes += deliver(msg.coordinator, std::move(promise));
 }
@@ -214,9 +262,9 @@ void ConsensusEngine::on_promise(const pkt::ConPromise& msg) {
   auto& pa = peer_applied_[msg.acceptor];
   pa = std::max(pa, msg.applied_upto);
   for (const auto& e : msg.entries) {
-    auto it = log_.find(e.slot);
-    if (it == log_.end() || it->second.ballot < e.ballot) {
-      log_[e.slot] = LogEntry{e.ballot, e.writer, e.req_id, e.ops};
+    const LogEntry* entry = find_entry(e.slot);
+    if (entry == nullptr || entry->ballot < e.ballot) {
+      store_entry(e.slot, LogEntry{e.ballot, e.writer, e.req_id, e.ops});
     }
   }
   promises_.insert(msg.acceptor);
@@ -235,24 +283,23 @@ void ConsensusEngine::finish_election() {
   // with a no-op fill would otherwise swallow the writer's retries as
   // duplicates of a transaction that can no longer commit.
   sequenced_.clear();
-  for (const auto& [slot, entry] : log_) {
+  for (std::uint64_t slot = 1; slot <= log_.size(); ++slot) {
+    LogEntry& entry = log_[slot - 1];
+    if (!entry.present()) continue;
     next_slot_ = std::max(next_slot_, slot);
     if (entry.writer != kInvalidNode) sequenced_[{entry.writer, entry.req_id}] = slot;
-  }
-  // Slots inside the committed prefix are settled: phase 1's promise quorum
-  // intersects every commit quorum, so the highest-ballot entry recovered
-  // for such a slot IS the chosen value and is safe to apply here.
-  for (auto it = log_.begin(); it != log_.end() && it->first <= committed_upto_; ++it) {
-    it->second.committed = true;
+    // Slots inside the committed prefix are settled: phase 1's promise
+    // quorum intersects every commit quorum, so the highest-ballot entry
+    // recovered for such a slot IS the chosen value and is safe to apply.
+    if (slot <= committed_upto_) entry.committed = true;
   }
   // Re-propose accepted-but-uncommitted slots under our ballot; plug holes
   // with no-ops so the commit prefix can advance past them.
   for (std::uint64_t slot = committed_upto_ + 1; slot <= next_slot_; ++slot) {
-    auto it = log_.find(slot);
-    if (it == log_.end()) {
-      log_[slot] = LogEntry{ballot_, host_.self(), 0, {}};  // no-op filler
+    if (LogEntry* entry = find_entry(slot)) {
+      entry->ballot = ballot_;
     } else {
-      it->second.ballot = ballot_;
+      store_entry(slot, LogEntry{ballot_, host_.self(), 0, {}});  // no-op filler
     }
     auto& prog = progress_[slot];
     prog.accepted_by.clear();
@@ -387,7 +434,7 @@ void ConsensusEngine::release_write(SwitchId writer, std::uint64_t req_id) {
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-void ConsensusEngine::on_forward(pkt::ConForward msg) {
+void ConsensusEngine::on_forward(const pkt::ConForward& msg) {
   if (!is_coordinator() || electing_) return;  // the writer's retry re-routes
   if (msg.epoch != epoch()) return;            // stale view; retry carries the new one
   auto sit = sequenced_.find({msg.writer, msg.req_id});
@@ -396,7 +443,7 @@ void ConsensusEngine::on_forward(pkt::ConForward msg) {
     // loop (peer_applied_) re-delivers the learn; nothing to do here.
     return;
   }
-  propose(LogEntry{ballot_, msg.writer, msg.req_id, std::move(msg.ops)});
+  propose(LogEntry{ballot_, msg.writer, msg.req_id, msg.ops});
 }
 
 void ConsensusEngine::propose(LogEntry entry) {
@@ -404,23 +451,23 @@ void ConsensusEngine::propose(LogEntry entry) {
   if (sequenced_.size() > 65536) sequenced_.clear();  // blunt dedup bound
   if (entry.writer != kInvalidNode) sequenced_[{entry.writer, entry.req_id}] = slot;
   entry.ballot = ballot_;
-  log_[slot] = std::move(entry);
+  const LogEntry& stored = store_entry(slot, std::move(entry));
   promised_ballot_ = std::max(promised_ballot_, ballot_);
   auto& prog = progress_[slot];
   prog.accepted_by.insert(host_.self());  // the coordinator accepts its own proposal
-  if (!log_[slot].ops.empty()) {
-    trace_point("con_propose", log_[slot].ops.front().space, log_[slot].ops.front().key);
+  if (!stored.ops().empty()) {
+    trace_point("con_propose", stored.ops().front().space, stored.ops().front().key);
   }
   send_accept(slot);
   if (quorum() <= 1) advance_commit();  // single-replica group: instant commit
 }
 
 void ConsensusEngine::send_accept(std::uint64_t slot) {
-  auto lit = log_.find(slot);
-  if (lit == log_.end()) return;
+  const LogEntry* entry = find_entry(slot);
+  if (entry == nullptr) return;
   auto pit = progress_.find(slot);
-  broadcast(pkt::ConAccept{epoch(), ballot_, slot, committed_upto_, lit->second.writer,
-                           lit->second.req_id, lit->second.ops},
+  broadcast(pkt::ConAccept{epoch(), ballot_, slot, committed_upto_, entry->writer, entry->req_id,
+                           entry->op_vector()},
             pit != progress_.end() ? &pit->second.accepted_by : nullptr);
 }
 
@@ -445,25 +492,24 @@ void ConsensusEngine::advance_commit() {
     if (!it->second.committed && it->second.accepted_by.size() < quorum()) break;
     it->second.committed = true;
     ++committed_upto_;
-    log_.at(committed_upto_).committed = true;  // quorum reached: value chosen
+    log_[committed_upto_ - 1].committed = true;  // quorum reached: value chosen
   }
   if (committed_upto_ == before) return;
   // Newly committed slots: lag records open at the origin, learners are
   // notified, and the recovery tap (if a stream is active) sees the commit.
   for (std::uint64_t slot = before + 1; slot <= committed_upto_; ++slot) {
-    const LogEntry& entry = log_.at(slot);
+    const LogEntry& entry = log_[slot - 1];
+    const std::span<const pkt::WriteOp> ops = entry.ops();
     if (obs_.enabled()) {
       const auto expected = static_cast<std::uint32_t>(members().size());
-      for (const auto& op : entry.ops) {
-        obs_.on_commit(op.space, op.key, slot, host_.self(), expected);
-      }
+      for (const auto& op : ops) obs_.on_commit(op.space, op.key, slot, host_.self(), expected);
     }
-    if (!entry.ops.empty()) {
-      trace_point("con_commit", entry.ops.front().space, entry.ops.front().key);
-      host_.recovery_tap(entry.ops, std::vector<SeqNum>(entry.ops.size(), slot));
+    if (!ops.empty()) {
+      trace_point("con_commit", ops.front().space, ops.front().key);
+      host_.recovery_tap(ops, std::vector<SeqNum>(ops.size(), slot));
     }
     broadcast(pkt::ConLearn{epoch(), ballot_, slot, committed_upto_, entry.writer, entry.req_id,
-                            entry.ops});
+                            entry.op_vector()});
     progress_.erase(slot);
   }
   apply_committed_upto(committed_upto_);
@@ -490,23 +536,21 @@ void ConsensusEngine::repair_tick() {
     if (m == host_.self()) continue;
     const std::uint64_t pa = peer_applied_[m];
     if (pa >= committed_upto_) {
-      auto lit = log_.find(committed_upto_);
-      if (lit != log_.end()) {
+      if (const LogEntry* entry = find_entry(committed_upto_)) {
         ++stats_.lease_renewals;
         stats_.bytes += deliver(m, pkt::ConLearn{epoch(), ballot_, committed_upto_,
-                                                 committed_upto_, lit->second.writer,
-                                                 lit->second.req_id, lit->second.ops});
+                                                 committed_upto_, entry->writer, entry->req_id,
+                                                 entry->op_vector()});
       }
       continue;
     }
     const std::uint64_t end = std::min(committed_upto_, pa + kRepairChunk);
     for (std::uint64_t slot = pa + 1; slot <= end; ++slot) {
-      auto lit = log_.find(slot);
-      if (lit == log_.end()) continue;
+      const LogEntry* entry = find_entry(slot);
+      if (entry == nullptr) continue;
       ++stats_.repair_resends;
       stats_.bytes += deliver(m, pkt::ConLearn{epoch(), ballot_, slot, committed_upto_,
-                                               lit->second.writer, lit->second.req_id,
-                                               lit->second.ops});
+                                               entry->writer, entry->req_id, entry->op_vector()});
     }
   }
 }
@@ -524,20 +568,20 @@ bool ConsensusEngine::lease_valid() const {
   return lease_expiry_ != 0 && host_.sw().simulator().now() < lease_expiry_;
 }
 
-void ConsensusEngine::on_accept(pkt::ConAccept msg) {
+void ConsensusEngine::on_accept(const pkt::ConAccept& msg) {
   ++stats_.accepts_seen;
   if (msg.ballot < promised_ballot_) {
     ++stats_.stale_ballot_drops;
     return;
   }
   promised_ballot_ = msg.ballot;
-  auto it = log_.find(msg.slot);
-  if (it == log_.end() || it->second.ballot <= msg.ballot) {
+  const LogEntry* entry = find_entry(msg.slot);
+  if (entry == nullptr || entry->ballot <= msg.ballot) {
     // An overwrite of an already-chosen entry can only come from a ballot >=
     // the committing one, where the choice invariant forces the same value:
     // the committed bit survives the overwrite.
-    const bool chosen = it != log_.end() && it->second.committed;
-    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, std::move(msg.ops), chosen};
+    const bool chosen = entry != nullptr && entry->committed;
+    store_entry(msg.slot, LogEntry{msg.ballot, msg.writer, msg.req_id, msg.ops, chosen});
   }
   committed_upto_ = std::max(committed_upto_, msg.commit_upto);
   mark_committed(msg.commit_upto, msg.ballot);
@@ -548,21 +592,21 @@ void ConsensusEngine::on_accept(pkt::ConAccept msg) {
               pkt::ConAccepted{msg.epoch, msg.ballot, msg.slot, host_.self(), applied_upto_});
 }
 
-void ConsensusEngine::on_learn(pkt::ConLearn msg) {
+void ConsensusEngine::on_learn(const pkt::ConLearn& msg) {
   if (msg.ballot < promised_ballot_) {
     ++stats_.stale_ballot_drops;
     return;
   }
   promised_ballot_ = msg.ballot;
-  auto it = log_.find(msg.slot);
-  if (it == log_.end() || it->second.ballot <= msg.ballot) {
+  LogEntry* entry = find_entry(msg.slot);
+  if (entry == nullptr || entry->ballot <= msg.ballot) {
     // A learn carries the chosen value for the slot it names (commitment is
     // permanent), so the fresh entry is committed outright.
-    log_[msg.slot] = LogEntry{msg.ballot, msg.writer, msg.req_id, std::move(msg.ops), true};
+    store_entry(msg.slot, LogEntry{msg.ballot, msg.writer, msg.req_id, msg.ops, true});
   } else {
     // Our entry outranks the learn's ballot; for a chosen slot any
     // higher-ballot accept must carry the same value, so it is chosen too.
-    it->second.committed = true;
+    entry->committed = true;
   }
   // A learn means the slot is committed even if commit_upto lags behind it.
   committed_upto_ = std::max({committed_upto_, msg.commit_upto, msg.slot});
@@ -584,25 +628,39 @@ void ConsensusEngine::mark_committed(std::uint64_t upto, std::uint64_t ballot) {
   // ballot is safe — the Paxos choice invariant forces it to equal the
   // chosen value. Older entries stay unchosen and read as gaps until the
   // repair loop re-learns them.
-  for (auto it = log_.upper_bound(applied_upto_); it != log_.end() && it->first <= upto; ++it) {
-    if (it->second.ballot >= ballot) it->second.committed = true;
+  const std::uint64_t end = std::min<std::uint64_t>(upto, log_.size());
+  for (std::uint64_t slot = applied_upto_ + 1; slot <= end; ++slot) {
+    LogEntry& entry = log_[slot - 1];
+    if (entry.present() && entry.ballot >= ballot) entry.committed = true;
   }
 }
 
 void ConsensusEngine::apply_committed_upto(std::uint64_t upto) {
   while (applied_upto_ < upto) {
-    auto it = log_.find(applied_upto_ + 1);
+    const LogEntry* entry = find_entry(applied_upto_ + 1);
     // A missing entry, or one not yet known chosen, is a gap: the repair
     // loop back-fills it with a learn before anything past it applies.
-    if (it == log_.end() || !it->second.committed) return;
-    apply_entry(applied_upto_ + 1, it->second);
+    if (entry == nullptr || !entry->committed) return;
+    apply_entry(applied_upto_ + 1, *entry);
     ++applied_upto_;
   }
 }
 
+ConsensusEngine::LogEntry* ConsensusEngine::find_entry(std::uint64_t slot) noexcept {
+  if (slot == 0 || slot > log_.size()) return nullptr;
+  LogEntry& entry = log_[slot - 1];
+  return entry.present() ? &entry : nullptr;
+}
+
+ConsensusEngine::LogEntry& ConsensusEngine::store_entry(std::uint64_t slot, LogEntry entry) {
+  if (slot > log_.size()) log_.resize(slot);
+  return log_[slot - 1] = std::move(entry);
+}
+
 void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
   ++stats_.slots_applied;
-  for (const auto& op : entry.ops) {
+  const std::span<const pkt::WriteOp> ops = entry.ops();
+  for (const auto& op : ops) {
     auto sit = spaces_.find(op.space);
     if (sit == spaces_.end()) continue;
     SroSpaceState& sp = *sit->second;
@@ -612,9 +670,7 @@ void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
     if (slot > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, slot);
     obs_.on_apply(op.space, op.key, coordinator_, slot, host_.self());
   }
-  if (!entry.ops.empty()) {
-    trace_point("con_apply", entry.ops.front().space, entry.ops.front().key);
-  }
+  if (!ops.empty()) trace_point("con_apply", ops.front().space, ops.front().key);
   release_write(entry.writer, entry.req_id);
 }
 

@@ -30,8 +30,11 @@
 // encapsulated to the coordinator like an SRO redirect.
 #pragma once
 
+#include <array>
+#include <deque>
 #include <map>
 #include <set>
+#include <span>
 
 #include "swishmem/protocols/engine.hpp"
 #include "swishmem/spaces.hpp"
@@ -104,11 +107,35 @@ class ConsensusEngine final : public ProtocolEngine {
   };
 
   /// One log entry: the transaction plus the ballot it was accepted under.
-  struct LogEntry {
+  /// The log is indexed by slot, so a slot that nothing was accepted at
+  /// holds an absent entry: ballot 0, which no coordinator ever uses. Every
+  /// kCON transaction in the tree writes at most two ops (the LB's mapping
+  /// plus refcount, the NAT's two directions), so up to kInlineOps live in
+  /// the entry itself; a wider batch takes one heap block.
+  class LogEntry {
+   public:
+    static constexpr std::size_t kInlineOps = 2;
+
+    LogEntry() noexcept : inline_{} {}
+    /// `ops` holds at most 65,535 ops, the wire's u16 op count.
+    LogEntry(std::uint64_t ballot, SwitchId writer, std::uint64_t req_id,
+             std::span<const pkt::WriteOp> ops, bool committed = false);
+    LogEntry(LogEntry&& other) noexcept : LogEntry() { take(other); }
+    LogEntry& operator=(LogEntry&& other) noexcept;
+    ~LogEntry() { free_ops(); }
+
+    [[nodiscard]] bool present() const noexcept { return ballot != 0; }
+    [[nodiscard]] std::span<const pkt::WriteOp> ops() const noexcept {
+      return {n_ops_ <= kInlineOps ? inline_.data() : heap_, n_ops_};
+    }
+    /// The batch as a wire message carries it.
+    [[nodiscard]] std::vector<pkt::WriteOp> op_vector() const {
+      return {ops().begin(), ops().end()};
+    }
+
     std::uint64_t ballot = 0;
-    SwitchId writer = kInvalidNode;
     std::uint64_t req_id = 0;
-    std::vector<pkt::WriteOp> ops;
+    SwitchId writer = kInvalidNode;
     /// True once this replica KNOWS the entry is the chosen value for its
     /// slot (a learn named the slot, a commit-prefix proof covered it at a
     /// ballot the entry matches, or this coordinator committed it). An
@@ -116,6 +143,16 @@ class ConsensusEngine final : public ProtocolEngine {
     /// can pass over a slot whose local entry is a stale minority accept
     /// that a successor coordinator superseded.
     bool committed = false;
+
+   private:
+    void take(LogEntry& other) noexcept;
+    void free_ops() noexcept;
+
+    std::uint16_t n_ops_ = 0;
+    union {
+      std::array<pkt::WriteOp, kInlineOps> inline_;
+      pkt::WriteOp* heap_;  ///< n_ops_ > kInlineOps
+    };
   };
 
   /// Coordinator-side per-slot progress toward a quorum.
@@ -135,14 +172,12 @@ class ConsensusEngine final : public ProtocolEngine {
     telemetry::SpanContext trace;
   };
 
-  // Handlers of the messages that carry an op batch take them by value: the
-  // batch moves into the log instead of being copied.
-  void on_forward(pkt::ConForward msg);
+  void on_forward(const pkt::ConForward& msg);
   void on_prepare(const pkt::ConPrepare& msg);
   void on_promise(const pkt::ConPromise& msg);
-  void on_accept(pkt::ConAccept msg);
+  void on_accept(const pkt::ConAccept& msg);
   void on_accepted(const pkt::ConAccepted& msg);
-  void on_learn(pkt::ConLearn msg);
+  void on_learn(const pkt::ConLearn& msg);
 
   /// Coordinator: sequences `entry` at the next slot and proposes it.
   void propose(LogEntry entry);
@@ -162,6 +197,10 @@ class ConsensusEngine final : public ProtocolEngine {
   /// yet; stops at the first gap or unchosen entry. Reports applies to the
   /// observatory.
   void apply_committed_upto(std::uint64_t upto);
+  /// The entry at `slot`, or nullptr when nothing was accepted there.
+  [[nodiscard]] LogEntry* find_entry(std::uint64_t slot) noexcept;
+  /// Stores `entry` at `slot`, growing the log with absent entries.
+  LogEntry& store_entry(std::uint64_t slot, LogEntry entry);
   void apply_entry(std::uint64_t slot, const LogEntry& entry);
   /// Coordinator repair tick: re-send learns to replicas whose applied
   /// prefix lags the commit prefix; also re-drive unaccepted slots.
@@ -191,7 +230,10 @@ class ConsensusEngine final : public ProtocolEngine {
 
   // -- Acceptor state ----------------------------------------------------------
   std::uint64_t promised_ballot_ = 0;        ///< highest ballot promised/accepted
-  std::map<std::uint64_t, LogEntry> log_;    ///< slot -> accepted entry
+  /// Slot s at index s - 1. A deque, not a vector: growing at the end
+  /// keeps references to entries valid (apply_entry holds one across
+  /// release_write).
+  std::deque<LogEntry> log_;
   std::uint64_t committed_upto_ = 0;         ///< highest slot known committed
   std::uint64_t applied_upto_ = 0;           ///< contiguously applied prefix
   TimeNs lease_expiry_ = 0;                  ///< follower read lease

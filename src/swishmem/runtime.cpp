@@ -420,8 +420,7 @@ void ShmRuntime::start_recovery_stream(SwitchId target, std::function<void()> do
   });
 }
 
-void ShmRuntime::recovery_tap(const std::vector<pkt::WriteOp>& ops,
-                              const std::vector<SeqNum>& seqs) {
+void ShmRuntime::recovery_tap(std::span<const pkt::WriteOp> ops, std::span<const SeqNum> seqs) {
   // While a recovery stream is active, every commit is also fed to the
   // recovering switch, in order, behind the snapshot (§6.3).
   if (!recovery_ || !recovery_tap_) return;
@@ -434,10 +433,10 @@ void ShmRuntime::recovery_tap(const std::vector<pkt::WriteOp>& ops,
     // point, so it must follow the last snapshot chunk. Buffer it raw —
     // write_ids are assigned at enqueue time so stream order stays
     // snapshot < backlog < live taps.
-    recovery_->tap_backlog.push_back({ops, seqs});
+    recovery_->tap_backlog.push_back({{ops.begin(), ops.end()}, {seqs.begin(), seqs.end()}});
     return;
   }
-  recovery_enqueue(ops, seqs);
+  recovery_enqueue({ops.begin(), ops.end()}, {seqs.begin(), seqs.end()});
   recovery_send_next();
 }
 

@@ -232,7 +232,7 @@ class ShmRuntime final {
   [[nodiscard]] bool authoritative() const noexcept { return authoritative_; }
   /// Feeds a committed write into the active recovery stream, if any (the
   /// donor-side tap of §6.3).
-  void recovery_tap(const std::vector<pkt::WriteOp>& ops, const std::vector<SeqNum>& seqs);
+  void recovery_tap(std::span<const pkt::WriteOp> ops, std::span<const SeqNum> seqs);
   /// Span recorder of this switch's simulator; a disabled recorder is one
   /// branch per call.
   [[nodiscard]] telemetry::SpanRecorder& spans() noexcept { return spans_; }

@@ -21,6 +21,7 @@ constexpr std::uint32_t kSpaceB = 31;
 ///  port 1000+k : write A[k] = src_port (single-op)
 ///  port 2000+k : read A[k]; records value and status
 ///  port 4000+k : transaction { A[k] = src_port, B[k] = src_port + 1 }
+///  port 5000+k : the same plus A[k + 100] = src_port + 2 (three ops)
 class Driver : public NfApp {
  public:
   void process(pisa::PacketContext& ctx, ShmRuntime& rt) override {
@@ -42,9 +43,10 @@ class Driver : public NfApp {
       } else if (st == ReadStatus::kRedirected) {
         ++reads_redirected;
       }
-    } else if (port >= 4000 && port < 5000) {
-      const std::uint64_t key = port - 4000;
+    } else if (port >= 4000 && port < 6000) {
+      const std::uint64_t key = port % 1000;
       std::vector<pkt::WriteOp> ops{{kSpaceA, key, src}, {kSpaceB, key, src + 1}};
+      if (port >= 5000) ops.push_back({kSpaceA, key + 100, src + 2});
       txn_accepted = rt.write(std::move(ops), std::move(ctx.packet),
                               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
@@ -220,15 +222,20 @@ TEST(Consensus, WritesRecommitAfterCoordinatorFailure) {
   }
 }
 
-TEST(Consensus, TransactionSurvivesMidFlightCoordinatorFailure) {
+/// A transaction of GetParam() ops: two fit in a log entry, three spill
+/// to the entry's heap block.
+class ConsensusTxn : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConsensusTxn, TransactionSurvivesMidFlightCoordinatorFailure) {
   // Slow links stretch the commit round trips so the coordinator dies with
   // the transaction proposed but not yet learned anywhere: phase-1 recovery
   // must re-propose it from the acceptors' promises, whole or not at all.
+  const bool three_ops = GetParam() == 3;
   FabricConfig cfg = cfg4();
   cfg.link.propagation_delay = 1 * kMs;
   Rig rig(cfg);
   rig.fabric.run_for(50 * kMs);
-  rig.fabric.sw(2).inject(udp(42, 4009));
+  rig.fabric.sw(2).inject(udp(42, three_ops ? 5009 : 4009));
   // forward reaches switch 0 at ~1 ms; its accepts are in flight at 1.5 ms.
   rig.fabric.run_for(1500 * kUs);
   rig.fabric.kill_switch(0);
@@ -239,9 +246,14 @@ TEST(Consensus, TransactionSurvivesMidFlightCoordinatorFailure) {
     ASSERT_EQ(a.has_value(), b.has_value()) << "torn transaction on replica " << i;
     EXPECT_EQ(a.value_or(~0ull), 42u) << "replica " << i;
     EXPECT_EQ(b.value_or(~0ull), 43u) << "replica " << i;
+    EXPECT_EQ(rig.stored(i, kSpaceA, 109).value_or(~0ull), three_ops ? 44u : 0u)
+        << "replica " << i;
   }
   EXPECT_EQ(rig.delivered, 1u) << "writer must release the packet exactly once";
 }
+
+INSTANTIATE_TEST_SUITE_P(OpCounts, ConsensusTxn, ::testing::Values(2, 3),
+                         ::testing::PrintToStringParamName());
 
 TEST(Consensus, RevivedReplicaCatchesUpFromRepair) {
   Rig rig(cfg4());

@@ -17,20 +17,58 @@ namespace {
 
 constexpr std::uint32_t kPart = 55;
 
+/// Port 2000+k: reads key k of the space with the packet's context.
+class Reader : public NfApp {
+ public:
+  void process(pisa::PacketContext& ctx, ShmRuntime& rt) override {
+    if (!ctx.parsed || !ctx.parsed->udp) return;
+    const std::uint16_t port = ctx.parsed->udp->dst_port;
+    if (port < 2000 || port >= 3000) return;
+    std::uint64_t value = 0;
+    const ReadStatus st = rt.read(&ctx, kPart, port - 2000, value);
+    if (st == ReadStatus::kOk) {
+      last_read = value;
+      ++reads_ok;
+    } else if (st == ReadStatus::kRedirected) {
+      ++reads_redirected;
+    }
+  }
+  std::uint64_t last_read = 0;
+  int reads_ok = 0;
+  int reads_redirected = 0;
+};
+
+pkt::Packet read_packet(std::uint64_t key) {
+  pkt::PacketSpec spec;
+  spec.ip_src = pkt::Ipv4Addr(1, 2, 3, 4);
+  spec.ip_dst = pkt::Ipv4Addr(9, 9, 9, 9);
+  spec.protocol = pkt::kProtoUdp;
+  spec.src_port = 7;
+  spec.dst_port = static_cast<std::uint16_t>(2000 + key);
+  spec.payload = {0};
+  return pkt::build_packet(spec);
+}
+
 struct Rig {
   Fabric fabric;
+  std::vector<Reader*> readers;
 
   explicit Rig(std::vector<SwitchId> replicas, std::size_t switches = 4,
-               std::size_t shards = 1, SpaceKind kind = SpaceKind::kDense)
+               std::size_t shards = 1, SpaceKind kind = SpaceKind::kDense,
+               ConsistencyClass cls = ConsistencyClass::kSRO)
       : fabric(make_cfg(switches, shards)) {
     SpaceConfig sp;
     sp.id = kPart;
     sp.name = "mig";
-    sp.cls = ConsistencyClass::kSRO;
+    sp.cls = cls;
     sp.kind = kind;
     sp.size = 256;
     fabric.add_space(sp, std::move(replicas));
-    fabric.install(nullptr);
+    fabric.install([this]() {
+      auto r = std::make_unique<Reader>();
+      readers.push_back(r.get());
+      return r;
+    });
     fabric.start();
   }
   static FabricConfig make_cfg(std::size_t n, std::size_t shards = 1) {
@@ -137,6 +175,39 @@ TEST(ControllerMigrate, RejoinAfterShrinkStartsFromTheDonor) {
     EXPECT_EQ(rig.fabric.metrics_snapshot().values.at("shm.sw1.sro.writes_failed").count, 0u);
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_EQ(read_value(rig.fabric.runtime(i), kPart, 5), 7u) << "switch " << i;
+    }
+  }
+}
+
+TEST(ControllerMigrate, LeaverReadsFromTheTail) {
+  // A switch migrated out of a chain space stops receiving its writes, so
+  // it must stop serving its copy: like any non-replica, a read with a
+  // packet context is redirected to the space's tail (for ERO too, whose
+  // replicas read locally), and a read without one is a miss.
+  for (ConsistencyClass cls : {ConsistencyClass::kSRO, ConsistencyClass::kERO}) {
+    for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(to_string(cls)) + ", " + std::to_string(shards) + " shard(s)");
+      Rig rig({1, 2, 3, 4}, /*switches=*/4, shards, SpaceKind::kDense, cls);
+      rig.write(0, 5, 42);
+      rig.fabric.run_for(200 * kMs);
+      int fires = 0;
+      rig.fabric.controller().migrate_space(kPart, {1, 2, 3}, [&fires](TimeNs) { ++fires; });
+      rig.fabric.run_for(200 * kMs);
+      ASSERT_EQ(fires, 1);
+      rig.write(0, 5, 43);
+      rig.fabric.run_for(200 * kMs);
+
+      ShmRuntime& leaver = rig.fabric.runtime(3);  // switch id 4
+      std::uint64_t value = 0;
+      EXPECT_EQ(leaver.read(nullptr, kPart, 5, value), ReadStatus::kMiss);
+
+      rig.fabric.sw(3).inject(read_packet(5));
+      rig.fabric.run_for(100 * kMs);
+      EXPECT_EQ(rig.readers[3]->reads_redirected, 1);
+      EXPECT_EQ(rig.readers[3]->reads_ok, 0);
+      // Answered at the new tail, switch id 3, with the write after the shrink.
+      EXPECT_EQ(rig.readers[2]->reads_ok, 1);
+      EXPECT_EQ(rig.readers[2]->last_read, 43u);
     }
   }
 }

@@ -63,6 +63,9 @@ add sim.nat.sparse.faults "$SIM" \
   "--nf nat --space nat.translation=sro:sparse --loss 0.02 $FAULTS $JSON"
 add sim.lb.con.sparse.faults "$SIM" \
   "--nf lb --space lb.conn_to_dip=con:sparse --space lb.dip_refcount=con $FAULTS $JSON"
+# The kCON coordinator (switch 0) dies under loss and comes back: elections,
+# phase-1 log recovery, repair resends and lease renewals.
+add sim.lb.con.coord.faults "$SIM" "$LB_CON --loss 0.02 --kill 0:40 --revive 0:70 $JSON"
 add sim.rl.own.sparse.faults "$SIM" "--nf ratelimiter --space rl.user_bytes=own:sparse $FAULTS $JSON"
 # Firewall churn: ~4,000 flows whose FIN tombstones erase exact-match table
 # entries; the revive streams fw.connections' snapshot with its tombstones.
